@@ -68,10 +68,10 @@ type sweepPoint struct {
 // counts are deterministic (they follow from the model's subtree
 // structure); the timings are this machine's.
 type incrementalPoint struct {
-	Trials  int    `json:"trials"`
-	Mode    string `json:"mode"` // "exact" or "sketch"
-	ColdNs  int64  `json:"cold_ns_per_op"`
-	WarmNs  int64  `json:"warm_ns_per_op"`
+	Trials  int     `json:"trials"`
+	Mode    string  `json:"mode"` // "exact" or "sketch"
+	ColdNs  int64   `json:"cold_ns_per_op"`
+	WarmNs  int64   `json:"warm_ns_per_op"`
 	Speedup float64 `json:"speedup"`
 	// Activity-trials the warm run drew fresh vs served from the memo;
 	// sampled+reused = activities × trials.

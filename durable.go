@@ -21,9 +21,10 @@ import (
 type PersistOptions struct {
 	// SegmentBytes is the WAL segment roll threshold (default 4 MiB).
 	SegmentBytes int64
-	// NoSync skips the per-append fsync. A crash may then lose recently
-	// acknowledged mutations, but recovery still yields a clean prefix.
-	// For tests and benchmarks.
+	// NoSync skips the fsync that ends each mutating facade operation
+	// (one per operation, not per record). A crash may then lose recently
+	// acknowledged operations, but recovery still yields a prefix of
+	// whole operations. For tests and benchmarks.
 	NoSync bool
 	// CheckpointEvery bounds replay debt: after a mutating facade
 	// operation leaves more than this many records past the installed
@@ -130,32 +131,51 @@ func (p *Project) Health() Health {
 
 // recorder bridges the in-memory change feeds to the WAL. Hooks fire
 // from the project's executing goroutine in commit order; each record is
-// stamped with the virtual clock at append time, which is how recovery
-// restores the clock (the clock is monotonic, so the last record's Now
-// is the crashed process's Now).
+// stamped with the virtual clock when it is buffered, which is how
+// recovery restores the clock (the clock is monotonic, so the last
+// record's Now is the crashed process's Now). Records are buffered, not
+// written: the facade operation that produced them flushes them as one
+// WAL batch — one frame, one fsync — so recovery restores whole
+// operations (see Project.commit).
 //
-// A failed append wedges the recorder: in-memory state has advanced past
-// what is durable, so further appends are suppressed and the error
-// surfaces — typed as *QuarantineError — from the next mutating facade
-// operation (and from Checkpoint and Close). Wedging also drops the
-// quarantine marker file beside the WAL.
+// A failed flush wedges the recorder: in-memory state has advanced past
+// what is durable, so further records are dropped and the error
+// surfaces — typed as *QuarantineError — from the flushing operation and
+// every later mutating facade operation (and from Checkpoint and Close).
+// Wedging also drops the quarantine marker file beside the WAL.
 type recorder struct {
-	log   *persist.Log
-	clock *vclock.Clock
-	mu    sync.Mutex
-	err   error
+	log     *persist.Log
+	clock   *vclock.Clock
+	mu      sync.Mutex
+	pending []*persist.Record
+	err     error
 }
 
-func (r *recorder) append(rec *persist.Record) {
+// add buffers rec for the operation in flight.
+func (r *recorder) add(rec *persist.Record) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.err != nil {
 		return
 	}
 	rec.Now = r.clock.Now()
-	if _, err := r.log.Append(rec); err != nil {
-		r.wedgeLocked(err)
+	r.pending = append(r.pending, rec)
+}
+
+// flush appends the buffered records as one batch and returns the
+// wedging error, if any. The flushed slots are cleared so the buffer
+// does not keep design-data blobs alive.
+func (r *recorder) flush() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.err == nil && len(r.pending) > 0 {
+		if _, err := r.log.AppendBatch(r.pending); err != nil {
+			r.wedgeLocked(err)
+		}
 	}
+	clear(r.pending)
+	r.pending = r.pending[:0]
+	return r.err
 }
 
 // wedge records the first WAL failure and writes the quarantine marker.
@@ -190,12 +210,12 @@ func (r *recorder) Err() error {
 // open the directory is initialized: a manifest pins schema, designer,
 // and start time, and every subsequent committed mutation — task-database
 // commits, design-data inserts, engine events, plan selections — is
-// appended to a write-ahead log before the call that caused it returns.
-// On later opens the project is rebuilt by loading the latest checkpoint
-// and replaying the log's clean record prefix; the recovered project is
-// bit-identical to the crashed one up to its last durable record: same
-// store version, same container watermarks, same event stream, same
-// virtual clock.
+// appended to a write-ahead log before the call that caused it returns,
+// each call's mutations as one atomic batch. On later opens the project
+// is rebuilt by loading the latest checkpoint and replaying the log's
+// clean prefix; the recovered project is bit-identical to the crashed
+// one after its last durable operation: same store version, same
+// container watermarks, same event stream, same virtual clock.
 //
 // schemaSrc is required on first open and ignored afterwards (the
 // manifest wins — a project's schema is fixed at creation). As with
@@ -234,33 +254,34 @@ func Open(dir, schemaSrc string, opt Options, po PersistOptions) (*Project, erro
 		p.checkpointEvery = 0
 	}
 	p.mgr.DB.SetCommitHook(func(m store.Mutation) {
-		rec.append(&persist.Record{Kind: persist.RecStore, Store: &m})
+		rec.add(&persist.Record{Kind: persist.RecStore, Store: &m})
 	})
 	p.mgr.Data.SetPutHook(func(o *design.Object) {
-		rec.append(&persist.Record{Kind: persist.RecData, Data: &persist.DataPut{
+		rec.add(&persist.Record{Kind: persist.RecData, Data: &persist.DataPut{
 			Class: o.Ref.Class, Producer: o.Producer, Created: o.Created, Bytes: o.Bytes,
 		}})
 	})
 	p.mgr.SetEventHook(func(e engine.Event) {
-		rec.append(&persist.Record{Kind: persist.RecEvent, Event: &e})
+		rec.add(&persist.Record{Kind: persist.RecEvent, Event: &e})
 	})
 
 	// Bootstrap: container creations that happened before the hooks were
 	// attached (engine.New on a fresh project, or engine.Restore's
 	// idempotent space initialization after a crash that preceded full
-	// bootstrap) are synthesized into the log now. An empty container's
-	// watermark is exactly the version its creation committed at, so the
-	// synthesized records replay to identical versions.
+	// bootstrap) are synthesized into the log now, as one batch. An
+	// empty container's watermark is exactly the version its creation
+	// committed at, so the synthesized records replay to identical
+	// versions.
 	for _, c := range p.mgr.DB.Containers() {
 		if covered[c.Name] {
 			continue
 		}
-		rec.append(&persist.Record{Kind: persist.RecStore, Store: &store.Mutation{
+		rec.add(&persist.Record{Kind: persist.RecStore, Store: &store.Mutation{
 			Kind: store.MutCreate, Version: c.Watermark(),
 			Container: c.Name, Space: c.Space, Class: c.Class,
 		}})
 	}
-	if err := rec.Err(); err != nil {
+	if err := rec.flush(); err != nil {
 		log.Close()
 		return nil, err
 	}
@@ -458,7 +479,10 @@ func (p *Project) Checkpoint() error {
 	if p.rec == nil {
 		return fmt.Errorf("flowsched: project is not durable")
 	}
-	if err := p.rec.Err(); err != nil {
+	// Flush first: the checkpoint covers every record appended so far,
+	// so a record still buffered would be appended after it and replayed
+	// on top of the state that already contains it.
+	if err := p.rec.flush(); err != nil {
 		return &QuarantineError{Cause: err}
 	}
 	data, err := json.Marshal(p.mgr.Data)
@@ -485,20 +509,27 @@ func (p *Project) Checkpoint() error {
 	return nil
 }
 
-// commitDurable finishes one mutating facade operation on a durable
-// project: it surfaces a wedged recorder and applies the auto-checkpoint
-// policy. A no-op on non-durable projects.
-func (p *Project) commitDurable() error {
+// commit finishes one mutating facade operation. Each such operation
+// defers it first thing, so it runs on every return path, failures
+// included: whatever a failed operation already changed in memory is
+// made as durable as a success would be. On a durable project it
+// appends the records the operation buffered as one WAL batch, then
+// applies the auto-checkpoint policy. The operation's own error wins;
+// otherwise a WAL failure surfaces as *QuarantineError. A no-op on
+// non-durable projects.
+func (p *Project) commit(errp *error) {
 	if p.rec == nil {
-		return nil
+		return
 	}
-	if err := p.rec.Err(); err != nil {
-		return &QuarantineError{Cause: err}
+	err := p.rec.flush()
+	if err != nil {
+		err = &QuarantineError{Cause: err}
+	} else if p.checkpointEvery > 0 && p.rec.log.SinceCheckpoint() >= p.checkpointEvery {
+		err = p.Checkpoint()
 	}
-	if p.checkpointEvery > 0 && p.rec.log.SinceCheckpoint() >= p.checkpointEvery {
-		return p.Checkpoint()
+	if *errp == nil {
+		*errp = err
 	}
-	return nil
 }
 
 // DurableFootprint reports the WAL's on-disk size in bytes.

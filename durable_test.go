@@ -1,6 +1,7 @@
 package flowsched
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -244,4 +245,48 @@ func TestDurableTornTailRecoversCleanPrefix(t *testing.T) {
 	if _, err := re.Run([]string{"performance"}, false); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestFailedRunIsDurable pins the flush on a failed operation's error
+// return: a RunWith that aborts with *ExecError after completing some
+// activities has changed the store, and those changes must be durable
+// when it returns — not only after the next successful write. So must a
+// Resume of it, whatever its outcome. The crash image is taken without
+// Close, so nothing but the operations' own flushes can have written
+// the records.
+func TestFailedRunIsDurable(t *testing.T) {
+	for seed := int64(0); seed < 64; seed++ {
+		dir := t.TempDir()
+		p := openDurable(t, dir, PersistOptions{CheckpointEvery: -1})
+		if _, err := p.Import("stimuli", []byte("pulse 0 5 1ns")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Plan([]string{"performance"}, Fixed{Default: 8 * time.Hour}, PlanOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.InjectFaults(FaultConfig{Seed: seed, Crash: 0.5, CrashBurst: 3}); err != nil {
+			t.Fatal(err)
+		}
+		_, err := p.RunWith([]string{"performance"}, RunOptions{AutoComplete: true})
+		var ee *ExecError
+		if !errors.As(err, &ee) || len(ee.Completed()) == 0 {
+			continue // this seed did not abort after completed work
+		}
+		checkCrashImage := func(what string) {
+			t.Helper()
+			re := openDurable(t, copyDir(t, dir), PersistOptions{})
+			if re.Version() != p.Version() || re.EventCount() != p.EventCount() {
+				t.Fatalf("seed %d, %s: crash image recovered version %d with %d events, live project is at %d with %d",
+					seed, what, re.Version(), re.EventCount(), p.Version(), p.EventCount())
+			}
+			if re.DatabaseDump() != p.DatabaseDump() {
+				t.Fatalf("seed %d, %s: crash image's database differs from the live project", seed, what)
+			}
+		}
+		checkCrashImage("failed RunWith")
+		ee.Resume()
+		checkCrashImage("Resume")
+		return
+	}
+	t.Fatal("no seed in 0..63 aborts a run after completing an activity")
 }

@@ -280,12 +280,13 @@ func (p *Project) Calendar() *Calendar { return p.mgr.Calendar }
 
 // Import files external design data for a primary-input class and returns
 // the entity instance ID.
-func (p *Project) Import(class string, data []byte) (string, error) {
+func (p *Project) Import(class string, data []byte) (id string, err error) {
+	defer p.commit(&err)
 	e, err := p.mgr.Import(class, data)
 	if err != nil {
 		return "", err
 	}
-	return e.ID, p.commitDurable()
+	return e.ID, nil
 }
 
 // UseSimulatedTools binds a default simulated tool to every activity that
@@ -365,7 +366,8 @@ func (p *Project) ExtractTree(targets ...string) (*Tree, error) {
 // a new plan version; the newest plan is tracked by subsequent Run calls.
 // When a previous plan exists it is recorded as this plan's ancestor
 // (schedule metadata lineage).
-func (p *Project) Plan(targets []string, est Estimator, opt PlanOptions) (*Plan, error) {
+func (p *Project) Plan(targets []string, est Estimator, opt PlanOptions) (_ *Plan, err error) {
+	defer p.commit(&err)
 	tree, err := p.mgr.ExtractTree(targets...)
 	if err != nil {
 		return nil, err
@@ -383,10 +385,10 @@ func (p *Project) Plan(targets []string, est Estimator, opt PlanOptions) (*Plan,
 	if p.rec != nil {
 		// The plan's store instances were recorded by the commit feed;
 		// this records which version became the *tracked* plan.
-		p.rec.append(&persist.Record{Kind: persist.RecPlan,
+		p.rec.add(&persist.Record{Kind: persist.RecPlan,
 			Plan: &persist.PlanRecord{Version: res.Plan.Version}})
 	}
-	return p.plan, p.commitDurable()
+	return p.plan, nil
 }
 
 // CurrentPlan returns the tracked plan, or nil before planning.
@@ -396,17 +398,7 @@ func (p *Project) CurrentPlan() *Plan { return p.plan }
 // current plan if one exists. With autoComplete, finished activities are
 // linked to their final entity instances and the plan is re-propagated.
 func (p *Project) Run(targets []string, autoComplete bool) (*ExecResult, error) {
-	tree, err := p.mgr.ExtractTree(targets...)
-	if err != nil {
-		return nil, err
-	}
-	res, err := p.mgr.ExecuteTask(tree, engine.ExecOptions{
-		Plan: p.plan, AutoComplete: autoComplete,
-	})
-	if err == nil {
-		err = p.commitDurable()
-	}
-	return res, err
+	return p.execute(targets, engine.ExecOptions{AutoComplete: autoComplete})
 }
 
 // RunParallel executes like Run but overlaps independent branches on the
@@ -414,17 +406,23 @@ func (p *Project) Run(targets []string, autoComplete bool) (*ExecResult, error) 
 // semantics (an activity starts when its producers finish, not when the
 // previous traversal step does).
 func (p *Project) RunParallel(targets []string, autoComplete bool) (*ExecResult, error) {
+	return p.execute(targets, engine.ExecOptions{AutoComplete: autoComplete, Parallel: true})
+}
+
+// execute runs the task tree covering the targets, tracked against the
+// current plan. The run — and any ExecError.Resume of it — finishes
+// through commit, so a failed run's completed work is durable too.
+func (p *Project) execute(targets []string, opt engine.ExecOptions) (*ExecResult, error) {
 	tree, err := p.mgr.ExtractTree(targets...)
 	if err != nil {
 		return nil, err
 	}
-	res, err := p.mgr.ExecuteTask(tree, engine.ExecOptions{
-		Plan: p.plan, AutoComplete: autoComplete, Parallel: true,
-	})
-	if err == nil {
-		err = p.commitDurable()
+	opt.Plan = p.plan
+	opt.Commit = func(err error) error {
+		p.commit(&err)
+		return err
 	}
-	return res, err
+	return p.mgr.ExecuteTask(tree, opt)
 }
 
 // DefaultRecovery returns the stock fault-tolerance policy: exponential
@@ -465,48 +463,35 @@ type RunOptions struct {
 // zero completed activities once the cause is fixed (e.g. a tool
 // rebound).
 func (p *Project) RunWith(targets []string, opt RunOptions) (*ExecResult, error) {
-	tree, err := p.mgr.ExtractTree(targets...)
-	if err != nil {
-		return nil, err
-	}
 	rec := opt.Recovery
 	if p.faults != nil && rec.Verify == nil {
 		rec.Verify = fault.Check
 	}
-	res, err := p.mgr.ExecuteTask(tree, engine.ExecOptions{
-		Plan: p.plan, AutoComplete: opt.AutoComplete, Parallel: opt.Parallel,
+	return p.execute(targets, engine.ExecOptions{
+		AutoComplete: opt.AutoComplete, Parallel: opt.Parallel,
 		MaxIterations: opt.MaxIterations, MaxFailures: opt.MaxFailures,
 		Recovery: rec,
 	})
-	if err == nil {
-		err = p.commitDurable()
-	}
-	return res, err
 }
 
 // Complete designates an entity instance as the final design data of an
 // activity under the current plan, creating the schedule↔entity link.
-func (p *Project) Complete(activity, entityID string) error {
+func (p *Project) Complete(activity, entityID string) (err error) {
+	defer p.commit(&err)
 	if p.plan == nil {
 		return fmt.Errorf("flowsched: no plan to complete against")
 	}
-	if err := p.mgr.CompleteActivity(p.plan, activity, entityID); err != nil {
-		return err
-	}
-	return p.commitDurable()
+	return p.mgr.CompleteActivity(p.plan, activity, entityID)
 }
 
 // Propagate updates the current plan for slips as of the virtual now and
 // returns the projected project finish.
-func (p *Project) Propagate() (time.Time, error) {
+func (p *Project) Propagate() (_ time.Time, err error) {
+	defer p.commit(&err)
 	if p.plan == nil {
 		return time.Time{}, fmt.Errorf("flowsched: no plan to propagate")
 	}
-	finish, err := p.mgr.Sched.Propagate(p.plan, p.Now())
-	if err == nil {
-		err = p.commitDurable()
-	}
-	return finish, err
+	return p.mgr.Sched.Propagate(p.plan, p.Now())
 }
 
 // readMgr returns a read-only manager bound to a fresh snapshot of the
@@ -638,7 +623,8 @@ func (p *Project) EventCount() int { return p.mgr.EventCount() }
 // accepted edit shifts time, not design behaviour). This is the write
 // behind `POST /edit`: a designer promotes a scenario from Scenarios
 // into the tracked reality. Fault edits are refused; use InjectFaults.
-func (p *Project) ApplyScenarioEdit(e ScenarioEdit) error {
+func (p *Project) ApplyScenarioEdit(e ScenarioEdit) (err error) {
+	defer p.commit(&err)
 	if err := scenario.Apply(p.mgr, e); err != nil {
 		return err
 	}
@@ -646,7 +632,7 @@ func (p *Project) ApplyScenarioEdit(e ScenarioEdit) error {
 	// store; bump the version so snapshot caches drop stale risk and
 	// prediction renders and concurrent If-Match writes see the edit.
 	p.mgr.DB.Touch()
-	return p.commitDurable()
+	return nil
 }
 
 // Metrics returns a point-in-time snapshot of every registered metric,
@@ -689,14 +675,13 @@ type MilestoneStatus = sched.MilestoneStatus
 // current plan — a "proposed milestone" in the sense of the paper's
 // Fig. 1. The milestone is achieved when the producing activity
 // completes.
-func (p *Project) SetMilestone(name, class string, target time.Time) error {
+func (p *Project) SetMilestone(name, class string, target time.Time) (err error) {
+	defer p.commit(&err)
 	if p.plan == nil {
 		return fmt.Errorf("flowsched: no plan to set a milestone against")
 	}
-	if _, err := p.mgr.Sched.SetMilestone(p.plan, name, class, target); err != nil {
-		return err
-	}
-	return p.commitDurable()
+	_, err = p.mgr.Sched.SetMilestone(p.plan, name, class, target)
+	return err
 }
 
 // MilestoneReport refreshes and scores the current plan's milestones:
@@ -836,7 +821,8 @@ func (p *Project) ExportMPX() (string, error) {
 // are linked to the latest entity instance of their output class, so
 // the paper's schedule↔entity link is preserved even for hand-entered
 // status. Returns how many rows were applied.
-func (p *Project) ImportActualsCSV(r io.Reader) (int, error) {
+func (p *Project) ImportActualsCSV(r io.Reader) (_ int, err error) {
+	defer p.commit(&err)
 	if p.plan == nil {
 		return 0, fmt.Errorf("flowsched: no plan to apply actuals to")
 	}
@@ -858,11 +844,7 @@ func (p *Project) ImportActualsCSV(r io.Reader) (int, error) {
 		}
 		return e.ID, nil
 	}
-	n, err := export.ApplyActuals(p.mgr.Sched, p.plan, actuals, resolve)
-	if err == nil {
-		err = p.commitDurable()
-	}
-	return n, err
+	return export.ApplyActuals(p.mgr.Sched, p.plan, actuals, resolve)
 }
 
 // RiskResult is the outcome of a Monte-Carlo schedule risk analysis.

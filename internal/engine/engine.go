@@ -423,6 +423,11 @@ type ExecOptions struct {
 	// an enclosing span on the same tracer (a request or scenario-run
 	// span). Nil keeps engine.execute a trace root.
 	TraceParent *obs.Span
+	// Commit, when non-nil, finishes every execution of these options —
+	// ExecuteTask and each ExecError.Resume — whether it succeeded or
+	// not, and its result replaces the execution's error. The durable
+	// facade uses it to write what the run committed as one WAL batch.
+	Commit func(error) error
 }
 
 func (o *ExecOptions) defaults() {
@@ -474,7 +479,15 @@ type ExecResult struct {
 // consistent store snapshot and a Resume path that re-runs zero
 // already-completed activities. Completed work is durable either way.
 func (m *Manager) ExecuteTask(tree *flow.Tree, opt ExecOptions) (*ExecResult, error) {
-	return m.execute(tree, opt, nil)
+	return opt.commit(m.execute(tree, opt, nil))
+}
+
+// commit applies the Commit hook to an execution's outcome.
+func (o *ExecOptions) commit(res *ExecResult, err error) (*ExecResult, error) {
+	if o.Commit != nil {
+		err = o.Commit(err)
+	}
+	return res, err
 }
 
 // execute is ExecuteTask plus the checkpoint-resume skip set: skipped

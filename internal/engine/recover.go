@@ -181,5 +181,5 @@ func (e *ExecError) Resume() (*ExecResult, error) {
 	for _, a := range e.Failed.Completed {
 		skip[a] = true
 	}
-	return e.mgr.execute(e.tree, e.opt, skip)
+	return e.opt.commit(e.mgr.execute(e.tree, e.opt, skip))
 }

@@ -88,7 +88,7 @@ func TestRenderFlight(t *testing.T) {
 		TraceID: "0123456789abcdef0123456789abcdef", Route: "risk", Status: 200,
 		Latency: 1500 * time.Millisecond, StoreVersion: 7, Cache: "miss",
 		SampledTrials: 100, ReusedTrials: 900,
-		Spans:         []SpanData{{Name: "serve.risk"}},
+		Spans: []SpanData{{Name: "serve.risk"}},
 	})
 	out := RenderFlight(f.Snapshot())
 	for _, want := range []string{"recent (1)", "slowest (1)", "risk", "cache=miss", "trials=100/900", "spans=1", "v7", "0123456789abcdef…"} {

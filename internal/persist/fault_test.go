@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"syscall"
 	"testing"
 	"time"
@@ -32,26 +33,27 @@ func chaosCheckpointPayload(seed int64, seq uint64) []byte {
 	return []byte(fmt.Sprintf(`{"seed":%d,"seq":%d}`, seed, seq))
 }
 
-// chaosPlan is a deterministic workload: opAppend entries interleaved
-// with opCheckpoint entries, derived from the seed with the package's
-// own mixer.
-type chaosOp int
+// chaosPlan is a deterministic workload: appended batches interleaved
+// with checkpoints, derived from the seed with the package's own mixer.
+// A step with batch > 0 appends that many records; batch == 0 is a
+// checkpoint. About half the batches hold one record (written with
+// Append, as a bare-record frame); the rest hold 1–64 (AppendBatch).
+type chaosOp struct{ batch int }
 
-const (
-	opAppend chaosOp = iota
-	opCheckpoint
-)
+var opCheckpoint = chaosOp{}
 
 func chaosPlan(seed int64) []chaosOp {
 	h := mixFault(uint64(seed) * 0x9e3779b97f4a7c15)
-	n := 8 + int(h%9) // 8..16 appends
+	n := 8 + int(h%9) // 8..16 batches
 	var plan []chaosOp
-	appended := 0
-	for appended < n {
-		plan = append(plan, opAppend)
-		appended++
+	for i := 0; i < n; i++ {
 		h = mixFault(h)
-		if h%5 == 0 { // ~1 in 5 appends is followed by a checkpoint
+		size := 1
+		if h&1 == 1 {
+			size = 1 + int(h>>1%64)
+		}
+		plan = append(plan, chaosOp{batch: size})
+		if h>>8%5 == 0 { // ~1 in 5 batches is followed by a checkpoint
 			plan = append(plan, opCheckpoint)
 		}
 	}
@@ -60,7 +62,8 @@ func chaosPlan(seed int64) []chaosOp {
 
 // chaosResult captures what a workload execution acknowledged.
 type chaosResult struct {
-	ackedAppends int      // appends that returned nil (always a prefix)
+	ackedAppends int      // records in batches that returned nil (always a prefix)
+	bounds       []uint64 // last seq of every attempted batch, acked or not
 	cpSeqs       []uint64 // seqs of checkpoint attempts, acked or not
 	firstErr     error    // first error any Log call returned
 	stickyViol   string   // non-empty if a post-failure call did not fail
@@ -85,17 +88,25 @@ func execChaos(dir string, fs FS, seed int64, sync bool) chaosResult {
 	next := 0
 	for _, op := range planOps(seed) {
 		var err error
-		switch op {
-		case opAppend:
+		switch {
+		case op.batch == 1:
+			res.bounds = append(res.bounds, uint64(next+1))
 			_, err = l.Append(chaosRecord(seed, next))
-			if err == nil {
-				next++
-				res.ackedAppends = next
+		case op.batch > 1:
+			batch := make([]*Record, op.batch)
+			for i := range batch {
+				batch[i] = chaosRecord(seed, next+i)
 			}
-		case opCheckpoint:
+			res.bounds = append(res.bounds, uint64(next+op.batch))
+			_, err = l.AppendBatch(batch)
+		default:
 			seq := l.Seq()
 			res.cpSeqs = append(res.cpSeqs, seq)
 			err = l.WriteCheckpoint(chaosCheckpointPayload(seed, seq))
+		}
+		if err == nil && op.batch > 0 {
+			next += op.batch
+			res.ackedAppends = next
 		}
 		if res.firstErr == nil {
 			res.firstErr = err
@@ -111,7 +122,7 @@ func planOps(seed int64) []chaosOp { return chaosPlan(seed) }
 
 // crash abandons a log the way a process death would: the file handle
 // goes away with no flush, no sync, no checkpoint. (Appends flush per
-// record, so closing the raw handle writes nothing extra.)
+// batch, so closing the raw handle writes nothing extra.)
 func crash(l *Log) {
 	l.mu.Lock()
 	if l.f != nil {
@@ -124,9 +135,10 @@ func crash(l *Log) {
 
 // verifyRecovery reopens dir with the real filesystem and checks the
 // chaos invariants: every acked append survives bit-identically (via
-// replay or checkpoint coverage), the recovered tail holds at most one
-// trailing unacknowledged record, and an installed checkpoint matches a
-// checkpoint the workload actually attempted.
+// replay or checkpoint coverage), the recovered tail ends on a batch
+// boundary and holds at most one trailing unacknowledged batch, and an
+// installed checkpoint matches a checkpoint the workload actually
+// attempted.
 func verifyRecovery(t *testing.T, dir string, seed int64, res chaosResult) {
 	t.Helper()
 	l, err := Open(dir, Options{NoSync: true})
@@ -160,14 +172,19 @@ func verifyRecovery(t *testing.T, dir string, seed int64, res chaosResult) {
 		t.Fatalf("recovery replay: %v", err)
 	}
 	// Replay yields the contiguous range cpSeq+1 .. lastSeq. Everything
-	// acked must be covered; at most one trailing unacked record (a
-	// fully-written frame whose fsync failed) may also survive.
+	// acked must be covered; at most one trailing unacked batch (a
+	// fully-written frame whose fsync failed) may also survive, and
+	// never part of one.
 	last := cpSeq + uint64(len(recs))
-	if last < uint64(res.ackedAppends) {
-		t.Fatalf("recovered through seq %d, but %d appends were acknowledged — an acked write was dropped", last, res.ackedAppends)
+	acked := uint64(res.ackedAppends)
+	if last < acked {
+		t.Fatalf("recovered through seq %d, but %d records were acknowledged — an acked write was dropped", last, acked)
 	}
-	if last > uint64(res.ackedAppends)+1 {
-		t.Fatalf("recovered through seq %d, but only %d appends acked (+1 indeterminate allowed)", last, res.ackedAppends)
+	if last > acked {
+		i := slices.IndexFunc(res.bounds, func(b uint64) bool { return b > acked })
+		if i < 0 || last != res.bounds[i] {
+			t.Fatalf("recovered through seq %d, but only %d records acked — not the end of the next batch (batch ends %v)", last, acked, res.bounds)
+		}
 	}
 	for i, r := range recs {
 		wantSeq := cpSeq + uint64(i) + 1
@@ -191,9 +208,10 @@ func verifyRecovery(t *testing.T, dir string, seed int64, res chaosResult) {
 // TestDiskChaos is the disk-fault property harness: 100 seeded
 // workloads, each re-run with a single injected fault at op indexes
 // striding across the workload's mutating operations (collectively
-// covering every index), then crashed and recovered. Recovery must
-// equal the clean prefix bit-identically, never drop an acknowledged
-// append, and the faulted log must honor the sticky-failure contract.
+// covering every index), then crashed and recovered. The workloads
+// append batches of 1–64 records. Recovery must equal the clean prefix
+// bit-identically, end on a batch boundary, never drop an acknowledged
+// batch, and the faulted log must honor the sticky-failure contract.
 func TestDiskChaos(t *testing.T) {
 	seeds := 100
 	if testing.Short() {

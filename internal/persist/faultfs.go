@@ -161,9 +161,9 @@ type faultFile struct {
 	fs *FaultFS
 }
 
-func (ff *faultFile) Read(p []byte) (int, error)    { return ff.f.Read(p) }
-func (ff *faultFile) Stat() (os.FileInfo, error)    { return ff.f.Stat() }
-func (ff *faultFile) Close() error                  { return ff.f.Close() }
+func (ff *faultFile) Read(p []byte) (int, error) { return ff.f.Read(p) }
+func (ff *faultFile) Stat() (os.FileInfo, error) { return ff.f.Stat() }
+func (ff *faultFile) Close() error               { return ff.f.Close() }
 
 func (ff *faultFile) Write(p []byte) (int, error) {
 	switch k := ff.fs.decide(faultEIO, faultShortWrite, faultENOSPC); k {

@@ -12,12 +12,14 @@ import (
 // Frame format: 4-byte big-endian payload length, 4-byte big-endian
 // IEEE CRC32 of the payload, payload bytes. The CRC covers only the
 // payload; a corrupted length field is caught by the length bound or by
-// the CRC of whatever the bogus length framed.
+// the CRC of whatever the bogus length framed. The payload is one
+// appended batch: a bare JSON record, or a JSON array of records.
 
-// maxFrame bounds a single record. A corrupt length field must not make
-// recovery allocate gigabytes; real records are a few hundred bytes to a
-// few megabytes (design-data blobs).
-const maxFrame = 64 << 20
+// maxFrame bounds a single frame — one record or one batch. A corrupt
+// length field must not make recovery allocate gigabytes; real records
+// are a few hundred bytes to a few megabytes (design-data blobs). A
+// variable only so tests can reach the bound without 64 MiB payloads.
+var maxFrame = 64 << 20
 
 const frameHeader = 8
 
@@ -28,7 +30,7 @@ var errTorn = errors.New("persist: torn or corrupt frame")
 
 func writeFrame(w *bufio.Writer, payload []byte) error {
 	if len(payload) > maxFrame {
-		return fmt.Errorf("persist: record of %d bytes exceeds frame limit", len(payload))
+		return fmt.Errorf("persist: frame of %d bytes exceeds frame limit", len(payload))
 	}
 	var hdr [frameHeader]byte
 	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
@@ -52,7 +54,7 @@ func readFrame(r *bufio.Reader) ([]byte, error) {
 		return nil, errTorn // partial header
 	}
 	n := binary.BigEndian.Uint32(hdr[0:4])
-	if n > maxFrame {
+	if int64(n) > int64(maxFrame) {
 		return nil, errTorn
 	}
 	payload := make([]byte, n)

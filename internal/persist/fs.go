@@ -48,6 +48,6 @@ func (OSFS) ReadDir(name string) ([]fs.DirEntry, error) { return os.ReadDir(name
 func (OSFS) MkdirAll(path string, perm os.FileMode) error {
 	return os.MkdirAll(path, perm)
 }
-func (OSFS) Rename(oldpath, newpath string) error  { return os.Rename(oldpath, newpath) }
-func (OSFS) Remove(name string) error              { return os.Remove(name) }
+func (OSFS) Rename(oldpath, newpath string) error   { return os.Rename(oldpath, newpath) }
+func (OSFS) Remove(name string) error               { return os.Remove(name) }
 func (OSFS) Truncate(name string, size int64) error { return os.Truncate(name, size) }

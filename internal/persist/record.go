@@ -21,12 +21,15 @@
 //
 // # Durability contract
 //
-// Append returns after the record is framed, CRC-checksummed, written,
-// and (unless Options.NoSync) fsynced. On recovery the log yields the
-// longest clean prefix of the stream: framing or checksum damage, a torn
-// final record, or a sequence gap ends replay there and the tail is
-// discarded — never a partially-applied mutation. See docs/persistence.md
-// for the on-disk format.
+// AppendBatch writes a batch of records — everything one facade
+// operation committed — as one CRC-checksummed frame, and returns after
+// the frame is written and (unless Options.NoSync) fsynced: one fsync
+// per operation, not per record. Append is a batch of one. On recovery
+// the log yields the longest clean prefix of whole batches: framing or
+// checksum damage, a torn final frame, or a sequence gap ends replay
+// there and the tail is discarded — never a partially-applied mutation
+// and never part of an operation. See docs/persistence.md for the
+// on-disk format.
 package persist
 
 import (
@@ -54,7 +57,7 @@ const (
 // Record is one entry of the write-ahead log. Exactly one of the
 // kind-specific bodies is set, matching Kind.
 type Record struct {
-	// Seq is the dense global sequence number, assigned by Append.
+	// Seq is the dense global sequence number, assigned by AppendBatch.
 	Seq uint64 `json:"seq"`
 	// Now is the project's virtual clock at append time. The clock is
 	// monotonic and appends happen in commit order, so the last record's

@@ -20,10 +20,10 @@ type Options struct {
 	// SegmentBytes is the roll threshold: when a segment grows past it,
 	// the next append starts a new segment. Default 4 MiB.
 	SegmentBytes int64
-	// NoSync skips the fsync after each append (and after checkpoint
-	// installation). Recovery correctness is unaffected — the clean
-	// prefix is still detected — but a power loss may lose recently
-	// acknowledged records. For tests and benchmarks.
+	// NoSync skips the fsync after each appended batch (and after
+	// checkpoint installation). Recovery correctness is unaffected — the
+	// clean prefix is still detected — but a power loss may lose
+	// recently acknowledged batches. For tests and benchmarks.
 	NoSync bool
 	// FS is the filesystem the log writes through. Nil selects the real
 	// one (OSFS); tests inject FaultFS to exercise the disk-fault
@@ -197,11 +197,13 @@ func segmentName(firstSeq uint64) string {
 // Recovery semantics: records covered by the checkpoint (seq ≤ its
 // covered sequence, possible after a crash between checkpoint
 // installation and segment deletion) are skipped silently. The first
-// unreadable frame — torn tail, checksum mismatch, undecodable record,
+// unreadable frame — torn tail, checksum mismatch, undecodable batch,
 // or sequence gap — ends the stream: the damaged segment is truncated at
-// the last clean record, later segments are deleted, and Replay returns
-// the number of records delivered. A non-nil error from fn aborts replay
-// and is returned verbatim; the log is then unusable.
+// the last clean frame, later segments are deleted, and Replay returns
+// the number of records delivered. A batch is delivered only after its
+// whole frame has checked out, so the stream always ends on a batch
+// boundary. A non-nil error from fn aborts replay and is returned
+// verbatim; the log is then unusable.
 func (l *Log) Replay(fn func(*Record) error) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -256,22 +258,24 @@ func (l *Log) replaySegment(path string, fn func(*Record) error) (clean int64, n
 		if err != nil {
 			return off, n, nil
 		}
-		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil {
+		recs, ok := decodeBatch(payload)
+		if !ok {
 			return off, n, nil
 		}
-		switch {
-		case rec.Seq <= l.cpSeq:
-			// Covered by the checkpoint (crash between checkpoint
-			// installation and segment deletion): already durable.
-		case rec.Seq != l.seq+1:
-			// Sequence gap — a lost or reordered record; everything
+		// Records the checkpoint covers (crash between checkpoint
+		// installation and segment deletion) are already durable.
+		for len(recs) > 0 && recs[0].Seq <= l.cpSeq {
+			recs = recs[1:]
+		}
+		if len(recs) > 0 && recs[0].Seq != l.seq+1 {
+			// Sequence gap — a lost or reordered batch; everything
 			// from here on is past the clean prefix.
 			return off, n, nil
-		default:
-			l.seq = rec.Seq
+		}
+		for i := range recs {
+			l.seq = recs[i].Seq
 			if fn != nil {
-				if err := fn(&rec); err != nil {
+				if err := fn(&recs[i]); err != nil {
 					return -1, n, err
 				}
 			}
@@ -281,15 +285,50 @@ func (l *Log) replaySegment(path string, fn func(*Record) error) (clean int64, n
 	}
 }
 
-// Append assigns the next sequence number to r, frames it, writes it to
-// the tail segment, and — unless Options.NoSync — fsyncs before
-// returning. Returns the assigned sequence.
+// decodeBatch decodes one frame's payload: a JSON array of records (a
+// multi-record batch) or a bare record (a single-record batch, the only
+// frame older logs hold). ok is false for anything undecodable, empty,
+// or whose sequence numbers are not dense — such a frame ends the clean
+// prefix as a whole.
+func decodeBatch(payload []byte) (recs []Record, ok bool) {
+	if len(payload) > 0 && payload[0] == '[' {
+		if json.Unmarshal(payload, &recs) != nil || len(recs) == 0 {
+			return nil, false
+		}
+		for i := 1; i < len(recs); i++ {
+			if recs[i].Seq != recs[i-1].Seq+1 {
+				return nil, false
+			}
+		}
+		return recs, true
+	}
+	var rec Record
+	if json.Unmarshal(payload, &rec) != nil {
+		return nil, false
+	}
+	return []Record{rec}, true
+}
+
+// Append logs one record: AppendBatch of a single-record batch.
+func (l *Log) Append(r *Record) (uint64, error) { return l.AppendBatch([]*Record{r}) }
+
+// AppendBatch assigns the next dense sequence numbers to recs, frames
+// them as one unit, writes the frame to the tail segment, and — unless
+// Options.NoSync — fsyncs once before returning. Returns the last
+// assigned sequence. An empty batch writes nothing.
 //
-// A frame is acknowledged only after every byte is on disk (and synced);
-// any failure before that poisons the log (ErrLogFailed) without
-// advancing the sequence, so a recovered log's clean prefix always
-// contains exactly the acknowledged appends and never a later one.
-func (l *Log) Append(r *Record) (uint64, error) {
+// A batch of one record is framed as the bare record; a larger batch as
+// the JSON array of its records. Either way the batch is one frame
+// under one CRC, so recovery restores all of it or none of it: a
+// durable facade operation logs its mutations as one batch and a crash
+// never leaves half of it on disk.
+//
+// A batch is acknowledged only after every byte is on disk (and
+// synced); any failure before that poisons the log (ErrLogFailed)
+// without advancing the sequence, so a recovered log's clean prefix
+// always contains exactly the acknowledged batches and never a later
+// one.
+func (l *Log) AppendBatch(recs []*Record) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -301,37 +340,49 @@ func (l *Log) Append(r *Record) (uint64, error) {
 	if !l.replayed {
 		return 0, fmt.Errorf("persist: append to %s before Replay", l.dir)
 	}
-	r.Seq = l.seq + 1
-	payload, err := json.Marshal(r)
+	if len(recs) == 0 {
+		return l.seq, nil
+	}
+	for i, r := range recs {
+		r.Seq = l.seq + 1 + uint64(i)
+	}
+	first, last := recs[0].Seq, recs[len(recs)-1].Seq
+	var payload []byte
+	var err error
+	if len(recs) == 1 {
+		payload, err = json.Marshal(recs[0])
+	} else {
+		payload, err = json.Marshal(recs)
+	}
 	if err != nil {
-		return 0, fmt.Errorf("persist: marshal record %d: %w", r.Seq, err)
+		return 0, fmt.Errorf("persist: marshal records %d..%d: %w", first, last, err)
 	}
 	if l.f == nil {
-		if err := l.openSegmentLocked(r.Seq); err != nil {
+		if err := l.openSegmentLocked(first); err != nil {
 			return 0, l.failLocked(err)
 		}
 	}
 	if err := writeFrame(l.w, payload); err != nil {
-		return 0, l.failLocked(fmt.Errorf("persist: append record %d: %w", r.Seq, err))
+		return 0, l.failLocked(fmt.Errorf("persist: append records %d..%d: %w", first, last, err))
 	}
 	if err := l.w.Flush(); err != nil {
-		return 0, l.failLocked(fmt.Errorf("persist: append record %d: %w", r.Seq, err))
+		return 0, l.failLocked(fmt.Errorf("persist: append records %d..%d: %w", first, last, err))
 	}
 	if !l.opt.NoSync {
 		if err := l.f.Sync(); err != nil {
-			return 0, l.failLocked(fmt.Errorf("persist: sync record %d: %w", r.Seq, err))
+			return 0, l.failLocked(fmt.Errorf("persist: sync records %d..%d: %w", first, last, err))
 		}
 	}
-	l.seq = r.Seq
+	l.seq = last
 	l.segBytes += frameHeader + int64(len(payload))
 	if l.segBytes >= l.opt.SegmentBytes {
 		if err := l.closeSegmentLocked(); err != nil {
-			// The record itself is durable; only the segment roll
+			// The batch itself is durable; only the segment roll
 			// failed. The append is acknowledged, the log is poisoned.
 			l.failLocked(err)
 		}
 	}
-	return r.Seq, nil
+	return last, nil
 }
 
 // openSegmentLocked starts a fresh segment whose name carries the first

@@ -31,8 +31,8 @@ type fpBody struct {
 func newFPCache(max int, reg *obs.Registry) *fpCache {
 	ev := reg.CounterVec("serve_cache_events_total", "tier", "event")
 	return &fpCache{
-		entries: make(map[string]fpBody),
-		max:     max,
+		entries:   make(map[string]fpBody),
+		max:       max,
 		hits:      ev.With("fingerprint", "hit"),
 		misses:    ev.With("fingerprint", "miss"),
 		evictions: ev.With("fingerprint", "eviction"),

@@ -39,13 +39,13 @@ import (
 // Schedule is one virtual-time cron entry.
 type Schedule struct {
 	ID       int           `json:"id"`
-	Kind     string        `json:"kind"`             // hourly|daily|weekly|every
-	Every    time.Duration `json:"every,omitempty"`  // period for kind "every"
-	Action   string        `json:"action"`           // plan|run|propagate
+	Kind     string        `json:"kind"`            // hourly|daily|weekly|every
+	Every    time.Duration `json:"every,omitempty"` // period for kind "every"
+	Action   string        `json:"action"`          // plan|run|propagate
 	Targets  []string      `json:"targets,omitempty"`
-	Hours    int           `json:"hours,omitempty"`  // plan estimate per activity
+	Hours    int           `json:"hours,omitempty"` // plan estimate per activity
 	Parallel bool          `json:"parallel,omitempty"`
-	Next     time.Time     `json:"next"`             // next virtual fire instant
+	Next     time.Time     `json:"next"` // next virtual fire instant
 	Fired    int           `json:"fired"`
 	LastErr  string        `json:"lastError,omitempty"`
 }
@@ -67,9 +67,9 @@ func (sc *Schedule) period() time.Duration {
 // scheduler owns the entries behind its own lock; fires run outside it
 // (each under the project write lock).
 type scheduler struct {
-	mu   sync.Mutex
-	m    map[int]*Schedule
-	seq  int
+	mu     sync.Mutex
+	m      map[int]*Schedule
+	seq    int
 	fires  *obs.CounterVec // serve_schedule_fires_total{action}
 	errs   *obs.Counter    // serve_schedule_errors_total
 	active *obs.Gauge      // serve_schedules

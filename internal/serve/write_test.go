@@ -107,12 +107,12 @@ func TestWriteErrorMappingTable(t *testing.T) {
 	})
 	t.Run("malformed_is_400", func(t *testing.T) {
 		for _, path := range []string{
-			"/milestone",                       // missing name/class/target
+			"/milestone", // missing name/class/target
 			"/milestone?name=x&class=y&target=tuesday", // bad RFC3339
-			"/complete",                        // missing activity
-			"/import",                          // missing class
+			"/complete",                         // missing activity
+			"/import",                           // missing class
 			"/plan?targets=performance&hours=0", // non-positive estimate
-			"/edit",                            // missing spec
+			"/edit",                             // missing spec
 		} {
 			if rec := post(t, s, path, ""); rec.Code != http.StatusBadRequest {
 				t.Errorf("POST %s = %d, want 400: %s", path, rec.Code, rec.Body.String())
