@@ -287,8 +287,9 @@ func BenchmarkE5_Query(b *testing.B) {
 	queries := []string{"duration of Create", "lineage", "load", "runs of Create"}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		v := viewOf(b, p)
 		for _, q := range queries {
-			if _, err := p.Query(q); err != nil {
+			if _, err := v.Query(q); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -241,19 +241,10 @@ func (s *session) dispatch(line string) error {
 		if len(args) != 1 {
 			return fmt.Errorf("usage: tree <targets,comma-sep>")
 		}
-		view, err := s.project.TaskTreeView(strings.Split(args[0], ",")...)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(s.out, view)
-		return nil
+		targets := strings.Split(args[0], ",")
+		return s.show(func(v *flowsched.ProjectView) (string, error) { return v.TaskTreeView(targets...) })
 	case "gantt":
-		chart, err := s.project.Gantt()
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(s.out, chart)
-		return nil
+		return s.show((*flowsched.ProjectView).Gantt)
 	case "analyze":
 		return s.analyze()
 	case "risk":
@@ -268,12 +259,10 @@ func (s *session) dispatch(line string) error {
 		if len(args) == 0 {
 			return fmt.Errorf("usage: query <text...>")
 		}
-		ans, err := s.project.Query(strings.Join(args, " "))
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(s.out, ans)
-		return nil
+		return s.show(func(v *flowsched.ProjectView) (string, error) {
+			ans, err := v.Query(strings.Join(args, " "))
+			return ans + "\n", err
+		})
 	case "dump":
 		fmt.Fprint(s.out, s.project.DatabaseDump())
 		return nil
@@ -288,14 +277,10 @@ func (s *session) dispatch(line string) error {
 		} else if len(args) > 1 {
 			return fmt.Errorf("usage: report [days]")
 		}
-		to := s.project.Now()
-		from := to.Add(-time.Duration(days) * 24 * time.Hour)
-		out, err := s.project.StatusReport(from, to)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(s.out, out)
-		return nil
+		return s.show(func(v *flowsched.ProjectView) (string, error) {
+			to := v.Now()
+			return v.StatusReport(to.Add(-time.Duration(days)*24*time.Hour), to)
+		})
 	case "milestone":
 		if len(args) != 3 {
 			return fmt.Errorf("usage: milestone <name> <class> <YYYY-MM-DDTHH:MM>")
@@ -310,7 +295,11 @@ func (s *session) dispatch(line string) error {
 		fmt.Fprintf(s.out, "milestone %s: %s by %s\n", args[0], args[1], args[2])
 		return nil
 	case "milestones":
-		report, err := s.project.MilestoneReport()
+		v, err := s.view()
+		if err != nil {
+			return err
+		}
+		report, err := v.MilestoneReport()
 		if err != nil {
 			return err
 		}
@@ -369,6 +358,24 @@ func (s *session) dispatch(line string) error {
 	default:
 		return fmt.Errorf("unknown command %q", cmd)
 	}
+}
+
+// view takes a fresh snapshot-pinned view of the session's project, so
+// every read command renders from one consistent moment.
+func (s *session) view() (*flowsched.ProjectView, error) { return s.project.View() }
+
+// show prints one rendering of a fresh view.
+func (s *session) show(render func(*flowsched.ProjectView) (string, error)) error {
+	v, err := s.view()
+	if err != nil {
+		return err
+	}
+	out, err := render(v)
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(s.out, out)
+	return nil
 }
 
 func (s *session) loadSchema(args []string) error {
@@ -579,7 +586,11 @@ func (s *session) resume(args []string) error {
 }
 
 func (s *session) status() error {
-	rows, err := s.project.Status()
+	v, err := s.view()
+	if err != nil {
+		return err
+	}
+	rows, err := v.Status()
 	if err != nil {
 		return err
 	}
@@ -598,7 +609,11 @@ func (s *session) status() error {
 }
 
 func (s *session) analyze() error {
-	res, err := s.project.Analyze()
+	v, err := s.view()
+	if err != nil {
+		return err
+	}
+	res, err := v.Analyze()
 	if err != nil {
 		return err
 	}
@@ -640,13 +655,16 @@ func (s *session) export(args []string) error {
 	if len(args) != 2 {
 		return fmt.Errorf("usage: export csv|mpx <path>")
 	}
+	v, err := s.view()
+	if err != nil {
+		return err
+	}
 	var out string
-	var err error
 	switch args[0] {
 	case "csv":
-		out, err = s.project.ExportPlanCSV()
+		out, err = v.ExportPlanCSV()
 	case "mpx":
-		out, err = s.project.ExportMPX()
+		out, err = v.ExportMPX()
 	default:
 		return fmt.Errorf("unknown export format %q (want csv or mpx)", args[0])
 	}
@@ -672,7 +690,8 @@ func (s *session) risk(args []string) error {
 		}
 		trials = t
 	}
-	res, err := s.project.SimulateRisk(strings.Split(args[0], ","), trials, 1995)
+	res, err := s.project.SimulateRiskWith(strings.Split(args[0], ","),
+		flowsched.RiskOptions{Trials: trials, Seed: 1995})
 	if err != nil {
 		return err
 	}
@@ -700,7 +719,11 @@ func (s *session) predict(args []string) error {
 		}
 		opt.Size = sz
 	}
-	pred, err := s.project.PredictDuration(args[0], opt)
+	v, err := s.view()
+	if err != nil {
+		return err
+	}
+	pred, err := v.PredictDuration(args[0], opt)
 	if err != nil {
 		return err
 	}
@@ -708,7 +731,7 @@ func (s *session) predict(args []string) error {
 		pred.Activity, pred.Estimate.Round(time.Minute), pred.Method, pred.Samples)
 	// A back-test needs at least two samples; skip the score quietly
 	// when history is too thin for one.
-	if acc, err := s.project.EvaluatePredictor(args[0], opt, 1); err == nil && acc.N > 0 {
+	if acc, err := v.EvaluatePredictor(args[0], opt, 1); err == nil && acc.N > 0 {
 		fmt.Fprintf(s.out, "back-test: MAE %s, MAPE %.1f%% over %d held-out samples\n",
 			acc.MAE.Round(time.Minute), acc.MAPE*100, acc.N)
 	}

@@ -15,16 +15,16 @@ func TestOutlineStatus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.OutlineStatus(g); err == nil {
+	if _, err := viewOf(t, p).OutlineStatus(g); err == nil {
 		t.Fatal("outline without plan accepted")
 	}
 	if _, err := p.Plan([]string{"performance"}, Fixed{Default: 8 * time.Hour}, PlanOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.OutlineStatus(nil); err == nil {
+	if _, err := viewOf(t, p).OutlineStatus(nil); err == nil {
 		t.Fatal("nil grouping accepted")
 	}
-	out, err := p.OutlineStatus(g)
+	out, err := viewOf(t, p).OutlineStatus(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,20 +36,20 @@ func TestOutlineStatus(t *testing.T) {
 	if _, err := p.Run([]string{"performance"}, true); err != nil {
 		t.Fatal(err)
 	}
-	out, _ = p.OutlineStatus(g)
+	out, _ = viewOf(t, p).OutlineStatus(g)
 	if !strings.Contains(out, "1/1 done") {
 		t.Fatalf("outline after run:\n%s", out)
 	}
 	// Grouping that doesn't cover the plan is rejected.
 	partial, _ := NewGrouping(map[string][]string{"Design": {"Create"}})
-	if _, err := p.OutlineStatus(partial); err == nil {
+	if _, err := viewOf(t, p).OutlineStatus(partial); err == nil {
 		t.Fatal("partial grouping accepted")
 	}
 }
 
 func TestDeadlineMargin(t *testing.T) {
 	p := prepared(t)
-	if _, err := p.DeadlineMargin(p.Now()); err == nil {
+	if _, err := viewOf(t, p).DeadlineMargin(p.Now()); err == nil {
 		t.Fatal("margin without plan accepted")
 	}
 	plan, err := p.Plan([]string{"performance"}, Fixed{ByActivity: map[string]time.Duration{
@@ -60,7 +60,7 @@ func TestDeadlineMargin(t *testing.T) {
 	}
 	// Plan finishes Wednesday 17:00. Deadline Friday 17:00 → +16h working.
 	deadline := time.Date(1995, time.June, 9, 17, 0, 0, 0, time.UTC)
-	margin, err := p.DeadlineMargin(deadline)
+	margin, err := viewOf(t, p).DeadlineMargin(deadline)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestDeadlineMargin(t *testing.T) {
 	}
 	// Deadline Tuesday 17:00 → −8h working (overrun).
 	early := time.Date(1995, time.June, 6, 17, 0, 0, 0, time.UTC)
-	margin, err = p.DeadlineMargin(early)
+	margin, err = viewOf(t, p).DeadlineMargin(early)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,14 +80,14 @@ func TestDeadlineMargin(t *testing.T) {
 
 func TestDashboard(t *testing.T) {
 	p := prepared(t)
-	if _, err := p.Dashboard(); err == nil {
+	if _, err := viewOf(t, p).Dashboard(); err == nil {
 		t.Fatal("dashboard without plan accepted")
 	}
 	p.Plan([]string{"performance"}, Fixed{Default: 8 * time.Hour}, PlanOptions{})
 	if _, err := p.Run([]string{"performance"}, true); err != nil {
 		t.Fatal(err)
 	}
-	out, err := p.Dashboard()
+	out, err := viewOf(t, p).Dashboard()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestMilestoneAPI(t *testing.T) {
 	if err := p.SetMilestone("tapeout", "performance", target); err == nil {
 		t.Fatal("milestone without plan accepted")
 	}
-	if _, err := p.MilestoneReport(); err == nil {
+	if _, err := viewOf(t, p).MilestoneReport(); err == nil {
 		t.Fatal("report without plan accepted")
 	}
 	if _, err := p.Plan([]string{"performance"}, Fixed{Default: 8 * time.Hour}, PlanOptions{}); err != nil {
@@ -116,14 +116,14 @@ func TestMilestoneAPI(t *testing.T) {
 	if err := p.SetMilestone("perf-signoff", "performance", target); err != nil {
 		t.Fatal(err)
 	}
-	report, err := p.MilestoneReport()
+	report, err := viewOf(t, p).MilestoneReport()
 	if err != nil || len(report) != 1 || report[0].Achieved {
 		t.Fatalf("report = %+v, %v", report, err)
 	}
 	if _, err := p.Run([]string{"performance"}, true); err != nil {
 		t.Fatal(err)
 	}
-	report, err = p.MilestoneReport()
+	report, err = viewOf(t, p).MilestoneReport()
 	if err != nil || !report[0].Achieved {
 		t.Fatalf("after run report = %+v, %v", report, err)
 	}

@@ -57,13 +57,13 @@ type projectIdentity struct {
 
 func identityOf(t *testing.T, p *Project) projectIdentity {
 	t.Helper()
-	fp, err := p.RiskFingerprint([]string{"performance"}, RiskOptions{Trials: 200, Seed: 7})
+	fp, err := viewOf(t, p).RiskFingerprint([]string{"performance"}, RiskOptions{Trials: 200, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	id := projectIdentity{
 		version: p.mgr.DB.Version(), fingerprint: fp, now: p.Now(),
-		dump: p.DatabaseDump(), events: p.Events(),
+		dump: p.DatabaseDump(), events: allEvents(p),
 		watermarks: map[string]uint64{},
 	}
 	if p.CurrentPlan() != nil {

@@ -52,8 +52,8 @@ func ExampleProject_Plan() {
 	// project finish: Wed 1995-06-07 17:00
 }
 
-// ExampleProject_Analyze computes the CPM critical path of a plan.
-func ExampleProject_Analyze() {
+// ExampleProjectView_Analyze computes the CPM critical path of a plan.
+func ExampleProjectView_Analyze() {
 	p, err := flowsched.New(flowsched.ASICSchema, flowsched.Options{})
 	if err != nil {
 		log.Fatal(err)
@@ -63,7 +63,11 @@ func ExampleProject_Analyze() {
 		flowsched.PlanOptions{}); err != nil {
 		log.Fatal(err)
 	}
-	res, err := p.Analyze()
+	v, err := p.View()
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := v.Analyze()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -74,9 +78,9 @@ func ExampleProject_Analyze() {
 	// span: 40h0m0s
 }
 
-// ExampleProject_Query shows §IV.B schedule-metadata queries: plan
+// ExampleProjectView_Query shows §IV.B schedule-metadata queries: plan
 // lineage after two planning passes.
-func ExampleProject_Query() {
+func ExampleProjectView_Query() {
 	p, err := flowsched.New(flowsched.Fig4Schema, flowsched.Options{})
 	if err != nil {
 		log.Fatal(err)
@@ -88,7 +92,11 @@ func ExampleProject_Query() {
 	if _, err := p.Plan([]string{"performance"}, est, flowsched.PlanOptions{}); err != nil {
 		log.Fatal(err)
 	}
-	ans, err := p.Query("lineage")
+	v, err := p.View()
+	if err != nil {
+		log.Fatal(err)
+	}
+	ans, err := v.Query("lineage")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -97,8 +105,8 @@ func ExampleProject_Query() {
 	// plan lineage: schedule/1 -> schedule/2
 }
 
-// ExampleProject_DeadlineMargin checks a plan against a tape-out date.
-func ExampleProject_DeadlineMargin() {
+// ExampleProjectView_DeadlineMargin checks a plan against a tape-out date.
+func ExampleProjectView_DeadlineMargin() {
 	p, err := flowsched.New(flowsched.Fig4Schema, flowsched.Options{})
 	if err != nil {
 		log.Fatal(err)
@@ -108,7 +116,11 @@ func ExampleProject_DeadlineMargin() {
 		log.Fatal(err)
 	}
 	deadline := time.Date(1995, time.June, 9, 17, 0, 0, 0, time.UTC) // Friday
-	margin, err := p.DeadlineMargin(deadline)
+	v, err := p.View()
+	if err != nil {
+		log.Fatal(err)
+	}
+	margin, err := v.DeadlineMargin(deadline)
 	if err != nil {
 		log.Fatal(err)
 	}

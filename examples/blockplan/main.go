@@ -78,7 +78,11 @@ func main() {
 		if _, err := p.Run([]string{"performance"}, true); err != nil {
 			log.Fatal(err)
 		}
-		rows, err := p.Status()
+		v, err := p.View()
+		if err != nil {
+			log.Fatal(err)
+		}
+		rows, err := v.Status()
 		if err != nil {
 			log.Fatal(err)
 		}

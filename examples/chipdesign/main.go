@@ -80,15 +80,19 @@ func main() {
 	if err := p.SetMilestone("tapeout", "layout", tapeout); err != nil {
 		log.Fatal(err)
 	}
-	risk, err := p.SimulateRisk(targets, 2000, 1995)
+	risk, err := p.SimulateRiskWith(targets, flowsched.RiskOptions{Trials: 2000, Seed: 1995})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("schedule risk (2000 trials): p50 %s, p90 %s of working time\n\n",
 		risk.Percentile(0.5).Round(time.Minute), risk.Percentile(0.9).Round(time.Minute))
 
-	// Critical path before execution.
-	cpm, err := p.Analyze()
+	// Critical path before execution, read from a snapshot-pinned view.
+	v, err := p.View()
+	if err != nil {
+		log.Fatal(err)
+	}
+	cpm, err := v.Analyze()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -107,8 +111,12 @@ func main() {
 	}
 	fmt.Println()
 
-	// Status after execution: where did we slip?
-	rows, err := p.Status()
+	// Status after execution: where did we slip? A fresh view sees it.
+	v, err = p.View()
+	if err != nil {
+		log.Fatal(err)
+	}
+	rows, err := v.Status()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -122,7 +130,7 @@ func main() {
 	}
 	fmt.Println()
 
-	chart, err := p.Gantt()
+	chart, err := v.Gantt()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -130,7 +138,7 @@ func main() {
 
 	// Schedule-data queries for the next project's planning meeting.
 	for _, q := range []string{"duration of Route", "mean duration of DRC", "load", "milestones"} {
-		ans, err := p.Query(q)
+		ans, err := v.Query(q)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -138,8 +146,8 @@ func main() {
 	}
 
 	// The weekly status report the integrated system writes for free.
-	weekAgo := p.Now().Add(-7 * 24 * time.Hour)
-	sr, err := p.StatusReport(weekAgo, p.Now())
+	weekAgo := v.Now().Add(-7 * 24 * time.Hour)
+	sr, err := v.StatusReport(weekAgo, v.Now())
 	if err != nil {
 		log.Fatal(err)
 	}

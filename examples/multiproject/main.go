@@ -43,7 +43,11 @@ func executeProject(gen int, est flowsched.Estimator) (*flowsched.Project, error
 }
 
 func plannedVsActual(p *flowsched.Project) (est, actual time.Duration, err error) {
-	rows, err := p.Status()
+	v, err := p.View()
+	if err != nil {
+		return 0, 0, err
+	}
+	rows, err := v.Status()
 	if err != nil {
 		return 0, 0, err
 	}
@@ -86,8 +90,12 @@ func main() {
 
 	// Show the basis recorded on generation 3's estimates: they are
 	// historical, not fixed.
+	v, err := g3.View()
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, act := range []string{"Create", "Simulate"} {
-		ans, err := g3.Query("estimate of " + act)
+		ans, err := v.Query("estimate of " + act)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -59,18 +59,22 @@ func main() {
 
 	// 5. Examine status: tree view, Gantt chart, queries.
 	fmt.Println()
-	tree, err := p.TaskTreeView("performance")
+	v, err := p.View()
+	if err != nil {
+		log.Fatal(err)
+	}
+	tree, err := v.TaskTreeView("performance")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println(tree)
-	chart, err := p.Gantt()
+	chart, err := v.Gantt()
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println(chart)
 	for _, q := range []string{"duration of Create", "duration of Simulate", "lineage"} {
-		ans, err := p.Query(q)
+		ans, err := v.Query(q)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -8,23 +8,23 @@ import (
 
 func TestExportPlanCSVAndMPX(t *testing.T) {
 	p := prepared(t)
-	if _, err := p.ExportPlanCSV(); err == nil {
+	if _, err := viewOf(t, p).ExportPlanCSV(); err == nil {
 		t.Fatal("export without plan accepted")
 	}
-	if _, err := p.ExportMPX(); err == nil {
+	if _, err := viewOf(t, p).ExportMPX(); err == nil {
 		t.Fatal("MPX without plan accepted")
 	}
 	if _, err := p.Plan([]string{"performance"}, Fixed{Default: 8 * time.Hour}, PlanOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	csvOut, err := p.ExportPlanCSV()
+	csvOut, err := viewOf(t, p).ExportPlanCSV()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(csvOut, "Create") || !strings.Contains(csvOut, "Simulate") {
 		t.Fatalf("csv:\n%s", csvOut)
 	}
-	mpx, err := p.ExportMPX()
+	mpx, err := viewOf(t, p).ExportMPX()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ Simulate,1995-06-07T09:00,,false
 	if n != 2 {
 		t.Fatalf("applied = %d", n)
 	}
-	st, err := p.Status()
+	st, err := viewOf(t, p).Status()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ Simulate,1995-06-07T09:00,,false
 		t.Fatalf("status = %+v", st)
 	}
 	// The hand-entered completion still created a schedule↔entity link.
-	ans, err := p.Query("duration of Create")
+	ans, err := viewOf(t, p).Query("duration of Create")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,16 +21,15 @@
 //	plan, _ := p.Plan([]string{"performance"},
 //	    flowsched.Fixed{Default: 8 * time.Hour}, flowsched.PlanOptions{})
 //	p.Run([]string{"performance"}, true)
-//	fmt.Println(p.Gantt())
+//	v, _ := p.View()
+//	fmt.Println(v.Gantt())
 //	_ = plan
 package flowsched
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 	"time"
 
 	"flowsched/internal/design"
@@ -44,8 +43,6 @@ import (
 	"flowsched/internal/obs"
 	"flowsched/internal/persist"
 	"flowsched/internal/pert"
-	"flowsched/internal/query"
-	"flowsched/internal/report"
 	"flowsched/internal/scenario"
 	"flowsched/internal/sched"
 	"flowsched/internal/schema"
@@ -236,9 +233,10 @@ func (p *Project) enableObs(o ObsOptions) {
 	p.mgr.Instrument(p.obs)
 }
 
-// recordFlight files one completed facade operation with the flight
-// recorder (a no-op on uninstrumented projects).
-func (p *Project) recordFlight(op string, start time.Time, res *RiskResult, err error) {
+// recordFlight files one completed facade operation and its risk
+// engine sampled/reused activity-trial split with the flight recorder
+// (a no-op on uninstrumented projects).
+func (p *Project) recordFlight(op string, start time.Time, sampled, reused int64, err error) {
 	if p.flight == nil {
 		return
 	}
@@ -246,9 +244,7 @@ func (p *Project) recordFlight(op string, start time.Time, res *RiskResult, err 
 		TraceID: obs.NewTraceID(), Route: op, Start: start,
 		Latency:    time.Since(start),
 		VirtualNow: p.Now(), StoreVersion: p.mgr.DB.Version(),
-	}
-	if res != nil {
-		rec.SampledTrials, rec.ReusedTrials = res.SampledActivityTrials, res.ReusedActivityTrials
+		SampledTrials: sampled, ReusedTrials: reused,
 	}
 	if err != nil {
 		rec.Error = err.Error()
@@ -391,7 +387,10 @@ func (p *Project) Plan(targets []string, est Estimator, opt PlanOptions) (_ *Pla
 	return p.plan, nil
 }
 
-// CurrentPlan returns the tracked plan, or nil before planning.
+// CurrentPlan returns the tracked plan, or nil before planning. It is
+// the live plan that writes such as Run and Propagate mutate in place,
+// so it is only safe to read from the goroutine that writes; concurrent
+// readers must take a View instead.
 func (p *Project) CurrentPlan() *Plan { return p.plan }
 
 // Run executes the task tree covering the targets, tracked against the
@@ -494,106 +493,6 @@ func (p *Project) Propagate() (_ time.Time, err error) {
 	return p.mgr.Sched.Propagate(p.plan, p.Now())
 }
 
-// readMgr returns a read-only manager bound to a fresh snapshot of the
-// task database. Report and query surfaces render against it so each
-// answers from one consistent moment of the store, even when another
-// goroutine polls while the project executes.
-func (p *Project) readMgr() *engine.Manager { return p.mgr.AtView(nil) }
-
-// Status reports plan-versus-actual state per activity as of the virtual
-// now.
-func (p *Project) Status() ([]ActivityStatus, error) {
-	if p.plan == nil {
-		return nil, fmt.Errorf("flowsched: no plan")
-	}
-	return statusOf(p.readMgr(), p.plan, p.Now())
-}
-
-// statusOf renders plan-versus-actual rows against one manager snapshot.
-func statusOf(m *engine.Manager, plan *Plan, now time.Time) ([]ActivityStatus, error) {
-	return m.Sched.Status(plan, now)
-}
-
-// Gantt renders the current plan's Gantt chart (planned and accomplished
-// schedule, §IV.B).
-func (p *Project) Gantt() (string, error) {
-	if p.plan == nil {
-		return "", fmt.Errorf("flowsched: no plan")
-	}
-	return report.Chart(p.readMgr(), p.plan, p.Now())
-}
-
-// TaskTreeView renders the task tree with per-node schedule state — the
-// central feature of the Hercules user interface (Fig. 8).
-func (p *Project) TaskTreeView(targets ...string) (string, error) {
-	tree, err := p.mgr.ExtractTree(targets...)
-	if err != nil {
-		return "", err
-	}
-	return report.TaskTree(p.readMgr(), tree, p.plan), nil
-}
-
-// Query answers a textual §IV.B query (see internal/query for the
-// grammar).
-func (p *Project) Query(text string) (string, error) {
-	r := p.readMgr()
-	eng, err := query.New(r.Sched, r.Exec)
-	if err != nil {
-		return "", err
-	}
-	return eng.Eval(text)
-}
-
-// Analyze runs CPM/PERT over the current plan: early/late dates, slack,
-// critical path, completion probability.
-func (p *Project) Analyze() (*CPMResult, error) {
-	if p.plan == nil {
-		return nil, fmt.Errorf("flowsched: no plan")
-	}
-	return analyzeOf(p.readMgr(), p.plan)
-}
-
-// analyzeOf runs CPM/PERT over a plan against one manager snapshot.
-func analyzeOf(m *engine.Manager, plan *Plan) (*CPMResult, error) {
-	_, insts, err := m.Sched.Instances(plan)
-	if err != nil {
-		return nil, err
-	}
-	inPlan := make(map[string]bool, len(plan.Activities))
-	for _, a := range plan.Activities {
-		inPlan[a] = true
-	}
-	acts := make([]pert.Activity, 0, len(insts))
-	for _, in := range insts {
-		rule := m.Schema.RuleByActivity(in.Activity)
-		var preds []string
-		for _, input := range rule.Inputs {
-			if prod := m.Schema.Producer(input); prod != nil && inPlan[prod.Activity] {
-				preds = append(preds, prod.Activity)
-			}
-		}
-		acts = append(acts, pert.Activity{
-			Name: in.Activity, Duration: in.EstWork,
-			Optimistic: in.Optimistic, Pessimistic: in.Pessimistic,
-			Preds: preds,
-		})
-	}
-	net, err := pert.NewNetwork(acts)
-	if err != nil {
-		return nil, err
-	}
-	return net.Analyze()
-}
-
-// Events returns the workflow manager's event stream.
-func (p *Project) Events() []Event { return p.mgr.Events() }
-
-// EventsSince returns the events from sequence number seq on (seq
-// counts events already seen; 0 means all). The stream is append-only,
-// so a poller resumes with seq += len(returned) without re-copying the
-// full history each time.
-func (p *Project) EventsSince(seq int) []Event { return p.mgr.EventsSince(seq) }
-
 // EventsPage returns the events from cursor since on plus the next
 // cursor to resume from — the same resume token the HTTP /events route
 // returns as "next" (and stamps as SSE event IDs). Negative cursors
@@ -606,7 +505,7 @@ func (p *Project) EventsPage(since int) ([]Event, int) {
 	return evs, since + len(evs)
 }
 
-// EventsAfter is the push-consumer variant of EventsSince: when events
+// EventsAfter is the push-consumer variant of EventsPage: when events
 // past seq already exist they return immediately (wake is nil);
 // otherwise wake is closed at the next append and the caller re-reads.
 // The SSE broadcast hub rides this — one blocked goroutine per stream
@@ -684,16 +583,6 @@ func (p *Project) SetMilestone(name, class string, target time.Time) (err error)
 	return err
 }
 
-// MilestoneReport refreshes and scores the current plan's milestones:
-// achieved-at dates for completed ones, projected margins for pending
-// ones (negative margin = projected or actual miss).
-func (p *Project) MilestoneReport() ([]MilestoneStatus, error) {
-	if p.plan == nil {
-		return nil, fmt.Errorf("flowsched: no plan")
-	}
-	return p.readMgr().Sched.MilestoneReport(p.plan)
-}
-
 // Grouping organizes activities into hierarchical composite tasks.
 type Grouping = hier.Grouping
 
@@ -704,116 +593,6 @@ type CompositeStatus = hier.CompositeStatus
 // member activities; composites must be disjoint).
 func NewGrouping(groups map[string][]string) (*Grouping, error) {
 	return hier.NewGrouping(groups)
-}
-
-// OutlineStatus renders the current plan's status rolled up through the
-// grouping — the project manager's composite-task view (§IV.C: "viewing
-// a portion of the overall schedule").
-func (p *Project) OutlineStatus(g *Grouping) (string, error) {
-	if p.plan == nil {
-		return "", fmt.Errorf("flowsched: no plan")
-	}
-	if g == nil {
-		return "", fmt.Errorf("flowsched: nil grouping")
-	}
-	if err := g.CheckCovers(p.plan); err != nil {
-		return "", err
-	}
-	rows, err := statusOf(p.readMgr(), p.plan, p.Now())
-	if err != nil {
-		return "", err
-	}
-	return g.Outline(rows)
-}
-
-// DeadlineMargin reports the working time between the current plan's
-// projected finish and the deadline: positive when the project is ahead,
-// negative when the projection overruns the deadline.
-func (p *Project) DeadlineMargin(deadline time.Time) (time.Duration, error) {
-	if p.plan == nil {
-		return 0, fmt.Errorf("flowsched: no plan")
-	}
-	cal := p.mgr.Calendar
-	if p.plan.Finish.After(deadline) {
-		return -cal.WorkBetween(deadline, p.plan.Finish), nil
-	}
-	return cal.WorkBetween(p.plan.Finish, deadline), nil
-}
-
-// Dashboard renders a one-page project view: plan summary, per-activity
-// status, the Gantt chart, and the critical path.
-func (p *Project) Dashboard() (string, error) {
-	if p.plan == nil {
-		return "", fmt.Errorf("flowsched: no plan")
-	}
-	// One snapshot serves every section, so the dashboard is a
-	// consistent moment of the database even mid-execution.
-	return dashboardOf(p.readMgr(), p.plan, p.Now())
-}
-
-// dashboardOf renders the one-page view against one manager snapshot.
-func dashboardOf(m *engine.Manager, plan *Plan, now time.Time) (string, error) {
-	var b strings.Builder
-	fmt.Fprintf(&b, "project dashboard — plan v%d, targets %v\n",
-		plan.Version, plan.Targets)
-	fmt.Fprintf(&b, "now %s; projected finish %s\n\n",
-		now.Format("2006-01-02 15:04"), plan.Finish.Format("2006-01-02 15:04"))
-	rows, err := statusOf(m, plan, now)
-	if err != nil {
-		return "", err
-	}
-	done := 0
-	for _, r := range rows {
-		if r.State == "done" {
-			done++
-		}
-	}
-	fmt.Fprintf(&b, "progress: %d/%d activities done\n", done, len(rows))
-	for _, r := range rows {
-		slip := ""
-		if r.Slip > 0 {
-			slip = fmt.Sprintf("  slip %s", r.Slip.Round(time.Minute))
-		}
-		fmt.Fprintf(&b, "  %-12s %-12s%s\n", r.Activity, r.State, slip)
-	}
-	b.WriteString("\n")
-	chart, err := report.Chart(m, plan, now)
-	if err != nil {
-		return "", err
-	}
-	b.WriteString(chart)
-	cpm, err := analyzeOf(m, plan)
-	if err != nil {
-		return "", err
-	}
-	fmt.Fprintf(&b, "\ncritical path (%s working): %s\n",
-		cpm.Duration, strings.Join(cpm.CriticalPath, " -> "))
-	return b.String(), nil
-}
-
-// StatusReport renders the periodic manager's report for [from, to):
-// activity counts, completions, constraint violations, slips, and the
-// next period's planned starts.
-func (p *Project) StatusReport(from, to time.Time) (string, error) {
-	return report.StatusReport(p.readMgr(), p.plan, from, to)
-}
-
-// ExportPlanCSV renders the current plan as CSV for spreadsheet or PM
-// tooling.
-func (p *Project) ExportPlanCSV() (string, error) {
-	if p.plan == nil {
-		return "", fmt.Errorf("flowsched: no plan to export")
-	}
-	return export.PlanCSV(p.mgr.Sched, p.plan)
-}
-
-// ExportMPX renders the current plan as a minimal MPX-style record stream
-// for legacy project-management tools.
-func (p *Project) ExportMPX() (string, error) {
-	if p.plan == nil {
-		return "", fmt.Errorf("flowsched: no plan to export")
-	}
-	return export.MPX(p.mgr.Sched, p.plan)
 }
 
 // ImportActualsCSV applies manually collected actual dates (rows of
@@ -871,92 +650,21 @@ type RiskOptions struct {
 	NoReuse bool
 }
 
-// SimulateRisk runs a Monte-Carlo schedule risk analysis for the targets:
-// planning-by-simulation taken statistically. The stochastic model is
-// derived from the *bound simulated tools* — each activity's duration is
-// triangular over its tool's Base±Jitter with the tool's expected
-// iteration count — so the risk analysis and the actual execution share
-// one model. Every in-scope activity must be bound to a simulated tool
-// (UseSimulatedTools or a NewSimTool binding).
-//
-// The engine runs sharded across all cores; use SimulateRiskWith to cap
-// the worker count. Results are identical either way.
-func (p *Project) SimulateRisk(targets []string, trials int, seed int64) (*RiskResult, error) {
-	return p.SimulateRiskWith(targets, RiskOptions{Trials: trials, Seed: seed})
-}
-
-// SimulateRiskWith is SimulateRisk with full engine options. Unless
-// opt.NoReuse is set, the run shares the project's subtree trial-stream
-// memo: re-simulations after an edit re-sample only the subtrees whose
-// fingerprint changed, bit-identical to a cold run.
+// SimulateRiskWith runs ProjectView.SimulateRiskWith on a fresh View
+// and files the run with the project's flight recorder.
 func (p *Project) SimulateRiskWith(targets []string, opt RiskOptions) (*RiskResult, error) {
 	start := time.Now()
-	res, err := riskOf(nil, p.readMgr(), p.obs, p.Now(), p.riskMemo, nil, targets, opt)
-	p.recordFlight("risk", start, res, err)
+	v, err := p.View()
+	if err != nil {
+		return nil, err
+	}
+	res, err := v.SimulateRiskWith(targets, opt)
+	var sampled, reused int64
+	if res != nil {
+		sampled, reused = res.SampledActivityTrials, res.ReusedActivityTrials
+	}
+	p.recordFlight("risk", start, sampled, reused, err)
 	return res, err
-}
-
-// riskOf runs the Monte-Carlo analysis against one manager snapshot;
-// parent, when non-nil, nests the simulation's spans under an
-// enclosing (e.g. request) span; ctx, when non-nil, cancels the
-// simulation cooperatively.
-func riskOf(ctx context.Context, m *engine.Manager, o *obs.Obs, now time.Time, memo *monte.Memo, parent *obs.Span, targets []string, opt RiskOptions) (*RiskResult, error) {
-	models, err := riskModelsOf(m, targets)
-	if err != nil {
-		return nil, err
-	}
-	if opt.NoReuse {
-		memo = nil
-	}
-	return monte.Simulate(models, monte.Config{
-		Trials: opt.Trials, Seed: opt.Seed, Workers: opt.Workers,
-		Sketch: opt.Sketch, Memo: memo,
-		Obs: o, Parent: parent, VirtNow: now, Ctx: ctx,
-	})
-}
-
-// riskModelsOf derives the stochastic activity models for the targets
-// from the bound simulated tools (see scenario.RiskModels — the sweep's
-// risk dimension and the facade share one derivation).
-func riskModelsOf(m *engine.Manager, targets []string) ([]monte.ActivityModel, error) {
-	tree, err := m.ExtractTree(targets...)
-	if err != nil {
-		return nil, err
-	}
-	return scenario.RiskModels(m, tree)
-}
-
-// RiskFingerprint returns a canonical fingerprint of everything a
-// SimulateRiskWith call's distribution depends on: the derived activity
-// models (tool profiles, schema precedence within the tree) plus the
-// trials, seed, and sketch settings. Two calls whose fingerprints match
-// return bit-identical results, no matter how the underlying store
-// version or virtual clock moved in between — which is what lets a
-// serving layer reuse rendered risk answers across snapshots.
-func (p *Project) RiskFingerprint(targets []string, opt RiskOptions) (string, error) {
-	return riskFingerprintOf(p.readMgr(), targets, opt)
-}
-
-func riskFingerprintOf(m *engine.Manager, targets []string, opt RiskOptions) (string, error) {
-	models, err := riskModelsOf(m, targets)
-	if err != nil {
-		return "", err
-	}
-	fp, err := monte.ModelsFingerprint(models)
-	if err != nil {
-		return "", err
-	}
-	trials := opt.Trials
-	if trials <= 0 {
-		trials = 1000
-	}
-	// Sketch mode carries its contract version: a version bump must
-	// never be served from a fingerprint cache of the old contract.
-	sk := 0
-	if opt.Sketch {
-		sk = monte.SketchVersion
-	}
-	return fmt.Sprintf("risk.%016x.t%d.s%d.sk%d", fp, trials, opt.Seed, sk), nil
 }
 
 // What-if scenario types (see internal/scenario).
@@ -1008,40 +716,22 @@ func (p *Project) Fork() (*Project, error) {
 	return f, nil
 }
 
-// Scenarios runs a parallel what-if sweep toward the targets: one
-// copy-on-write fork per edit plus an unedited baseline, each re-planned
-// and re-executed concurrently, with outcomes compared against the
-// baseline (finish dates, working-time deltas, critical paths, slack).
-// The project itself is never modified. Outcomes are bit-identical for
-// every worker count. With project observability enabled, the sweep
-// records a scenario span tree and a scenario_runs_total counter.
+// Scenarios runs ProjectView.Scenarios on a fresh View — a parallel
+// what-if sweep toward the targets, pinned to the current snapshot —
+// and files the sweep with the project's flight recorder. The project
+// itself is never modified.
 func (p *Project) Scenarios(targets []string, edits []ScenarioEdit, opt ScenarioOptions) (*ScenarioReport, error) {
-	if opt.Obs == nil {
-		opt.Obs = p.obs
-	}
-	if opt.Risk != nil && opt.Risk.Memo == nil {
-		// Share the project's trial-stream memo so the sweep's baseline
-		// simulation is itself warm when /risk ran first (and vice versa).
-		spec := *opt.Risk
-		spec.Memo = p.riskMemo
-		opt.Risk = &spec
-	}
 	start := time.Now()
-	rep, err := scenario.Sweep(p.mgr, targets, edits, opt)
-	if p.flight != nil {
-		rec := obs.FlightRecord{
-			TraceID: obs.NewTraceID(), Route: "whatif", Start: start,
-			Latency:    time.Since(start),
-			VirtualNow: p.Now(), StoreVersion: p.mgr.DB.Version(),
-		}
-		if rep != nil {
-			rec.SampledTrials, rec.ReusedTrials = rep.RiskSampledTrials, rep.RiskReusedTrials
-		}
-		if err != nil {
-			rec.Error = err.Error()
-		}
-		p.flight.Record(rec)
+	v, err := p.View()
+	if err != nil {
+		return nil, err
 	}
+	rep, err := v.Scenarios(targets, edits, opt)
+	var sampled, reused int64
+	if rep != nil {
+		sampled, reused = rep.RiskSampledTrials, rep.RiskReusedTrials
+	}
+	p.recordFlight("whatif", start, sampled, reused, err)
 	return rep, err
 }
 

@@ -16,6 +16,23 @@ func newProject(t *testing.T) *Project {
 	return p
 }
 
+// viewOf pins a fresh read view of p, failing the test if the capture
+// does.
+func viewOf(t testing.TB, p *Project) *ProjectView {
+	t.Helper()
+	v, err := p.View()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// allEvents returns p's whole event stream.
+func allEvents(p *Project) []Event {
+	evs, _ := p.EventsPage(0)
+	return evs
+}
+
 // prepared returns a project with tools bound and stimuli imported.
 func prepared(t *testing.T) *Project {
 	t.Helper()
@@ -67,7 +84,7 @@ func TestPlanRunLifecycle(t *testing.T) {
 	if len(res.Outcomes) != 2 {
 		t.Fatalf("outcomes = %d", len(res.Outcomes))
 	}
-	st, err := p.Status()
+	st, err := viewOf(t, p).Status()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +93,7 @@ func TestPlanRunLifecycle(t *testing.T) {
 			t.Fatalf("status = %+v", row)
 		}
 	}
-	g, err := p.Gantt()
+	g, err := viewOf(t, p).Gantt()
 	if err != nil || !strings.Contains(g, "Create") {
 		t.Fatalf("gantt = %q, %v", g, err)
 	}
@@ -90,7 +107,7 @@ func TestPlanLineageAutomatic(t *testing.T) {
 	if _, err := p.Plan([]string{"performance"}, Fixed{Default: 10 * time.Hour}, PlanOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	ans, err := p.Query("lineage")
+	ans, err := viewOf(t, p).Query("lineage")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,10 +125,10 @@ func TestRunWithoutPlanUntracked(t *testing.T) {
 	if len(res.Outcomes) != 2 {
 		t.Fatalf("outcomes = %d", len(res.Outcomes))
 	}
-	if _, err := p.Status(); err == nil {
+	if _, err := viewOf(t, p).Status(); err == nil {
 		t.Fatal("Status without plan accepted")
 	}
-	if _, err := p.Gantt(); err == nil {
+	if _, err := viewOf(t, p).Gantt(); err == nil {
 		t.Fatal("Gantt without plan accepted")
 	}
 	if _, err := p.Propagate(); err == nil {
@@ -120,7 +137,7 @@ func TestRunWithoutPlanUntracked(t *testing.T) {
 	if err := p.Complete("Create", "netlist/1"); err == nil {
 		t.Fatal("Complete without plan accepted")
 	}
-	if _, err := p.Analyze(); err == nil {
+	if _, err := viewOf(t, p).Analyze(); err == nil {
 		t.Fatal("Analyze without plan accepted")
 	}
 }
@@ -137,7 +154,7 @@ func TestManualComplete(t *testing.T) {
 	if err := p.Complete("Create", res.Outcomes[0].FinalEntity.ID); err != nil {
 		t.Fatal(err)
 	}
-	st, _ := p.Status()
+	st, _ := viewOf(t, p).Status()
 	if st[0].State != "done" {
 		t.Fatalf("Create status = %+v", st[0])
 	}
@@ -151,7 +168,7 @@ func TestAnalyze(t *testing.T) {
 	if _, err := p.Plan([]string{"performance"}, est, PlanOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Analyze()
+	res, err := viewOf(t, p).Analyze()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,14 +186,14 @@ func TestQueryAfterRun(t *testing.T) {
 	if _, err := p.Run([]string{"performance"}, true); err != nil {
 		t.Fatal(err)
 	}
-	ans, err := p.Query("duration of Create")
+	ans, err := viewOf(t, p).Query("duration of Create")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(ans, "duration of Create") {
 		t.Fatalf("query = %q", ans)
 	}
-	if _, err := p.Query("nonsense"); err == nil {
+	if _, err := viewOf(t, p).Query("nonsense"); err == nil {
 		t.Fatal("bad query accepted")
 	}
 }
@@ -197,7 +214,7 @@ func TestHistoricalEstimatorAcrossProjects(t *testing.T) {
 	}
 	// The estimate basis must be historical for both activities.
 	for _, act := range plan.Activities {
-		ans, err := b.Query("estimate of " + act)
+		ans, err := viewOf(t, b).Query("estimate of " + act)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +249,7 @@ func TestSnapshotAndDump(t *testing.T) {
 
 func TestTaskTreeView(t *testing.T) {
 	p := prepared(t)
-	out, err := p.TaskTreeView("performance")
+	out, err := viewOf(t, p).TaskTreeView("performance")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +257,7 @@ func TestTaskTreeView(t *testing.T) {
 		t.Fatalf("view before plan = %q", out)
 	}
 	p.Plan([]string{"performance"}, Fixed{Default: 8 * time.Hour}, PlanOptions{})
-	out, _ = p.TaskTreeView("performance")
+	out, _ = viewOf(t, p).TaskTreeView("performance")
 	if !strings.Contains(out, "planned") {
 		t.Fatalf("view after plan = %q", out)
 	}
@@ -250,7 +267,7 @@ func TestEventsExposed(t *testing.T) {
 	p := prepared(t)
 	p.Plan([]string{"performance"}, Fixed{Default: 8 * time.Hour}, PlanOptions{})
 	p.Run([]string{"performance"}, true)
-	if len(p.Events()) == 0 {
+	if p.EventCount() == 0 {
 		t.Fatal("no events")
 	}
 }
@@ -295,7 +312,7 @@ func TestASICSchemaEndToEnd(t *testing.T) {
 	if len(res.Outcomes) != 8 {
 		t.Fatalf("outcomes = %d, want 8", len(res.Outcomes))
 	}
-	cpm, err := p.Analyze()
+	cpm, err := viewOf(t, p).Analyze()
 	if err != nil {
 		t.Fatal(err)
 	}

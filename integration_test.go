@@ -46,7 +46,7 @@ func TestFullProjectLifecycle(t *testing.T) {
 	if err := p.SetMilestone("tapeout-model", "layout", tapeout); err != nil {
 		t.Fatal(err)
 	}
-	risk, err := p.SimulateRisk(targets, 400, 3)
+	risk, err := p.SimulateRiskWith(targets, RiskOptions{Trials: 400, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestFullProjectLifecycle(t *testing.T) {
 	}
 	// The milestone must be achieved (layout produced) with real margin
 	// against the generous target.
-	ms, err := p.MilestoneReport()
+	ms, err := viewOf(t, p).MilestoneReport()
 	if err != nil || len(ms) != 1 || !ms[0].Achieved || ms[0].Margin <= 0 {
 		t.Fatalf("milestones = %+v, %v", ms, err)
 	}
@@ -77,12 +77,12 @@ func TestFullProjectLifecycle(t *testing.T) {
 	if plan2.Version != 2 {
 		t.Fatalf("plan version = %d", plan2.Version)
 	}
-	lineage, err := p.Query("lineage")
+	lineage, err := viewOf(t, p).Query("lineage")
 	if err != nil || !strings.Contains(lineage, "schedule/1 -> schedule/2") {
 		t.Fatalf("lineage = %q, %v", lineage, err)
 	}
 	// Historical estimates recorded as such.
-	estAns, err := p.Query("estimate of Route")
+	estAns, err := viewOf(t, p).Query("estimate of Route")
 	if err != nil || !strings.Contains(estAns, "historical") {
 		t.Fatalf("estimate = %q, %v", estAns, err)
 	}
@@ -96,22 +96,22 @@ func TestFullProjectLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outline, err := p.OutlineStatus(g)
+	outline, err := viewOf(t, p).OutlineStatus(g)
 	if err != nil || !strings.Contains(outline, "Backend") {
 		t.Fatalf("outline = %q, %v", outline, err)
 	}
-	cpm, err := p.Analyze()
+	cpm, err := viewOf(t, p).Analyze()
 	if err != nil || len(cpm.CriticalPath) == 0 {
 		t.Fatalf("cpm = %+v, %v", cpm, err)
 	}
 	// plan2 has no actuals yet: dashboard shows 0 done.
-	dash, err := p.Dashboard()
+	dash, err := viewOf(t, p).Dashboard()
 	if err != nil || !strings.Contains(dash, "progress: 0/8") {
 		t.Fatalf("dashboard = %v\n%s", err, dash)
 	}
 
 	// --- interchange + persistence --------------------------------------
-	csvOut, err := p.ExportPlanCSV()
+	csvOut, err := viewOf(t, p).ExportPlanCSV()
 	if err != nil || strings.Count(csvOut, "\n") != 9 { // header + 8 rows
 		t.Fatalf("csv lines = %d, %v", strings.Count(csvOut, "\n"), err)
 	}
@@ -133,7 +133,7 @@ func TestFullProjectLifecycle(t *testing.T) {
 	if _, err := re.Run(targets, true); err != nil {
 		t.Fatal(err)
 	}
-	st, err := re.Status()
+	st, err := viewOf(t, re).Status()
 	if err != nil {
 		t.Fatal(err)
 	}

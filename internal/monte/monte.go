@@ -443,12 +443,16 @@ func simulate(acts []ActivityModel, cfg Config, order []int,
 			sinks = append(sinks, int32(i))
 		}
 	}
-	// Memo-less runs keep finishes in a scalar scratch per trial (best
-	// locality); runs that read or fill trial-stream arrays switch to a
-	// column kernel where a cached activity costs nothing in the trial
-	// loop. Both consume each activity's RNG stream in the same order,
-	// so they produce identical results — the incremental property
-	// tests pin warm-column against cold-scalar runs.
+	// Memo-less runs keep finishes in a scalar scratch reused across
+	// trials, so their memory stays bounded no matter the trial count
+	// (sketch mode's constant-memory contract; the column kernel is no
+	// faster cold and would hold every activity × trial finish —
+	// TestSketchMemoLessRunIsConstantMemory). Runs that read or fill
+	// trial-stream arrays switch to a column kernel where a cached
+	// activity costs nothing in the trial loop. Both consume each
+	// activity's RNG stream in the same order, so they produce identical
+	// results — the incremental property tests pin warm-column against
+	// cold-scalar runs.
 	columns := reused > 0 || fresh != nil
 
 	// Cooperative cancellation: one cheap shared flag, refreshed by a

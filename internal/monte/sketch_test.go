@@ -2,6 +2,7 @@ package monte
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -115,6 +116,31 @@ func TestSketchWorkerDeterminism(t *testing.T) {
 				t.Fatalf("workers=%d: bucket %d differs", workers, j)
 			}
 		}
+	}
+}
+
+// TestSketchMemoLessRunIsConstantMemory pins sketch mode's
+// constant-memory contract on the memo-less path: a million-trial run
+// must allocate a bounded amount independent of the trial count. The
+// scalar kernel keeps one trial's finishes in a scratch reused across
+// trials and allocates about 2 MB here; the column kernel would hold
+// every activity's finish for every trial of a shard (about 52 MB), so
+// routing memo-less runs through it fails this bound.
+func TestSketchMemoLessRunIsConstantMemory(t *testing.T) {
+	const bound = 16 << 20
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res, err := Simulate(branchy(), Config{Trials: 1_000_000, Workers: 1, Sketch: true})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Sketch == nil {
+		t.Fatal("sketch mode must set Sketch")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+		t.Fatalf("1M-trial sketch run allocated %d bytes, want <= %d", got, bound)
 	}
 }
 

@@ -549,7 +549,7 @@ func runOne(r run, tree *flow.Tree, opt *Options, riskMemo *monte.Memo, span *ob
 // bound simulated tools over one task tree: triangular durations over
 // Base±Jitter with the tool's expected iteration count, predecessor
 // edges from the schema within the tree. Shared by the facade's
-// SimulateRisk and the sweep's risk dimension, so the risk analysis
+// SimulateRiskWith and the sweep's risk dimension, so the risk analysis
 // and the actual execution always share one model.
 func RiskModels(m *engine.Manager, tree *flow.Tree) ([]monte.ActivityModel, error) {
 	var models []monte.ActivityModel

@@ -916,7 +916,7 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 		s.eventsSSE(w, r, since)
 		return
 	}
-	evs := s.p.EventsSince(since)
+	evs, next := s.p.EventsPage(since)
 	if evs == nil {
 		evs = []flowsched.Event{}
 	}
@@ -924,7 +924,7 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 		Since  int               `json:"since"`
 		Next   int               `json:"next"`
 		Events []flowsched.Event `json:"events"`
-	}{since, since + len(evs), evs})
+	}{since, next, evs})
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return

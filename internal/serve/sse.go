@@ -250,7 +250,8 @@ func (s *Server) eventsSSE(w http.ResponseWriter, r *http.Request, since int) {
 	// first, so anything appended from here on is also on the channel;
 	// the seq filter below discards the overlap.
 	cursor := since
-	for _, e := range s.p.EventsSince(cursor) {
+	evs, _ := s.p.EventsPage(cursor)
+	for _, e := range evs {
 		cursor++
 		data, err := json.Marshal(e)
 		if err != nil {

@@ -78,7 +78,7 @@ func TestEventsNextCursorEchoesConsumedPosition(t *testing.T) {
 }
 
 // TestEventsNegativeSinceRejected pins the 400 on a negative cursor:
-// EventsSince silently clamps to zero, which would hide a client-side
+// EventsPage silently clamps to zero, which would hide a client-side
 // cursor underflow behind a full-stream replay.
 func TestEventsNegativeSinceRejected(t *testing.T) {
 	s := New(newTracked(t), Options{})

@@ -21,7 +21,7 @@ func TestSnapshotLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantDump := p.DatabaseDump()
-	wantDur, err := p.Query("duration of Create")
+	wantDur, err := viewOf(t, p).Query("duration of Create")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestSnapshotLoadRoundTrip(t *testing.T) {
 	if got := re.DatabaseDump(); got != wantDump {
 		t.Fatalf("dump changed across restore:\n%s\nvs\n%s", got, wantDump)
 	}
-	if got, err := re.Query("duration of Create"); err != nil || got != wantDur {
+	if got, err := viewOf(t, re).Query("duration of Create"); err != nil || got != wantDur {
 		t.Fatalf("query after restore = %q, %v", got, err)
 	}
 	if !re.Now().Equal(wantNow) {
@@ -56,7 +56,7 @@ func TestSnapshotLoadRoundTrip(t *testing.T) {
 		t.Fatalf("execution after restore: %v", err)
 	}
 	// New runs continued the iteration numbering, not restarted it.
-	ans, err := re.Query("runs of Create")
+	ans, err := viewOf(t, re).Query("runs of Create")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestLoadOverridesDesigner(t *testing.T) {
 	}
 	// The new runs carry the overriding designer.
 	found := false
-	for _, ev := range re.Events() {
+	for _, ev := range allEvents(re) {
 		if ev.Kind == "run-started" {
 			found = true
 		}

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"flowsched/internal/engine"
 	"flowsched/internal/predict"
 )
 
@@ -39,21 +38,6 @@ type Prediction struct {
 // PredictorAccuracy is a back-test score (MAE, MAPE, sample counts).
 type PredictorAccuracy = predict.Accuracy
 
-// PredictDuration estimates an activity's next duration from the
-// project's completed schedule history — the paper's motivating use of
-// retained schedule metadata ("previous schedule data can be used to
-// predict the duration of future projects", §I).
-func (p *Project) PredictDuration(activity string, opt PredictOptions) (*Prediction, error) {
-	return predictOf(p.readMgr(), activity, opt)
-}
-
-// EvaluatePredictor back-tests a predictor over the activity's history:
-// each completed sample is predicted from the ones before it, with the
-// first warmup samples (minimum 1) used as seed history only.
-func (p *Project) EvaluatePredictor(activity string, opt PredictOptions, warmup int) (PredictorAccuracy, error) {
-	return evaluateOf(p.readMgr(), activity, opt, warmup)
-}
-
 // predictorFor resolves a PredictOptions to a concrete predictor and
 // its canonical method name.
 func predictorFor(opt PredictOptions) (predict.Predictor, string, error) {
@@ -73,13 +57,16 @@ func predictorFor(opt PredictOptions) (predict.Predictor, string, error) {
 	}
 }
 
-// predictOf runs a prediction against one manager snapshot.
-func predictOf(m *engine.Manager, activity string, opt PredictOptions) (*Prediction, error) {
+// PredictDuration estimates an activity's next duration from the
+// snapshot's completed schedule history — the paper's motivating use of
+// retained schedule metadata ("previous schedule data can be used to
+// predict the duration of future projects", §I).
+func (v *ProjectView) PredictDuration(activity string, opt PredictOptions) (*Prediction, error) {
 	pred, method, err := predictorFor(opt)
 	if err != nil {
 		return nil, err
 	}
-	hist, err := predict.HistoryOf(m.Sched, m.Calendar, activity, opt.Sizes)
+	hist, err := predict.HistoryOf(v.m.Sched, v.m.Calendar, activity, opt.Sizes)
 	if err != nil {
 		return nil, err
 	}
@@ -93,13 +80,16 @@ func predictOf(m *engine.Manager, activity string, opt PredictOptions) (*Predict
 	return &Prediction{Activity: activity, Method: method, Estimate: est, Samples: len(hist)}, nil
 }
 
-// evaluateOf back-tests a predictor against one manager snapshot.
-func evaluateOf(m *engine.Manager, activity string, opt PredictOptions, warmup int) (PredictorAccuracy, error) {
+// EvaluatePredictor back-tests a predictor over the snapshot's history
+// of the activity: each completed sample is predicted from the ones
+// before it, with the first warmup samples (minimum 1) used as seed
+// history only.
+func (v *ProjectView) EvaluatePredictor(activity string, opt PredictOptions, warmup int) (PredictorAccuracy, error) {
 	pred, _, err := predictorFor(opt)
 	if err != nil {
 		return PredictorAccuracy{}, err
 	}
-	hist, err := predict.HistoryOf(m.Sched, m.Calendar, activity, opt.Sizes)
+	hist, err := predict.HistoryOf(v.m.Sched, v.m.Calendar, activity, opt.Sizes)
 	if err != nil {
 		return PredictorAccuracy{}, err
 	}

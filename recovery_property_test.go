@@ -161,7 +161,7 @@ func crashIdentityOf(p *Project) crashIdentity {
 	return crashIdentity{
 		version: p.mgr.DB.Version(),
 		dump:    p.DatabaseDump(),
-		events:  len(p.Events()),
+		events:  p.EventCount(),
 		now:     p.Now(),
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 func TestSimulateRisk(t *testing.T) {
 	p := prepared(t)
-	res, err := p.SimulateRisk([]string{"performance"}, 500, 11)
+	res, err := p.SimulateRiskWith([]string{"performance"}, RiskOptions{Trials: 500, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestSimulateRisk(t *testing.T) {
 		t.Fatalf("criticality = %v", res.Criticality)
 	}
 	// Reproducible.
-	res2, _ := p.SimulateRisk([]string{"performance"}, 500, 11)
+	res2, _ := p.SimulateRiskWith([]string{"performance"}, RiskOptions{Trials: 500, Seed: 11})
 	if res.Mean() != res2.Mean() {
 		t.Fatal("risk analysis not reproducible")
 	}
@@ -41,7 +41,7 @@ func TestSimulateRiskConsistentWithExecution(t *testing.T) {
 	// The risk model and the real execution share the tool profiles, so
 	// the actual span must land inside the sampled range.
 	p := prepared(t)
-	res, err := p.SimulateRisk([]string{"performance"}, 2000, 1)
+	res, err := p.SimulateRiskWith([]string{"performance"}, RiskOptions{Trials: 2000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +107,11 @@ func TestSimulateRiskDefaultTrials(t *testing.T) {
 
 func TestSimulateRiskErrors(t *testing.T) {
 	p := newProject(t)
-	if _, err := p.SimulateRisk([]string{"performance"}, 10, 1); err == nil ||
+	if _, err := p.SimulateRiskWith([]string{"performance"}, RiskOptions{Trials: 10, Seed: 1}); err == nil ||
 		!strings.Contains(err.Error(), "no tool bound") {
 		t.Fatalf("err = %v, want no-tool", err)
 	}
-	if _, err := p.SimulateRisk([]string{"ghost"}, 10, 1); err == nil {
+	if _, err := p.SimulateRiskWith([]string{"ghost"}, RiskOptions{Trials: 10, Seed: 1}); err == nil {
 		t.Fatal("unknown target accepted")
 	}
 }
@@ -183,7 +183,7 @@ func TestProjectFlightRecorder(t *testing.T) {
 	if _, err := p.Import("stimuli", []byte("pulse 0 5 1ns")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.SimulateRisk([]string{"performance"}, 200, 5); err != nil {
+	if _, err := p.SimulateRiskWith([]string{"performance"}, RiskOptions{Trials: 200, Seed: 5}); err != nil {
 		t.Fatal(err)
 	}
 	recent, slowest := p.FlightRecords()

@@ -5,11 +5,14 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strings"
 	"time"
 
 	"flowsched/internal/engine"
+	"flowsched/internal/export"
 	"flowsched/internal/monte"
 	"flowsched/internal/obs"
+	"flowsched/internal/pert"
 	"flowsched/internal/query"
 	"flowsched/internal/report"
 	"flowsched/internal/scenario"
@@ -17,8 +20,8 @@ import (
 	"flowsched/internal/tools"
 )
 
-// ProjectView is a read-only facade pinned to one snapshot of the task
-// database: every method answers from the same moment, so a set of
+// ProjectView is the facade's read API, pinned to one snapshot of the
+// task database: every method answers from the same moment, so a set of
 // reads taken through one view is mutually consistent even while the
 // project keeps planning and executing on other goroutines. Views are
 // cheap (O(containers), no entry copying) and safe for concurrent use;
@@ -123,20 +126,22 @@ func (v *ProjectView) Targets() []string {
 // needPlan guards the plan-scoped read surfaces.
 func (v *ProjectView) needPlan() error {
 	if v.plan == nil {
-		return fmt.Errorf("flowsched: no plan in snapshot")
+		return fmt.Errorf("flowsched: no plan")
 	}
 	return nil
 }
 
-// Status reports plan-versus-actual state per activity as captured.
+// Status reports plan-versus-actual state per activity as of the
+// snapshot's virtual now.
 func (v *ProjectView) Status() ([]ActivityStatus, error) {
 	if err := v.needPlan(); err != nil {
 		return nil, err
 	}
-	return statusOf(v.m, v.plan, v.now)
+	return v.m.Sched.Status(v.plan, v.now)
 }
 
-// Gantt renders the snapshot plan's Gantt chart.
+// Gantt renders the snapshot plan's Gantt chart (planned and
+// accomplished schedule, §IV.B).
 func (v *ProjectView) Gantt() (string, error) {
 	if err := v.needPlan(); err != nil {
 		return "", err
@@ -144,7 +149,8 @@ func (v *ProjectView) Gantt() (string, error) {
 	return report.Chart(v.m, v.plan, v.now)
 }
 
-// TaskTreeView renders the task tree with per-node schedule state.
+// TaskTreeView renders the task tree with per-node schedule state — the
+// central feature of the Hercules user interface (Fig. 8).
 func (v *ProjectView) TaskTreeView(targets ...string) (string, error) {
 	tree, err := v.m.ExtractTree(targets...)
 	if err != nil {
@@ -153,23 +159,85 @@ func (v *ProjectView) TaskTreeView(targets ...string) (string, error) {
 	return report.TaskTree(v.m, tree, v.plan), nil
 }
 
-// Dashboard renders the one-page project view from the snapshot.
+// Dashboard renders a one-page project view from the snapshot: plan
+// summary, per-activity status, the Gantt chart, and the critical path.
 func (v *ProjectView) Dashboard() (string, error) {
-	if err := v.needPlan(); err != nil {
+	rows, err := v.Status()
+	if err != nil {
 		return "", err
 	}
-	return dashboardOf(v.m, v.plan, v.now)
+	var b strings.Builder
+	fmt.Fprintf(&b, "project dashboard — plan v%d, targets %v\n",
+		v.plan.Version, v.plan.Targets)
+	fmt.Fprintf(&b, "now %s; projected finish %s\n\n",
+		v.now.Format("2006-01-02 15:04"), v.plan.Finish.Format("2006-01-02 15:04"))
+	done := 0
+	for _, r := range rows {
+		if r.State == "done" {
+			done++
+		}
+	}
+	fmt.Fprintf(&b, "progress: %d/%d activities done\n", done, len(rows))
+	for _, r := range rows {
+		slip := ""
+		if r.Slip > 0 {
+			slip = fmt.Sprintf("  slip %s", r.Slip.Round(time.Minute))
+		}
+		fmt.Fprintf(&b, "  %-12s %-12s%s\n", r.Activity, r.State, slip)
+	}
+	b.WriteString("\n")
+	chart, err := v.Gantt()
+	if err != nil {
+		return "", err
+	}
+	b.WriteString(chart)
+	cpm, err := v.Analyze()
+	if err != nil {
+		return "", err
+	}
+	fmt.Fprintf(&b, "\ncritical path (%s working): %s\n",
+		cpm.Duration, strings.Join(cpm.CriticalPath, " -> "))
+	return b.String(), nil
 }
 
-// Analyze runs CPM/PERT over the snapshot plan.
+// Analyze runs CPM/PERT over the snapshot plan: early/late dates,
+// slack, critical path, completion probability.
 func (v *ProjectView) Analyze() (*CPMResult, error) {
 	if err := v.needPlan(); err != nil {
 		return nil, err
 	}
-	return analyzeOf(v.m, v.plan)
+	_, insts, err := v.m.Sched.Instances(v.plan)
+	if err != nil {
+		return nil, err
+	}
+	inPlan := make(map[string]bool, len(v.plan.Activities))
+	for _, a := range v.plan.Activities {
+		inPlan[a] = true
+	}
+	acts := make([]pert.Activity, 0, len(insts))
+	for _, in := range insts {
+		rule := v.m.Schema.RuleByActivity(in.Activity)
+		var preds []string
+		for _, input := range rule.Inputs {
+			if prod := v.m.Schema.Producer(input); prod != nil && inPlan[prod.Activity] {
+				preds = append(preds, prod.Activity)
+			}
+		}
+		acts = append(acts, pert.Activity{
+			Name: in.Activity, Duration: in.EstWork,
+			Optimistic: in.Optimistic, Pessimistic: in.Pessimistic,
+			Preds: preds,
+		})
+	}
+	net, err := pert.NewNetwork(acts)
+	if err != nil {
+		return nil, err
+	}
+	return net.Analyze()
 }
 
-// Query answers a textual §IV.B query against the snapshot.
+// Query answers a textual §IV.B query against the snapshot (see
+// internal/query for the grammar).
 func (v *ProjectView) Query(text string) (string, error) {
 	eng, err := query.New(v.m.Sched, v.m.Exec)
 	if err != nil {
@@ -178,7 +246,9 @@ func (v *ProjectView) Query(text string) (string, error) {
 	return eng.Eval(text)
 }
 
-// MilestoneReport scores the snapshot plan's milestones.
+// MilestoneReport scores the snapshot plan's milestones: achieved-at
+// dates for completed ones, projected margins for pending ones
+// (negative margin = projected or actual miss).
 func (v *ProjectView) MilestoneReport() ([]MilestoneStatus, error) {
 	if err := v.needPlan(); err != nil {
 		return nil, err
@@ -186,30 +256,132 @@ func (v *ProjectView) MilestoneReport() ([]MilestoneStatus, error) {
 	return v.m.Sched.MilestoneReport(v.plan)
 }
 
+// OutlineStatus renders the snapshot plan's status rolled up through
+// the grouping — the project manager's composite-task view (§IV.C:
+// "viewing a portion of the overall schedule").
+func (v *ProjectView) OutlineStatus(g *Grouping) (string, error) {
+	if err := v.needPlan(); err != nil {
+		return "", err
+	}
+	if g == nil {
+		return "", fmt.Errorf("flowsched: nil grouping")
+	}
+	if err := g.CheckCovers(v.plan); err != nil {
+		return "", err
+	}
+	rows, err := v.Status()
+	if err != nil {
+		return "", err
+	}
+	return g.Outline(rows)
+}
+
+// DeadlineMargin reports the working time between the snapshot plan's
+// projected finish and the deadline: positive when the project is
+// ahead, negative when the projection overruns the deadline.
+func (v *ProjectView) DeadlineMargin(deadline time.Time) (time.Duration, error) {
+	if err := v.needPlan(); err != nil {
+		return 0, err
+	}
+	cal := v.m.Calendar
+	if v.plan.Finish.After(deadline) {
+		return -cal.WorkBetween(deadline, v.plan.Finish), nil
+	}
+	return cal.WorkBetween(v.plan.Finish, deadline), nil
+}
+
 // StatusReport renders the periodic manager's report for [from, to)
-// against the snapshot.
+// against the snapshot: activity counts, completions, constraint
+// violations, slips, and the next period's planned starts.
 func (v *ProjectView) StatusReport(from, to time.Time) (string, error) {
 	return report.StatusReport(v.m, v.plan, from, to)
 }
 
-// SimulateRiskWith runs a Monte-Carlo schedule risk analysis from the
-// snapshot's virtual now. The stochastic model is derived from the live
-// tool bindings (tools are session configuration, not Level 3 state).
-// The run shares the project's subtree trial-stream memo unless
-// opt.NoReuse is set; reuse never changes the result.
-func (v *ProjectView) SimulateRiskWith(targets []string, opt RiskOptions) (*RiskResult, error) {
-	return riskOf(v.ctx, v.m, v.obs, v.now, v.memo, v.span, targets, opt)
+// ExportPlanCSV renders the snapshot plan as CSV for spreadsheet or PM
+// tooling.
+func (v *ProjectView) ExportPlanCSV() (string, error) {
+	if v.plan == nil {
+		return "", fmt.Errorf("flowsched: no plan to export")
+	}
+	return export.PlanCSV(v.m.Sched, v.plan)
 }
 
-// RiskFingerprint is the view-pinned Project.RiskFingerprint: a
-// canonical hash of everything the risk distribution depends on. Equal
-// fingerprints across different snapshots mean SimulateRiskWith returns
-// bit-identical results from both — the store version and virtual clock
-// are deliberately *not* part of the fingerprint, because a risk run's
-// distribution depends only on the derived models and the sampling
-// configuration.
+// ExportMPX renders the snapshot plan as a minimal MPX-style record
+// stream for legacy project-management tools.
+func (v *ProjectView) ExportMPX() (string, error) {
+	if v.plan == nil {
+		return "", fmt.Errorf("flowsched: no plan to export")
+	}
+	return export.MPX(v.m.Sched, v.plan)
+}
+
+// SimulateRiskWith runs a Monte-Carlo schedule risk analysis for the
+// targets from the snapshot's virtual now: planning-by-simulation taken
+// statistically. The stochastic model is derived from the *bound
+// simulated tools* — each activity's duration is triangular over its
+// tool's Base±Jitter with the tool's expected iteration count — so the
+// risk analysis and the actual execution share one model. Every
+// in-scope activity must be bound to a simulated tool
+// (UseSimulatedTools or a NewSimTool binding); tools are session
+// configuration, not Level 3 state, so the live bindings are used.
+//
+// Unless opt.NoReuse is set, the run shares the project's subtree
+// trial-stream memo: re-simulations after an edit re-sample only the
+// subtrees whose fingerprint changed, bit-identical to a cold run.
+func (v *ProjectView) SimulateRiskWith(targets []string, opt RiskOptions) (*RiskResult, error) {
+	models, err := v.riskModels(targets)
+	if err != nil {
+		return nil, err
+	}
+	memo := v.memo
+	if opt.NoReuse {
+		memo = nil
+	}
+	return monte.Simulate(models, monte.Config{
+		Trials: opt.Trials, Seed: opt.Seed, Workers: opt.Workers,
+		Sketch: opt.Sketch, Memo: memo,
+		Obs: v.obs, Parent: v.span, VirtNow: v.now, Ctx: v.ctx,
+	})
+}
+
+// riskModels derives the stochastic activity models for the targets
+// from the bound simulated tools (see scenario.RiskModels — the sweep's
+// risk dimension and the view share one derivation).
+func (v *ProjectView) riskModels(targets []string) ([]monte.ActivityModel, error) {
+	tree, err := v.m.ExtractTree(targets...)
+	if err != nil {
+		return nil, err
+	}
+	return scenario.RiskModels(v.m, tree)
+}
+
+// RiskFingerprint returns a canonical fingerprint of everything a
+// SimulateRiskWith call's distribution depends on: the derived activity
+// models (tool profiles, schema precedence within the tree) plus the
+// trials, seed, and sketch settings. Two calls whose fingerprints match
+// return bit-identical results, no matter how the underlying store
+// version or virtual clock moved in between — which is what lets a
+// serving layer reuse rendered risk answers across snapshots.
 func (v *ProjectView) RiskFingerprint(targets []string, opt RiskOptions) (string, error) {
-	return riskFingerprintOf(v.m, targets, opt)
+	models, err := v.riskModels(targets)
+	if err != nil {
+		return "", err
+	}
+	fp, err := monte.ModelsFingerprint(models)
+	if err != nil {
+		return "", err
+	}
+	trials := opt.Trials
+	if trials <= 0 {
+		trials = 1000
+	}
+	// Sketch mode carries its contract version: a version bump must
+	// never be served from a fingerprint cache of the old contract.
+	sk := 0
+	if opt.Sketch {
+		sk = monte.SketchVersion
+	}
+	return fmt.Sprintf("risk.%016x.t%d.s%d.sk%d", fp, trials, opt.Seed, sk), nil
 }
 
 // WhatIfFingerprint is a canonical hash of everything a Scenarios sweep
@@ -319,9 +491,15 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// Scenarios runs a what-if sweep with every fork pinned to the view's
-// snapshot, so the sweep compares scenarios against one observed moment
-// even while the project keeps executing.
+// Scenarios runs a parallel what-if sweep toward the targets: one
+// copy-on-write fork per edit plus an unedited baseline, each re-planned
+// and re-executed concurrently, with outcomes compared against the
+// baseline (finish dates, working-time deltas, critical paths, slack).
+// Every fork is pinned to the view's snapshot, so the sweep compares
+// scenarios against one observed moment even while the project keeps
+// executing. Outcomes are bit-identical for every worker count. With
+// project observability enabled, the sweep records a scenario span tree
+// and a scenario_runs_total counter.
 func (v *ProjectView) Scenarios(targets []string, edits []ScenarioEdit, opt ScenarioOptions) (*ScenarioReport, error) {
 	if opt.Obs == nil {
 		opt.Obs = v.obs
@@ -334,20 +512,11 @@ func (v *ProjectView) Scenarios(targets []string, edits []ScenarioEdit, opt Scen
 		opt.Ctx = v.ctx
 	}
 	if opt.Risk != nil && opt.Risk.Memo == nil {
+		// Share the project's trial-stream memo so the sweep's baseline
+		// simulation is itself warm when /risk ran first (and vice versa).
 		spec := *opt.Risk
 		spec.Memo = v.memo
 		opt.Risk = &spec
 	}
 	return scenario.Sweep(v.m, targets, edits, opt)
-}
-
-// PredictDuration estimates an activity's next duration from the
-// snapshot's completed schedule history.
-func (v *ProjectView) PredictDuration(activity string, opt PredictOptions) (*Prediction, error) {
-	return predictOf(v.m, activity, opt)
-}
-
-// EvaluatePredictor back-tests a predictor over the snapshot's history.
-func (v *ProjectView) EvaluatePredictor(activity string, opt PredictOptions, warmup int) (PredictorAccuracy, error) {
-	return evaluateOf(v.m, activity, opt, warmup)
 }

@@ -1,0 +1,105 @@
+package flowsched
+
+import (
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+)
+
+// TestViewReadsRaceFreeDuringWrites polls every ProjectView read surface
+// from a second goroutine, each pass on a fresh View, while the test
+// goroutine keeps importing, planning, executing, propagating and
+// setting milestones. Plan reassigns the live plan and Propagate
+// mutates it in place; a view decodes its own plan from the snapshot,
+// so under -race this must report no data race, and every read of a
+// planned snapshot must succeed.
+func TestViewReadsRaceFreeDuringWrites(t *testing.T) {
+	p := prepared(t)
+	targets := []string{"performance"}
+	est := Fixed{Default: 8 * time.Hour}
+	if _, err := p.Plan(targets, est, PlanOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	g, err := NewGrouping(map[string][]string{"circuit": {"Create", "Simulate"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	done := make(chan struct{})
+	stop := sync.OnceFunc(func() { close(done) })
+	defer stop() // a failed write round must not leave the reader spinning
+	result := make(chan error, 1)
+	reads := 0 // written by the reader, read after result
+	go func() {
+		for {
+			select {
+			case <-done:
+				result <- nil
+				return
+			default:
+			}
+			if err := readEverything(p, g, targets); err != nil {
+				result <- err
+				return
+			}
+			reads++
+		}
+	}()
+
+	for round := 0; round < 30; round++ {
+		if _, err := p.Import("stimuli", []byte(fmt.Sprintf("pulse %d", round))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Plan(targets, est, PlanOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Run(targets, true); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Propagate(); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.SetMilestone(fmt.Sprintf("m%d", round), "performance", p.Now().Add(30*24*time.Hour)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop()
+	if err := <-result; err != nil {
+		t.Fatal(err)
+	}
+	if reads == 0 {
+		t.Fatal("reader never completed a pass")
+	}
+	t.Logf("%d read passes overlapped 30 write rounds", reads)
+}
+
+// readEverything takes one view and calls every read it offers.
+func readEverything(p *Project, g *Grouping, targets []string) error {
+	v, err := p.View()
+	if err != nil {
+		return err
+	}
+	now := v.Now()
+	reads := []func() error{
+		func() error { _, err := v.Status(); return err },
+		func() error { _, err := v.Gantt(); return err },
+		func() error { _, err := v.TaskTreeView(targets...); return err },
+		func() error { _, err := v.Dashboard(); return err },
+		func() error { _, err := v.Analyze(); return err },
+		func() error { _, err := v.MilestoneReport(); return err },
+		func() error { _, err := v.StatusReport(now.Add(-7*24*time.Hour), now); return err },
+		func() error { _, err := v.Query("lineage"); return err },
+		func() error { _, err := v.OutlineStatus(g); return err },
+		func() error { _, err := v.DeadlineMargin(now); return err },
+		func() error { _, err := v.ExportPlanCSV(); return err },
+		func() error { _, err := v.ExportMPX(); return err },
+		func() error { _, err := v.RiskFingerprint(targets, RiskOptions{Trials: 100, Seed: 1}); return err },
+	}
+	for i, read := range reads {
+		if err := read(); err != nil {
+			return fmt.Errorf("read %d at store version %d: %w", i, v.Version(), err)
+		}
+	}
+	return nil
+}

@@ -65,10 +65,10 @@ func TestProjectForkIsolation(t *testing.T) {
 		t.Fatal("fork re-plan changed the parent's tracked plan")
 	}
 	// Both sides keep answering reports from their own state.
-	if _, err := f.Status(); err != nil {
+	if _, err := viewOf(t, f).Status(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Status(); err != nil {
+	if _, err := viewOf(t, p).Status(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -162,7 +162,11 @@ func TestDumpAndStatusDuringParallelRun(t *testing.T) {
 				default:
 				}
 			}
-			if _, err := p.Status(); err != nil {
+			v, err := p.View()
+			if err == nil {
+				_, err = v.Status()
+			}
+			if err != nil {
 				select {
 				case errs <- err:
 				default:
