@@ -243,14 +243,18 @@ func populated(containers, entries int) *store.DB {
 }
 
 // jsonClone produces an isolated copy the pre-COW way: serialize the
-// whole database and load it back.
+// whole database state and load it back.
 func jsonClone(db *store.DB) error {
-	blob, err := json.Marshal(db)
+	blob, err := json.Marshal(db.State())
 	if err != nil {
 		return err
 	}
-	clone := store.NewDB()
-	return json.Unmarshal(blob, clone)
+	var st store.State
+	if err := json.Unmarshal(blob, &st); err != nil {
+		return err
+	}
+	_, err = store.FromState(&st)
+	return err
 }
 
 // asicManager builds the E8 workload: the ASIC flow with simulated

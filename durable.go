@@ -10,7 +10,6 @@ import (
 
 	"flowsched/internal/design"
 	"flowsched/internal/engine"
-	"flowsched/internal/monte"
 	"flowsched/internal/persist"
 	"flowsched/internal/schema"
 	"flowsched/internal/store"
@@ -53,17 +52,86 @@ type durableManifest struct {
 	Start    time.Time `json:"start"`
 }
 
-// durableCheckpoint is the WAL checkpoint payload: the full-fidelity
-// store state (exact version counter and watermarks — see store.State),
-// the design data, the virtual clock, the tracked plan, and the event
-// stream. Recovering from it is bit-identical to replaying the covered
-// records.
-type durableCheckpoint struct {
+// projectImage is the one persisted form of a project: the WAL
+// checkpoint payload and, with Schema and Designer filled in, the session
+// snapshot (Snapshot/Load). It holds the full-fidelity store state (exact
+// version counter and watermarks — see store.State), the design data, the
+// virtual clock, the tracked plan, and the event stream; restoring it is
+// bit-identical to replaying the records it covers. Checkpoints leave
+// Schema and Designer empty — a durable project's manifest pins them — so
+// omitempty keeps the checkpoint bytes free of them.
+type projectImage struct {
+	Schema      string          `json:"schema,omitempty"`
+	Designer    string          `json:"designer,omitempty"`
 	Now         time.Time       `json:"now"`
 	Store       *store.State    `json:"store"`
 	Data        json.RawMessage `json:"data"`
 	PlanVersion int             `json:"planVersion,omitempty"`
 	Events      []engine.Event  `json:"events,omitempty"`
+}
+
+// image captures the project's state — the capture behind both
+// Checkpoint and Snapshot.
+func (p *Project) image() (*projectImage, error) {
+	data, err := json.Marshal(p.mgr.Data)
+	if err != nil {
+		return nil, err
+	}
+	img := &projectImage{
+		Now: p.Now(), Store: p.mgr.DB.State(), Data: data, Events: p.mgr.Events(),
+	}
+	if p.plan != nil {
+		img.PlanVersion = p.plan.Version
+	}
+	return img, nil
+}
+
+// projectState is persisted state decoded into live structures: what a
+// projectImage decodes to, and what WAL replay advances.
+type projectState struct {
+	now         time.Time
+	db          *store.DB
+	data        *design.Store
+	events      []engine.Event
+	planVersion int
+}
+
+// decode validates the image and rebuilds its store and design data.
+func (img *projectImage) decode() (*projectState, error) {
+	db, err := store.FromState(img.Store)
+	if err != nil {
+		return nil, err
+	}
+	data := design.NewStore()
+	if err := json.Unmarshal(img.Data, data); err != nil {
+		return nil, err
+	}
+	return &projectState{
+		now: img.Now, db: db, data: data, events: img.Events, planVersion: img.PlanVersion,
+	}, nil
+}
+
+// restore builds a Project from persisted state — the one path Load and
+// Open's recovery share: the engine over the store and design data, the
+// event stream, observability, and the tracked plan.
+func (st *projectState) restore(sch *schema.Schema, designer string, opt Options) (*Project, error) {
+	if opt.Calendar == nil {
+		opt.Calendar = vclock.Standard()
+	}
+	m, err := engine.Restore(sch, opt.Calendar, st.db, st.data, st.now, designer)
+	if err != nil {
+		return nil, err
+	}
+	m.RestoreEvents(st.events)
+	p := fromManager(m, opt.Obs)
+	if st.planVersion > 0 {
+		_, plan, err := m.Sched.PlanByVersion(st.planVersion)
+		if err != nil {
+			return nil, fmt.Errorf("flowsched: restore plan: %w", err)
+		}
+		p.plan = plan
+	}
+	return p, nil
 }
 
 // ErrQuarantined marks a durable project whose write-ahead log has
@@ -339,30 +407,22 @@ func recoverDurable(manBytes []byte, opt Options, log *persist.Log) (*Project, m
 		return nil, nil, fmt.Errorf("flowsched: manifest schema: %w", err)
 	}
 	covered := map[string]bool{}
-	db := store.NewDB()
-	data := design.NewStore()
-	now := man.Start
-	planVersion := 0
-	var events []engine.Event
+	st := &projectState{now: man.Start, db: store.NewDB(), data: design.NewStore()}
 	if cpb, _, ok := log.Checkpoint(); ok {
-		var cp durableCheckpoint
-		if err := json.Unmarshal(cpb, &cp); err != nil {
+		var img projectImage
+		if err := json.Unmarshal(cpb, &img); err != nil {
 			return nil, nil, fmt.Errorf("flowsched: checkpoint payload: %w", err)
 		}
-		if db, err = store.FromState(cp.Store); err != nil {
-			return nil, nil, fmt.Errorf("flowsched: checkpoint store: %w", err)
+		if st, err = img.decode(); err != nil {
+			return nil, nil, fmt.Errorf("flowsched: checkpoint: %w", err)
 		}
-		if err := json.Unmarshal(cp.Data, data); err != nil {
-			return nil, nil, fmt.Errorf("flowsched: checkpoint data: %w", err)
-		}
-		now, planVersion, events = cp.Now, cp.PlanVersion, cp.Events
-		for _, c := range db.Containers() {
+		for _, c := range st.db.Containers() {
 			covered[c.Name] = true
 		}
 	}
 	if _, err := log.Replay(func(r *persist.Record) error {
 		if !r.Now.IsZero() {
-			now = r.Now
+			st.now = r.Now
 		}
 		switch r.Kind {
 		case persist.RecStore:
@@ -372,24 +432,24 @@ func recoverDurable(manBytes []byte, opt Options, log *persist.Log) (*Project, m
 			if r.Store.Kind == store.MutCreate {
 				covered[r.Store.Container] = true
 			}
-			return applyMutation(db, r.Store)
+			return applyMutation(st.db, r.Store)
 		case persist.RecData:
 			if r.Data == nil {
 				return fmt.Errorf("flowsched: record %d: empty data insert", r.Seq)
 			}
-			_, err := data.Put(r.Data.Class, r.Data.Bytes, r.Data.Producer, r.Data.Created)
+			_, err := st.data.Put(r.Data.Class, r.Data.Bytes, r.Data.Producer, r.Data.Created)
 			return err
 		case persist.RecEvent:
 			if r.Event == nil {
 				return fmt.Errorf("flowsched: record %d: empty event", r.Seq)
 			}
-			events = append(events, *r.Event)
+			st.events = append(st.events, *r.Event)
 			return nil
 		case persist.RecPlan:
 			if r.Plan == nil {
 				return fmt.Errorf("flowsched: record %d: empty plan record", r.Seq)
 			}
-			planVersion = r.Plan.Version
+			st.planVersion = r.Plan.Version
 			return nil
 		default:
 			return fmt.Errorf("flowsched: record %d: unknown kind %q", r.Seq, r.Kind)
@@ -397,24 +457,9 @@ func recoverDurable(manBytes []byte, opt Options, log *persist.Log) (*Project, m
 	}); err != nil {
 		return nil, nil, err
 	}
-	if opt.Calendar == nil {
-		opt.Calendar = vclock.Standard()
-	}
-	m, err := engine.Restore(sch, opt.Calendar, db, data, now, man.Designer)
+	p, err := st.restore(sch, man.Designer, opt)
 	if err != nil {
 		return nil, nil, err
-	}
-	m.RestoreEvents(events)
-	p := &Project{mgr: m, riskMemo: monte.NewMemo(0)}
-	if opt.Obs.Enabled {
-		p.enableObs(opt.Obs)
-	}
-	if planVersion > 0 {
-		_, plan, err := m.Sched.PlanByVersion(planVersion)
-		if err != nil {
-			return nil, nil, fmt.Errorf("flowsched: recover plan: %w", err)
-		}
-		p.plan = plan
 	}
 	return p, covered, nil
 }
@@ -485,17 +530,11 @@ func (p *Project) Checkpoint() error {
 	if err := p.rec.flush(); err != nil {
 		return &QuarantineError{Cause: err}
 	}
-	data, err := json.Marshal(p.mgr.Data)
+	img, err := p.image()
 	if err != nil {
 		return err
 	}
-	cp := durableCheckpoint{
-		Now: p.Now(), Store: p.mgr.DB.State(), Data: data, Events: p.mgr.Events(),
-	}
-	if p.plan != nil {
-		cp.PlanVersion = p.plan.Version
-	}
-	b, err := json.Marshal(&cp)
+	b, err := json.Marshal(img)
 	if err != nil {
 		return err
 	}

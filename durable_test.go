@@ -5,8 +5,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
+
+	"flowsched/internal/persist"
 )
 
 // openDurable opens a durable Fig4 project at dir with tools bound.
@@ -192,6 +195,36 @@ func TestDurableSchemaFixedAtCreate(t *testing.T) {
 	checkIdentity(t, want, identityOf(t, re))
 	if _, err := Open(t.TempDir(), "", Options{}, PersistOptions{NoSync: true}); err == nil {
 		t.Fatal("fresh open without schema accepted")
+	}
+}
+
+// TestDurableRejectsCheckpointWithoutStore installs a checkpoint whose
+// payload passes its CRC but carries no store state, with no segments
+// left to replay: Open must refuse it with an error, not panic.
+func TestDurableRejectsCheckpointWithoutStore(t *testing.T) {
+	dir := t.TempDir()
+	if err := openDurable(t, dir, PersistOptions{}).Close(); err != nil {
+		t.Fatal(err)
+	}
+	log, err := persist.Open(dir, persist.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := log.Replay(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.WriteCheckpoint([]byte(`{"now":"1995-06-05T09:00:00Z","data":{}}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg")); len(segs) != 0 {
+		t.Fatalf("segments left behind: %v", segs)
+	}
+	_, err = Open(dir, Fig4Schema, Options{}, PersistOptions{NoSync: true})
+	if err == nil || !strings.Contains(err.Error(), "store: state: missing") {
+		t.Fatalf("checkpoint without store: err = %v", err)
 	}
 }
 

@@ -32,7 +32,6 @@ import (
 	"io"
 	"time"
 
-	"flowsched/internal/design"
 	"flowsched/internal/engine"
 	"flowsched/internal/export"
 	"flowsched/internal/fault"
@@ -211,18 +210,20 @@ func NewFromSchema(sch *Schema, opt Options) (*Project, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Project{mgr: m, riskMemo: monte.NewMemo(0)}
-	if opt.Obs.Enabled {
-		p.enableObs(opt.Obs)
-	}
-	return p, nil
+	return fromManager(m, opt.Obs), nil
 }
 
-// enableObs wires the project's observability: a metrics registry, a
-// span tracer with an explicit capacity (obs.DefaultMaxSpans unless
-// overridden), and the flight recorder that retains wide records of
-// the facade's expensive operations.
-func (p *Project) enableObs(o ObsOptions) {
+// fromManager wraps a manager as a Project — the constructor shared by
+// fresh projects and restored ones (see projectState.restore). Enabled
+// observability wires a metrics registry, a span tracer with an explicit
+// capacity (obs.DefaultMaxSpans unless overridden), and the flight
+// recorder that retains wide records of the facade's expensive
+// operations.
+func fromManager(m *engine.Manager, o ObsOptions) *Project {
+	p := &Project{mgr: m, riskMemo: monte.NewMemo(0)}
+	if !o.Enabled {
+		return p
+	}
 	maxSpans := o.MaxSpans
 	if maxSpans <= 0 {
 		maxSpans = obs.DefaultMaxSpans
@@ -230,7 +231,8 @@ func (p *Project) enableObs(o ObsOptions) {
 	p.obs = obs.NewWith(obs.NewRegistry(), obs.NewTracer(maxSpans))
 	p.flight = obs.NewFlightRecorder(0, 0)
 	p.flight.Instrument(p.obs.Metrics(), "flight")
-	p.mgr.Instrument(p.obs)
+	m.Instrument(p.obs)
+	return p
 }
 
 // recordFlight files one completed facade operation and its risk
@@ -791,87 +793,54 @@ func (p *Project) HistoricalEstimator(fb Estimator) Estimator {
 	return Historical{Sched: p.mgr.Sched, Exec: p.mgr.Exec, Fallback: fb}
 }
 
-// sessionSnapshot is the persisted form of a project session.
-type sessionSnapshot struct {
-	// Schema is the task schema in DSL form.
-	Schema string `json:"schema"`
-	// Designer and Now restore the session identity and virtual clock.
-	Designer string    `json:"designer"`
-	Now      time.Time `json:"now"`
-	// DB is the task database (both Level 3 spaces, with links).
-	DB json.RawMessage `json:"db"`
-	// Data is the Level 4 design-data store (content included).
-	Data json.RawMessage `json:"data"`
-	// PlanVersion restores the tracked plan (0 = none).
-	PlanVersion int `json:"planVersion,omitempty"`
-}
-
-// Snapshot serializes the whole session — schema, virtual clock, task
-// database (both Level 3 spaces), design data, and the tracked plan —
-// as JSON. Restore it with Load. Tool bindings and the in-memory event
-// stream are not persisted; rebind tools after loading.
+// Snapshot serializes the whole session as JSON: the same image a
+// durable project's checkpoint holds — the store with its exact version
+// and container watermarks, design data, virtual clock, tracked plan, and
+// event stream — plus the schema and designer a durable project keeps in
+// its manifest. Restore it with Load. Tool bindings are not persisted;
+// rebind tools after loading.
 func (p *Project) Snapshot() ([]byte, error) {
-	db, err := json.Marshal(p.mgr.DB)
+	img, err := p.image()
 	if err != nil {
 		return nil, err
 	}
-	data, err := json.Marshal(p.mgr.Data)
-	if err != nil {
-		return nil, err
-	}
-	s := sessionSnapshot{
-		Schema: p.mgr.Schema.Format(), Designer: p.mgr.Designer,
-		Now: p.Now(), DB: db, Data: data,
-	}
-	if p.plan != nil {
-		s.PlanVersion = p.plan.Version
-	}
-	return json.Marshal(s)
+	img.Schema, img.Designer = p.mgr.Schema.Format(), p.mgr.Designer
+	return json.Marshal(img)
 }
 
-// Load restores a project from a Snapshot. The calendar (not persisted)
-// comes from opts; rebind tools with UseSimulatedTools or BindTool before
-// executing.
+// Load restores a project from a Snapshot through the same path as
+// Open's recovery: the restored project has the saved store version,
+// watermarks, event stream, clock, and tracked plan. The calendar (not
+// persisted) comes from opt, and opt.Designer, when set, overrides the
+// saved designer; rebind tools with UseSimulatedTools or BindTool before
+// executing. Sessions in the earlier "db" format, which lost the store
+// version and the event stream, are rejected.
 func Load(snapshot []byte, opt Options) (*Project, error) {
-	var s sessionSnapshot
-	if err := json.Unmarshal(snapshot, &s); err != nil {
+	var img projectImage
+	if err := json.Unmarshal(snapshot, &img); err != nil {
 		return nil, fmt.Errorf("flowsched: load: %w", err)
 	}
-	sch, err := schema.Parse(s.Schema)
+	if img.Store == nil {
+		var legacy struct {
+			DB json.RawMessage `json:"db"`
+		}
+		if json.Unmarshal(snapshot, &legacy) == nil && legacy.DB != nil {
+			return nil, fmt.Errorf(`flowsched: load: session uses the retired "db" snapshot format (no exact store version, no events); only the checkpoint-image format with a "store" key is supported`)
+		}
+	}
+	sch, err := schema.Parse(img.Schema)
 	if err != nil {
 		return nil, fmt.Errorf("flowsched: load schema: %w", err)
 	}
-	db := store.NewDB()
-	if err := json.Unmarshal(s.DB, db); err != nil {
-		return nil, fmt.Errorf("flowsched: load db: %w", err)
+	st, err := img.decode()
+	if err != nil {
+		return nil, fmt.Errorf("flowsched: load: %w", err)
 	}
-	data := design.NewStore()
-	if err := json.Unmarshal(s.Data, data); err != nil {
-		return nil, fmt.Errorf("flowsched: load data: %w", err)
-	}
-	if opt.Calendar == nil {
-		opt.Calendar = vclock.Standard()
-	}
-	designer := s.Designer
+	designer := img.Designer
 	if opt.Designer != "" {
 		designer = opt.Designer
 	}
-	m, err := engine.Restore(sch, opt.Calendar, db, data, s.Now, designer)
-	if err != nil {
-		return nil, err
-	}
-	p := &Project{mgr: m, riskMemo: monte.NewMemo(0)}
-	if opt.Obs.Enabled {
-		p.enableObs(opt.Obs)
-	}
-	if s.PlanVersion > 0 {
-		_, plan, err := m.Sched.PlanByVersion(s.PlanVersion)
-		if err != nil {
-			return nil, fmt.Errorf("flowsched: load plan: %w", err)
-		}
-		p.plan = plan
-	}
-	return p, nil
+	return st.restore(sch, designer, opt)
 }
 
 // DatabaseDump renders the task database as text (the Figs. 5–7 view).

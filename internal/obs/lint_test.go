@@ -18,7 +18,7 @@ func TestLintCleanRegistry(t *testing.T) {
 	r.Counter("engine_runs_total")
 	r.Gauge("pool_workers")
 	r.Histogram("exec_wall_seconds", nil)
-	r.Histogram("snapshot_bytes", SizeBuckets)
+	r.Histogram("snapshot_bytes", []float64{256, 1 << 10, 4 << 10})
 	r.CounterVec("serve_requests_total", "route", "cache").With("risk", "hit").Inc()
 	r.HistogramVec("serve_request_seconds", nil, "route").With("risk").Observe(1)
 	if errs := r.Lint(); len(errs) != 0 {

@@ -103,11 +103,6 @@ var DefBuckets = []float64{
 	3600, 4 * 3600, 24 * 3600, 7 * 24 * 3600,
 }
 
-// SizeBuckets suits byte-size observations (snapshot sizes).
-var SizeBuckets = []float64{
-	256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20,
-}
-
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) {
 	if h == nil {

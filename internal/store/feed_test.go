@@ -104,8 +104,8 @@ func TestCommitFeedReplayIsBitIdentical(t *testing.T) {
 	if got.Version() != db.Version() {
 		t.Fatalf("replayed version = %d, want %d", got.Version(), db.Version())
 	}
-	a, _ := json.Marshal(db)
-	b, _ := json.Marshal(got)
+	a, _ := json.Marshal(db.State())
+	b, _ := json.Marshal(got.State())
 	if string(a) != string(b) {
 		t.Fatalf("replayed database differs:\n%s\nvs\n%s", a, b)
 	}
@@ -280,4 +280,13 @@ func TestFromStateRejectsCorruptStates(t *testing.T) {
 		e.Links = append(append([]string(nil), e.Links...), "ghost/1")
 		c.Entries = append([]*Entry{&e}, c.Entries[1:]...)
 	})
+	corrupt("dangling dep", func(s *State) {
+		c := &s.Containers[0]
+		e := *c.Entries[0]
+		e.Deps = append(append([]string(nil), e.Deps...), "ghost/1")
+		c.Entries = append([]*Entry{&e}, c.Entries[1:]...)
+	})
+	if _, err := FromState(nil); err == nil {
+		t.Fatal("missing state accepted")
+	}
 }

@@ -2,14 +2,13 @@ package store
 
 import "fmt"
 
-// State is the full-fidelity checkpoint form of a database. Unlike the
-// MarshalJSON session format — which recounts the version from entry
-// counts and therefore loses the exact mutation counter and per-container
-// watermarks — State carries them verbatim, so a database restored with
-// FromState is bit-identical to the original: same Version(), same
+// State is the serialized form of a database — the only one: WAL
+// checkpoints and saved sessions both carry it. It holds the exact
+// mutation counter and per-container watermarks, so a database restored
+// with FromState is bit-identical to the original: same Version(), same
 // Watermark() per container, same entry bytes. That identity is what lets
 // snapshot fingerprints and `X-Flowsched-Version` headers survive a
-// crash-recovery cycle.
+// crash-recovery cycle or a save/load round trip.
 type State struct {
 	// Version is the database mutation counter at checkpoint time.
 	Version uint64 `json:"version"`
@@ -49,11 +48,14 @@ func (db *DB) State() *State {
 	return s
 }
 
-// FromState reconstructs a database from a checkpoint, restoring the
-// mutation counter and per-container watermarks exactly. It validates the
-// same invariants as UnmarshalJSON: dense versions, canonical IDs, and
-// referential integrity of deps and links.
+// FromState reconstructs a database from a State, restoring the
+// mutation counter and per-container watermarks exactly. It rejects a
+// missing state and validates dense versions, canonical IDs, watermarks
+// within the version, and referential integrity of deps and links.
 func FromState(s *State) (*DB, error) {
+	if s == nil {
+		return nil, fmt.Errorf("store: state: missing")
+	}
 	db := NewDB()
 	db.version = s.Version
 	for i := range s.Containers {

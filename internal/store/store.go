@@ -127,19 +127,17 @@ type DB struct {
 
 	// Cached observability handles (nil = uninstrumented, no-op).
 	// Written by Instrument and read by container ops, both under mu.
-	mPuts     *obs.Counter   // store_puts_total
-	mGets     *obs.Counter   // store_gets_total
-	mLinks    *obs.Counter   // store_links_total
-	mSnaps    *obs.Counter   // store_snapshots_total
-	mForks    *obs.Counter   // store_forks_total
-	gEntries  *obs.Gauge     // store_entries
-	hSnapshot *obs.Histogram // store_snapshot_bytes
+	mPuts    *obs.Counter // store_puts_total
+	mGets    *obs.Counter // store_gets_total
+	mLinks   *obs.Counter // store_links_total
+	mSnaps   *obs.Counter // store_snapshots_total
+	mForks   *obs.Counter // store_forks_total
+	gEntries *obs.Gauge   // store_entries
 }
 
 // Instrument attaches observability to the database: container-op
-// counters, fork/snapshot counters, a live instance-count gauge, and a
-// snapshot-size histogram. Call it before sharing the DB; a nil Obs is a
-// no-op.
+// counters, fork/snapshot counters, and a live instance-count gauge.
+// Call it before sharing the DB; a nil Obs is a no-op.
 func (db *DB) Instrument(o *obs.Obs) {
 	m := o.Metrics()
 	if m == nil {
@@ -153,7 +151,6 @@ func (db *DB) Instrument(o *obs.Obs) {
 	db.mSnaps = m.Counter("store_snapshots_total")
 	db.mForks = m.Counter("store_forks_total")
 	db.gEntries = m.Gauge("store_entries")
-	db.hSnapshot = m.Histogram("store_snapshot_bytes", obs.SizeBuckets)
 	var entries int64
 	for _, c := range db.containers {
 		entries += int64(len(c.Entries))
@@ -439,71 +436,6 @@ func ParseID(id string) (container string, version int, err error) {
 		return "", 0, fmt.Errorf("store: malformed version in id %q", id)
 	}
 	return id[:i], v, nil
-}
-
-// snapshot is the JSON persistence format.
-type snapshot struct {
-	Containers []*Container `json:"containers"`
-}
-
-// MarshalJSON serializes the whole database deterministically.
-func (db *DB) MarshalJSON() ([]byte, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	s := snapshot{Containers: make([]*Container, 0, len(db.order))}
-	for _, n := range db.order {
-		s.Containers = append(s.Containers, db.containers[n])
-	}
-	out, err := json.Marshal(s)
-	if err == nil {
-		db.hSnapshot.Observe(float64(len(out)))
-	}
-	return out, err
-}
-
-// UnmarshalJSON restores a database serialized by MarshalJSON into an empty
-// DB. Restoring into a non-empty DB is an error.
-func (db *DB) UnmarshalJSON(data []byte) error {
-	var s snapshot
-	if err := json.Unmarshal(data, &s); err != nil {
-		return fmt.Errorf("store: restore: %w", err)
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if len(db.containers) != 0 {
-		return fmt.Errorf("store: restore into non-empty database")
-	}
-	if db.containers == nil {
-		db.containers = make(map[string]*Container)
-	}
-	for _, c := range s.Containers {
-		if _, dup := db.containers[c.Name]; dup {
-			return fmt.Errorf("store: restore: duplicate container %q", c.Name)
-		}
-		db.containers[c.Name] = c
-		db.order = append(db.order, c.Name)
-		for i, e := range c.Entries {
-			if e.Version != i+1 {
-				return fmt.Errorf("store: restore: container %q has non-dense versions", c.Name)
-			}
-			if want := fmt.Sprintf("%s/%d", c.Name, e.Version); e.ID != want {
-				return fmt.Errorf("store: restore: entry id %q, want %q", e.ID, want)
-			}
-			db.version++
-		}
-		c.watermark = db.version
-	}
-	// Verify referential integrity of deps and links.
-	for _, c := range s.Containers {
-		for _, e := range c.Entries {
-			for _, d := range append(append([]string(nil), e.Deps...), e.Links...) {
-				if db.lookupLocked(d) == nil {
-					return fmt.Errorf("store: restore: entry %s references missing %q", e.ID, d)
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // Dump renders the database as text, one container per line with its

@@ -19,9 +19,18 @@ func mustPut(t *testing.T, db *DB, container string, at time.Time, payload any, 
 	return e
 }
 
-func marshal(t *testing.T, v any) string {
+// marshal serializes db's containers in creation order. It reads them
+// directly instead of through State or Snapshot, which mark containers
+// shared and could mask a missing copy-on-write mark.
+func marshal(t *testing.T, db *DB) string {
 	t.Helper()
-	b, err := json.Marshal(v)
+	db.mu.RLock()
+	cs := make([]*Container, len(db.order))
+	for i, n := range db.order {
+		cs[i] = db.containers[n]
+	}
+	b, err := json.Marshal(cs)
+	db.mu.RUnlock()
 	if err != nil {
 		t.Fatal(err)
 	}
