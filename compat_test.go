@@ -1,0 +1,129 @@
+package flowsched
+
+import (
+	"encoding/binary"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+	"time"
+)
+
+// The version-1 fixtures in testdata/v1 were written by the code that
+// preceded the version-2 WAL frame and project image, and must keep
+// loading unchanged:
+//
+//   - durable/ is a crashed durable Fig4 project: a version-1
+//     checkpoint, then a segment holding bare single-record JSON frames
+//     and JSON array batch frames;
+//   - session.json is a Snapshot of the same state;
+//   - golden.json is what that code reported for the state: the store
+//     version, container watermarks, event stream, clock and the /status
+//     body (rendered as the server renders it).
+type v1Golden struct {
+	Version    uint64            `json:"version"`
+	Watermarks map[string]uint64 `json:"watermarks"`
+	Events     []Event           `json:"events"`
+	Now        time.Time         `json:"now"`
+	Status     string            `json:"status"`
+}
+
+func goldenOf(t *testing.T, p *Project) v1Golden {
+	t.Helper()
+	v := viewOf(t, p)
+	rows, err := v.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.MarshalIndent(struct {
+		Now         time.Time        `json:"now"`
+		PlanVersion int              `json:"planVersion"`
+		Activities  []ActivityStatus `json:"activities"`
+	}{v.Now(), v.PlanVersion(), rows}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := v1Golden{
+		Version: p.mgr.DB.Version(), Watermarks: map[string]uint64{},
+		Events: allEvents(p), Now: p.Now(), Status: string(body) + "\n",
+	}
+	for _, c := range p.mgr.DB.Containers() {
+		g.Watermarks[c.Name] = c.Watermark()
+	}
+	return g
+}
+
+func checkGolden(t *testing.T, what string, want, got v1Golden) {
+	t.Helper()
+	if got.Version != want.Version || !reflect.DeepEqual(got.Watermarks, want.Watermarks) {
+		t.Fatalf("%s: store version %d, watermarks %v; want %d, %v", what, got.Version, got.Watermarks, want.Version, want.Watermarks)
+	}
+	if !reflect.DeepEqual(got.Events, want.Events) {
+		t.Fatalf("%s: %d events differ from the %d recorded", what, len(got.Events), len(want.Events))
+	}
+	if !got.Now.Equal(want.Now) {
+		t.Fatalf("%s: clock %v, want %v", what, got.Now, want.Now)
+	}
+	if got.Status != want.Status {
+		t.Fatalf("%s: /status body differs:\n%s\nwant\n%s", what, got.Status, want.Status)
+	}
+}
+
+func TestV1FixturesLoad(t *testing.T) {
+	b, err := os.ReadFile("testdata/v1/golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want v1Golden
+	if err := json.Unmarshal(b, &want); err != nil {
+		t.Fatal(err)
+	}
+
+	// The segment holds both version-1 frame shapes.
+	segs, err := filepath.Glob("testdata/v1/durable/wal-*.seg")
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("fixture segments %v, %v", segs, err)
+	}
+	seg, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	shapes := map[byte]int{}
+	for off := 0; off+8 <= len(seg); off += 8 + int(binary.BigEndian.Uint32(seg[off:])) {
+		shapes[seg[off+8]]++
+	}
+	if shapes['{'] == 0 || shapes['['] == 0 {
+		t.Fatalf("fixture segment frame shapes %v, want bare records and arrays", shapes)
+	}
+
+	s, err := os.ReadFile("testdata/v1/session.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(s, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "session", want, goldenOf(t, loaded))
+
+	dir := copyDir(t, "testdata/v1/durable")
+	po := PersistOptions{NoSync: true, CheckpointEvery: -1}
+	p, err := Open(dir, "", Options{}, po)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "durable", want, goldenOf(t, p))
+
+	// The recovered project appends version-2 frames behind the
+	// version-1 ones, and both replay.
+	if err := p.SetMilestone("signoff", "performance", p.Now().Add(60*24*time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	after := goldenOf(t, p)
+	re, err := Open(dir, "", Options{}, po)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "durable after a version-2 append", after, goldenOf(t, re))
+}

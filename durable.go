@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"time"
 
@@ -60,30 +61,98 @@ type durableManifest struct {
 // bit-identical to replaying the records it covers. Checkpoints leave
 // Schema and Designer empty — a durable project's manifest pins them — so
 // omitempty keeps the checkpoint bytes free of them.
+//
+// Version 2 (V = 2) drops what the structure implies: an entry's ID,
+// container and version follow from its container and position, events
+// are positional arrays as in the WAL, and the design data is encoded
+// in the same pass as the rest. Version-1 images (no "v") still decode:
+// their entries carry "id"/"container"/"version" and their events are
+// objects.
 type projectImage struct {
-	Schema      string          `json:"schema,omitempty"`
-	Designer    string          `json:"designer,omitempty"`
-	Now         time.Time       `json:"now"`
-	Store       *store.State    `json:"store"`
-	Data        json.RawMessage `json:"data"`
-	PlanVersion int             `json:"planVersion,omitempty"`
-	Events      []engine.Event  `json:"events,omitempty"`
+	V           int           `json:"v,omitempty"`
+	Schema      string        `json:"schema,omitempty"`
+	Designer    string        `json:"designer,omitempty"`
+	Now         time.Time     `json:"now"`
+	Store       *storeImage   `json:"store"`
+	Data        *design.State `json:"data"`
+	PlanVersion int           `json:"planVersion,omitempty"`
+	Events      []eventImage  `json:"events,omitempty"`
+}
+
+// imageVersion is the projectImage version Checkpoint and Snapshot write.
+const imageVersion = 2
+
+// storeImage is store.State in the image.
+type storeImage struct {
+	Version    uint64           `json:"version"`
+	Containers []containerImage `json:"containers"`
+}
+
+type containerImage struct {
+	Name      string       `json:"name"`
+	Space     store.Space  `json:"space"`
+	Class     string       `json:"class"`
+	Watermark uint64       `json:"watermark"`
+	Entries   []entryImage `json:"entries"`
+}
+
+// entryImage is a store entry in the image. ID and Version are set only
+// in version-1 images, where restore checks them; the entry's container
+// is always the one holding it.
+type entryImage struct {
+	ID      string          `json:"id,omitempty"`
+	Version int             `json:"version,omitempty"`
+	Created jsonTime        `json:"created"`
+	Deps    []string        `json:"deps,omitempty"`
+	Links   []string        `json:"links,omitempty"`
+	Payload json.RawMessage `json:"payload,omitempty"`
+}
+
+// eventImage is an engine event in the image: the WAL's positional
+// array, or a version-1 image's object.
+type eventImage engine.Event
+
+func (e eventImage) MarshalJSON() ([]byte, error) {
+	return appendEvent(nil, (*engine.Event)(&e))
+}
+
+func (e *eventImage) UnmarshalJSON(b []byte) error {
+	if len(b) > 0 && b[0] == '{' {
+		return json.Unmarshal(b, (*engine.Event)(e))
+	}
+	ev, err := decodeEvent(b)
+	if err != nil {
+		return err
+	}
+	*e = eventImage(*ev)
+	return nil
 }
 
 // image captures the project's state — the capture behind both
 // Checkpoint and Snapshot.
-func (p *Project) image() (*projectImage, error) {
-	data, err := json.Marshal(p.mgr.Data)
-	if err != nil {
-		return nil, err
-	}
+func (p *Project) image() *projectImage {
+	st := p.mgr.DB.State()
 	img := &projectImage{
-		Now: p.Now(), Store: p.mgr.DB.State(), Data: data, Events: p.mgr.Events(),
+		V: imageVersion, Now: p.Now(), Data: p.mgr.Data.State(),
+		Store: &storeImage{Version: st.Version, Containers: make([]containerImage, len(st.Containers))},
+	}
+	for i, c := range st.Containers {
+		ci := containerImage{Name: c.Name, Space: c.Space, Class: c.Class, Watermark: c.Watermark,
+			Entries: make([]entryImage, len(c.Entries))}
+		for j, e := range c.Entries {
+			ci.Entries[j] = entryImage{Created: jsonTime(e.Created), Deps: e.Deps, Links: e.Links, Payload: e.Payload}
+		}
+		img.Store.Containers[i] = ci
+	}
+	evs := p.mgr.Events()
+	img.Events = make([]eventImage, len(evs))
+	for i, e := range evs {
+		img.Events[i] = eventImage(e)
 	}
 	if p.plan != nil {
 		img.PlanVersion = p.plan.Version
 	}
-	return img, nil
+	return img
 }
 
 // projectState is persisted state decoded into live structures: what a
@@ -98,16 +167,39 @@ type projectState struct {
 
 // decode validates the image and rebuilds its store and design data.
 func (img *projectImage) decode() (*projectState, error) {
-	db, err := store.FromState(img.Store)
+	if img.V != 0 && img.V != imageVersion {
+		return nil, fmt.Errorf("image version %d is not supported", img.V)
+	}
+	var state *store.State // nil is FromState's "missing" error
+	if si := img.Store; si != nil {
+		state = &store.State{Version: si.Version, Containers: make([]store.ContainerState, len(si.Containers))}
+		for i, c := range si.Containers {
+			cs := store.ContainerState{Name: c.Name, Space: c.Space, Class: c.Class, Watermark: c.Watermark,
+				Entries: make([]*store.Entry, len(c.Entries))}
+			for j, e := range c.Entries {
+				if e.ID == "" {
+					e.ID, e.Version = c.Name+"/"+strconv.Itoa(j+1), j+1
+				}
+				cs.Entries[j] = &store.Entry{ID: e.ID, Container: c.Name, Version: e.Version,
+					Created: time.Time(e.Created), Deps: e.Deps, Links: e.Links, Payload: e.Payload}
+			}
+			state.Containers[i] = cs
+		}
+	}
+	db, err := store.FromState(state)
 	if err != nil {
 		return nil, err
 	}
-	data := design.NewStore()
-	if err := json.Unmarshal(img.Data, data); err != nil {
+	data, err := design.FromState(img.Data)
+	if err != nil {
 		return nil, err
 	}
+	events := make([]engine.Event, len(img.Events))
+	for i, e := range img.Events {
+		events[i] = engine.Event(e)
+	}
 	return &projectState{
-		now: img.Now, db: db, data: data, events: img.Events, planVersion: img.PlanVersion,
+		now: img.Now, db: db, data: data, events: events, planVersion: img.PlanVersion,
 	}, nil
 }
 
@@ -215,35 +307,64 @@ type recorder struct {
 	log     *persist.Log
 	clock   *vclock.Clock
 	mu      sync.Mutex
-	pending []*persist.Record
+	pending []pendingRecord
 	err     error
 }
 
+// pendingRecord is a buffered record and the clock when it was buffered.
+type pendingRecord struct {
+	now time.Time
+	rec walRecord
+}
+
 // add buffers rec for the operation in flight.
-func (r *recorder) add(rec *persist.Record) {
+func (r *recorder) add(rec walRecord) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.err != nil {
 		return
 	}
-	rec.Now = r.clock.Now()
-	r.pending = append(r.pending, rec)
+	r.pending = append(r.pending, pendingRecord{now: r.clock.Now(), rec: rec})
 }
 
-// flush appends the buffered records as one batch and returns the
-// wedging error, if any. The flushed slots are cleared so the buffer
-// does not keep design-data blobs alive.
+// flush encodes the buffered records and appends them as one batch, and
+// returns the wedging error, if any. The flushed slots are cleared so
+// the buffer does not keep design-data blobs alive.
 func (r *recorder) flush() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.err == nil && len(r.pending) > 0 {
-		if _, err := r.log.AppendBatch(r.pending); err != nil {
+		if err := r.appendLocked(); err != nil {
 			r.wedgeLocked(err)
 		}
 	}
 	clear(r.pending)
 	r.pending = r.pending[:0]
 	return r.err
+}
+
+// appendLocked encodes the pending records' bodies into one buffer and
+// appends them as one batch.
+func (r *recorder) appendLocked() error {
+	recs := make([]persist.Record, len(r.pending))
+	ends := make([]int, len(r.pending))
+	buf := make([]byte, 0, 4096)
+	for i, pr := range r.pending {
+		kind, b, err := appendRecord(buf, pr.rec)
+		if err != nil {
+			return err
+		}
+		buf, ends[i] = b, len(b)
+		recs[i] = persist.Record{Now: pr.now, Kind: kind}
+	}
+	batch := make([]*persist.Record, len(recs))
+	start := 0
+	for i := range recs {
+		recs[i].Body, start = buf[start:ends[i]], ends[i]
+		batch[i] = &recs[i]
+	}
+	_, err := r.log.AppendBatch(batch)
+	return err
 }
 
 // wedge records the first WAL failure and writes the quarantine marker.
@@ -322,15 +443,15 @@ func Open(dir, schemaSrc string, opt Options, po PersistOptions) (*Project, erro
 		p.checkpointEvery = 0
 	}
 	p.mgr.DB.SetCommitHook(func(m store.Mutation) {
-		rec.add(&persist.Record{Kind: persist.RecStore, Store: &m})
+		rec.add(walRecord{mut: &m})
 	})
 	p.mgr.Data.SetPutHook(func(o *design.Object) {
-		rec.add(&persist.Record{Kind: persist.RecData, Data: &persist.DataPut{
+		rec.add(walRecord{data: &dataPut{
 			Class: o.Ref.Class, Producer: o.Producer, Created: o.Created, Bytes: o.Bytes,
 		}})
 	})
 	p.mgr.SetEventHook(func(e engine.Event) {
-		rec.add(&persist.Record{Kind: persist.RecEvent, Event: &e})
+		rec.add(walRecord{event: &e})
 	})
 
 	// Bootstrap: container creations that happened before the hooks were
@@ -344,7 +465,7 @@ func Open(dir, schemaSrc string, opt Options, po PersistOptions) (*Project, erro
 		if covered[c.Name] {
 			continue
 		}
-		rec.add(&persist.Record{Kind: persist.RecStore, Store: &store.Mutation{
+		rec.add(walRecord{mut: &store.Mutation{
 			Kind: store.MutCreate, Version: c.Watermark(),
 			Container: c.Name, Space: c.Space, Class: c.Class,
 		}})
@@ -420,39 +541,35 @@ func recoverDurable(manBytes []byte, opt Options, log *persist.Log) (*Project, m
 			covered[c.Name] = true
 		}
 	}
+	base := func(id string) (json.RawMessage, bool) {
+		if e := st.db.Get(id); e != nil {
+			return e.Payload, true
+		}
+		return nil, false
+	}
 	if _, err := log.Replay(func(r *persist.Record) error {
 		if !r.Now.IsZero() {
 			st.now = r.Now
 		}
-		switch r.Kind {
-		case persist.RecStore:
-			if r.Store == nil {
-				return fmt.Errorf("flowsched: record %d: empty store mutation", r.Seq)
-			}
-			if r.Store.Kind == store.MutCreate {
-				covered[r.Store.Container] = true
-			}
-			return applyMutation(st.db, r.Store)
-		case persist.RecData:
-			if r.Data == nil {
-				return fmt.Errorf("flowsched: record %d: empty data insert", r.Seq)
-			}
-			_, err := st.data.Put(r.Data.Class, r.Data.Bytes, r.Data.Producer, r.Data.Created)
+		w, err := decodeRecord(r, base)
+		if err != nil {
 			return err
-		case persist.RecEvent:
-			if r.Event == nil {
-				return fmt.Errorf("flowsched: record %d: empty event", r.Seq)
+		}
+		switch {
+		case w.mut != nil:
+			if w.mut.Kind == store.MutCreate {
+				covered[w.mut.Container] = true
 			}
-			st.events = append(st.events, *r.Event)
-			return nil
-		case persist.RecPlan:
-			if r.Plan == nil {
-				return fmt.Errorf("flowsched: record %d: empty plan record", r.Seq)
-			}
-			st.planVersion = r.Plan.Version
+			return applyMutation(st.db, w.mut)
+		case w.data != nil:
+			_, err := st.data.Put(w.data.Class, w.data.Bytes, w.data.Producer, w.data.Created)
+			return err
+		case w.event != nil:
+			st.events = append(st.events, *w.event)
 			return nil
 		default:
-			return fmt.Errorf("flowsched: record %d: unknown kind %q", r.Seq, r.Kind)
+			st.planVersion = w.plan
+			return nil
 		}
 	}); err != nil {
 		return nil, nil, err
@@ -481,7 +598,10 @@ func applyMutation(db *store.DB, m *store.Mutation) error {
 		if m.Entry.Payload != nil {
 			payload = m.Entry.Payload
 		}
-		_, err = db.Put(m.Entry.Container, m.Entry.Created, payload, m.Entry.Deps...)
+		var e *store.Entry
+		if e, err = db.Put(m.Entry.Container, m.Entry.Created, payload, m.Entry.Deps...); err == nil && e.ID != m.Entry.ID {
+			err = fmt.Errorf("flowsched: replay diverged: put created %s, record holds %s", e.ID, m.Entry.ID)
+		}
 	case store.MutPayload:
 		err = db.SetPayload(m.ID, m.Payload)
 	case store.MutLink:
@@ -530,11 +650,7 @@ func (p *Project) Checkpoint() error {
 	if err := p.rec.flush(); err != nil {
 		return &QuarantineError{Cause: err}
 	}
-	img, err := p.image()
-	if err != nil {
-		return err
-	}
-	b, err := json.Marshal(img)
+	b, err := json.Marshal(p.image())
 	if err != nil {
 		return err
 	}

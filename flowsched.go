@@ -40,7 +40,6 @@ import (
 	"flowsched/internal/level"
 	"flowsched/internal/monte"
 	"flowsched/internal/obs"
-	"flowsched/internal/persist"
 	"flowsched/internal/pert"
 	"flowsched/internal/scenario"
 	"flowsched/internal/sched"
@@ -383,8 +382,7 @@ func (p *Project) Plan(targets []string, est Estimator, opt PlanOptions) (_ *Pla
 	if p.rec != nil {
 		// The plan's store instances were recorded by the commit feed;
 		// this records which version became the *tracked* plan.
-		p.rec.add(&persist.Record{Kind: persist.RecPlan,
-			Plan: &persist.PlanRecord{Version: res.Plan.Version}})
+		p.rec.add(walRecord{plan: res.Plan.Version})
 	}
 	return p.plan, nil
 }
@@ -800,10 +798,7 @@ func (p *Project) HistoricalEstimator(fb Estimator) Estimator {
 // its manifest. Restore it with Load. Tool bindings are not persisted;
 // rebind tools after loading.
 func (p *Project) Snapshot() ([]byte, error) {
-	img, err := p.image()
-	if err != nil {
-		return nil, err
-	}
+	img := p.image()
 	img.Schema, img.Designer = p.mgr.Schema.Format(), p.mgr.Designer
 	return json.Marshal(img)
 }

@@ -2,21 +2,32 @@ package design
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 )
+
+// jsonRoundTrip restores a store from the JSON of its State.
+func jsonRoundTrip(blob []byte) (*Store, error) {
+	var st State
+	if err := json.Unmarshal(blob, &st); err != nil {
+		return nil, err
+	}
+	return FromState(&st)
+}
 
 func TestStoreJSONRoundTrip(t *testing.T) {
 	s := NewStore()
 	r1, _ := s.Put("netlist", []byte("rev 1\x00binary\xff"), "Create/1", t0)
 	s.Put("netlist", []byte("rev 2"), "Create/2", t0)
 	s.Put("stimuli", []byte("vectors"), "", t0)
+	s.Put("empty", nil, "", t0)
 
-	blob, err := json.Marshal(s)
+	blob, err := json.Marshal(s.State())
 	if err != nil {
 		t.Fatal(err)
 	}
-	re := NewStore()
-	if err := json.Unmarshal(blob, re); err != nil {
+	re, err := jsonRoundTrip(blob)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if re.Versions("netlist") != 2 || re.Versions("stimuli") != 1 {
@@ -34,13 +45,20 @@ func TestStoreJSONRoundTrip(t *testing.T) {
 	if r1b != r1 {
 		t.Fatalf("dedup lost across restore: %v vs %v", r1b, r1)
 	}
+	// Binary content travels as base64, text as a string.
+	if !strings.Contains(string(blob), `"text":"rev 2"`) || !strings.Contains(string(blob), `"bytes":"cmV2IDEAYmluYXJ5/w=="`) {
+		t.Fatalf("state JSON %s", blob)
+	}
 	// Stable second round trip.
-	blob2, _ := json.Marshal(re)
-	re2 := NewStore()
-	if err := json.Unmarshal(blob2, re2); err != nil {
+	blob2, _ := json.Marshal(re.State())
+	if string(blob2) != string(blob) {
+		t.Fatalf("second round trip changed the state:\n%s\nvs\n%s", blob2, blob)
+	}
+	re2, err := jsonRoundTrip(blob2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if re2.TotalBytes() != s.TotalBytes() {
+	if re2.TotalBytes() != s.TotalBytes() || re2.Versions("empty") != 1 {
 		t.Fatal("byte totals diverged")
 	}
 }
@@ -50,17 +68,14 @@ func TestStoreJSONRejectsCorrupt(t *testing.T) {
 		{"bad json", "{"},
 		{"non-dense", `{"classes":{"a":[{"version":2,"sum":0,"bytes":null}]}}`},
 		{"hash mismatch", `{"classes":{"a":[{"version":1,"sum":12345,"bytes":"aGk="}]}}`},
+		{"text hash mismatch", `{"classes":{"a":[{"version":1,"sum":12345,"text":"hi"}]}}`},
 	}
 	for _, tc := range cases {
-		re := NewStore()
-		if err := json.Unmarshal([]byte(tc.blob), re); err == nil {
+		if _, err := jsonRoundTrip([]byte(tc.blob)); err == nil {
 			t.Errorf("%s accepted", tc.name)
 		}
 	}
-	// Restore into non-empty store rejected.
-	s := NewStore()
-	s.Put("x", []byte("y"), "", t0)
-	if err := json.Unmarshal([]byte(`{"classes":{}}`), s); err == nil {
-		t.Error("restore into non-empty store accepted")
+	if _, err := FromState(nil); err == nil {
+		t.Error("missing state accepted")
 	}
 }

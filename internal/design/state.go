@@ -1,0 +1,81 @@
+package design
+
+import (
+	"fmt"
+	"time"
+	"unicode/utf8"
+)
+
+// State is the serialized form of a Store: every version chain, content
+// included. Project images embed it directly, so the design data is
+// encoded in the same pass as the rest of the image.
+type State struct {
+	Classes map[string][]ObjectState `json:"classes"`
+}
+
+// ObjectState is one object of a State. Content that is valid UTF-8 —
+// RTL, scripts, reports — is kept as Text, a JSON string; anything else
+// as Bytes, base64 in JSON.
+type ObjectState struct {
+	Version  int       `json:"version"`
+	Sum      uint64    `json:"sum"`
+	Created  time.Time `json:"created"`
+	Producer string    `json:"producer,omitempty"`
+	Text     string    `json:"text,omitempty"`
+	Bytes    []byte    `json:"bytes,omitempty"`
+}
+
+// State captures the store. Object contents are immutable and shared,
+// not copied.
+func (s *Store) State() *State {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := &State{Classes: make(map[string][]ObjectState, len(s.byClass))}
+	for class, chain := range s.byClass {
+		objs := make([]ObjectState, len(chain))
+		for i, o := range chain {
+			objs[i] = ObjectState{
+				Version: o.Ref.Version, Sum: o.Ref.Sum,
+				Created: o.Created, Producer: o.Producer, Bytes: o.Bytes,
+			}
+			if utf8.Valid(o.Bytes) {
+				objs[i].Text, objs[i].Bytes = string(o.Bytes), nil
+			}
+		}
+		out.Classes[class] = objs
+	}
+	return out
+}
+
+// FromState rebuilds a store from a State, verifying content hashes and
+// version density. It rejects a missing State.
+func FromState(st *State) (*Store, error) {
+	if st == nil {
+		return nil, fmt.Errorf("design: state: missing")
+	}
+	s := NewStore()
+	for class, objs := range st.Classes {
+		chain := make([]*Object, len(objs))
+		for i, oj := range objs {
+			if oj.Text != "" {
+				oj.Bytes = []byte(oj.Text)
+			}
+			if oj.Version != i+1 {
+				return nil, fmt.Errorf("design: restore: class %q has non-dense versions", class)
+			}
+			if hashBytes(oj.Bytes) != oj.Sum {
+				return nil, fmt.Errorf("design: restore: object %s@%d hash mismatch", class, oj.Version)
+			}
+			o := &Object{
+				Ref:      Ref{Class: class, Version: oj.Version, Sum: oj.Sum},
+				Created:  oj.Created,
+				Producer: oj.Producer,
+				Bytes:    oj.Bytes,
+			}
+			chain[i] = o
+			s.bySum[oj.Sum] = o
+		}
+		s.byClass[class] = chain
+	}
+	return s, nil
+}

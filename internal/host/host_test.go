@@ -143,8 +143,10 @@ func TestPinSurvivesEviction(t *testing.T) {
 			errc <- err
 			return
 		}
-		defer h2.Release()
 		v, err := h2.Project().View()
+		// Release before reporting: the test ends on the report, and the
+		// registry's cleanup Close requires every handle released.
+		h2.Release()
 		if err != nil {
 			errc <- err
 			return

@@ -3,10 +3,13 @@ package persist
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 )
 
 // appendBatch appends records from..from+n-1 as one batch.
@@ -52,8 +55,8 @@ func checkSeqs(t *testing.T, recs []Record, n int) {
 		t.Fatalf("replayed %d records, want %d", len(recs), n)
 	}
 	for i, r := range recs {
-		if r.Seq != uint64(i+1) || r.Store == nil || r.Store.Version != uint64(i+1) {
-			t.Fatalf("record %d: seq %d, body %+v", i, r.Seq, r.Store)
+		if r.Seq != uint64(i+1) || r.Kind != testKind || string(r.Body) != string(testRecord(i+1).Body) {
+			t.Fatalf("record %d: seq %d, kind %d, body %s", i, r.Seq, r.Kind, r.Body)
 		}
 	}
 }
@@ -111,50 +114,66 @@ func TestDamagedBatchDropsWholeBatch(t *testing.T) {
 	}
 }
 
-// TestLegacyFramesThenBatches: single-record frames are byte-for-byte
-// the frames logs held before batching, and a segment holding them
-// followed by batch frames replays in order.
+// TestLegacyFramesThenBatches: a segment the version-1 log wrote — bare
+// JSON record frames, then a JSON array batch frame — replays as KindV1
+// records carrying each JSON object, and version-2 batches appended
+// after it replay in order behind them.
 func TestLegacyFramesThenBatches(t *testing.T) {
+	v1 := func(i int) string {
+		return fmt.Sprintf(`{"seq":%d,"now":"%s","kind":"store","store":{"Kind":"touch","Version":%d}}`,
+			i, t0.Add(time.Duration(i)*time.Minute).Format(time.RFC3339Nano), i)
+	}
+	var seg bytes.Buffer
+	w := bufio.NewWriter(&seg)
+	var batch []string
+	for i := 1; i <= 9; i++ {
+		if i <= 3 {
+			if err := writeFrame(w, []byte(v1(i))); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			batch = append(batch, v1(i))
+		}
+	}
+	if err := writeFrame(w, []byte("["+strings.Join(batch, ",")+"]")); err != nil {
+		t.Fatal(err)
+	}
+	w.Flush()
 	dir := t.TempDir()
-	l := openReplayed(t, dir, Options{NoSync: true})
-	appendN(t, l, 1, 3)
-	appendBatch(t, l, 4, 6)
+	legacy := filepath.Join(dir, segmentName(1))
+	if err := os.WriteFile(legacy, seg.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(frameEnds(t, legacy)); got != 4 {
+		t.Fatalf("%d legacy frames, want 4", got)
+	}
+
+	check := func(recs []Record, n int) {
+		t.Helper()
+		if len(recs) != n {
+			t.Fatalf("replayed %d records, want %d", len(recs), n)
+		}
+		for i, r := range recs[:9] {
+			if r.Seq != uint64(i+1) || r.Kind != KindV1 || string(r.Body) != v1(i+1) ||
+				!r.Now.Equal(t0.Add(time.Duration(i+1)*time.Minute)) {
+				t.Fatalf("legacy record %d: seq %d, kind %d, now %v, body %s", i, r.Seq, r.Kind, r.Now, r.Body)
+			}
+		}
+		for i, r := range recs[9:] {
+			if want := testRecord(10 + i); r.Seq != uint64(10+i) || r.Kind != testKind ||
+				string(r.Body) != string(want.Body) || !r.Now.Equal(want.Now) {
+				t.Fatalf("record %d: seq %d, kind %d, body %s", 10+i, r.Seq, r.Kind, r.Body)
+			}
+		}
+	}
+	l, recs := replayAll(t, dir, Options{NoSync: true})
+	check(recs, 9)
 	appendN(t, l, 10, 1)
 	appendBatch(t, l, 11, 2)
 	l.Close()
-	segs, _ := l.segments()
-	if len(segs) != 1 {
-		t.Fatalf("%d segments, want 1", len(segs))
-	}
-
-	// The legacy frame: the bare JSON record under the 8-byte header.
-	var legacy bytes.Buffer
-	w := bufio.NewWriter(&legacy)
-	for i := 1; i <= 3; i++ {
-		r := testRecord(i)
-		r.Seq = uint64(i)
-		payload, err := json.Marshal(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := writeFrame(w, payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w.Flush()
-	b, err := os.ReadFile(segs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(b, legacy.Bytes()) {
-		t.Fatal("single-record frames differ from the legacy frame format")
-	}
-	if got := len(frameEnds(t, segs[0])); got != 6 {
-		t.Fatalf("%d frames, want 6", got)
-	}
 
 	re, recs := replayAll(t, dir, Options{NoSync: true})
-	checkSeqs(t, recs, 12)
+	check(recs, 12)
 	if re.Seq() != 12 || re.SinceCheckpoint() != 12 {
 		t.Fatalf("seq %d, since checkpoint %d; want 12, 12", re.Seq(), re.SinceCheckpoint())
 	}
@@ -181,7 +200,7 @@ func TestOversizedBatchFailsBeforeWriting(t *testing.T) {
 		batch := make([]*Record, size)
 		for i := range batch {
 			batch[i] = testRecord(5 + i)
-			batch[i].Store.Payload = json.RawMessage(`"` + string(bytes.Repeat([]byte("x"), 400)) + `"`)
+			batch[i].Body = bytes.Repeat([]byte("x"), 400)
 		}
 		maxFrame = 256
 		_, err = l.AppendBatch(batch)

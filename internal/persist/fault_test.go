@@ -10,8 +10,6 @@ import (
 	"syscall"
 	"testing"
 	"time"
-
-	"flowsched/internal/store"
 )
 
 // chaosRecord is the deterministic record content for append i of a
@@ -20,12 +18,8 @@ import (
 func chaosRecord(seed int64, i int) *Record {
 	return &Record{
 		Now:  t0.Add(time.Duration(seed*1000+int64(i)) * time.Second),
-		Kind: RecStore,
-		Store: &store.Mutation{
-			Kind: store.MutPayload, Version: uint64(i + 1),
-			ID:      fmt.Sprintf("chaos/%d/%d", seed, i),
-			Payload: json.RawMessage(fmt.Sprintf(`{"seed":%d,"i":%d}`, seed, i)),
-		},
+		Kind: testKind,
+		Body: []byte(fmt.Sprintf(`{"id":"chaos/%d/%d","seed":%d,"i":%d}`, seed, i, seed, i)),
 	}
 }
 

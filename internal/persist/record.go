@@ -12,12 +12,13 @@
 //
 // # Record stream
 //
-// Records carry a dense global sequence number (1, 2, 3, …) and the
-// virtual-clock reading at append time. Four kinds cover everything a
-// project commits: a task-database mutation (store.Mutation verbatim), a
-// design-data insert, an engine event, and a plan selection. The stream
-// is totally ordered — execution is single-goroutine, so store mutations
-// and events interleave exactly as they happened.
+// Records carry a dense global sequence number (1, 2, 3, …), the
+// virtual-clock reading at append time, a producer-defined kind byte and
+// an opaque body. The log owns the framing and nothing else: the
+// producer (package flowsched) encodes and decodes the bodies, so this
+// package knows no store mutation, event or design-data type. The
+// stream is totally ordered — execution is single-goroutine, so store
+// mutations and events interleave exactly as they happened.
 //
 // # Durability contract
 //
@@ -32,57 +33,35 @@
 // on-disk format.
 package persist
 
-import (
-	"time"
+import "time"
 
-	"flowsched/internal/engine"
-	"flowsched/internal/store"
-)
+// RecordKind is the producer-defined type tag of a record body. The log
+// stores it as one byte and never interprets it, except that KindV1 is
+// reserved for records read from version-1 frames.
+type RecordKind byte
 
-// RecordKind classifies a WAL record.
-type RecordKind string
+// KindV1 marks a record replayed from a version-1 frame, which held JSON
+// records: its Body is the whole version-1 JSON record object (with its
+// "kind" string and typed body), for the producer to decode. Appended
+// records must not use it.
+const KindV1 RecordKind = 0
 
-const (
-	// RecStore is a committed task-database mutation.
-	RecStore RecordKind = "store"
-	// RecData is an actual insert into the design-data store
-	// (deduplicated puts never reach the log).
-	RecData RecordKind = "data"
-	// RecEvent is an engine event emission.
-	RecEvent RecordKind = "event"
-	// RecPlan is a schedule-plan selection (the facade's tracked plan).
-	RecPlan RecordKind = "plan"
-)
-
-// Record is one entry of the write-ahead log. Exactly one of the
-// kind-specific bodies is set, matching Kind.
+// Record is one entry of the write-ahead log.
 type Record struct {
-	// Seq is the dense global sequence number, assigned by AppendBatch.
-	Seq uint64 `json:"seq"`
+	// Seq is the dense global sequence number, assigned by AppendBatch
+	// and reported by Replay.
+	Seq uint64
 	// Now is the project's virtual clock at append time. The clock is
 	// monotonic and appends happen in commit order, so the last record's
-	// Now recovers the clock after replay.
-	Now  time.Time  `json:"now"`
-	Kind RecordKind `json:"kind"`
-
-	Store *store.Mutation `json:"store,omitempty"`
-	Data  *DataPut        `json:"data,omitempty"`
-	Event *engine.Event   `json:"event,omitempty"`
-	Plan  *PlanRecord     `json:"plan,omitempty"`
-}
-
-// DataPut records one design-data insert. Replaying the inserts in order
-// against an empty design store reproduces every version chain and
-// content address (Put assigns versions densely and hashes content).
-type DataPut struct {
-	Class    string    `json:"class"`
-	Producer string    `json:"producer,omitempty"`
-	Created  time.Time `json:"created"`
-	Bytes    []byte    `json:"bytes"` // base64 in JSON
-}
-
-// PlanRecord records which schedule plan became the tracked plan.
-type PlanRecord struct {
-	// Version is the plan's sched.Space version.
-	Version int `json:"version"`
+	// Now recovers the clock after replay. A batch frame stores the last
+	// record's Now and the steps between consecutive records, so a
+	// replayed Now is in the location of the batch's last Now.
+	Now time.Time
+	// Kind tags Body for the producer; never KindV1 on append.
+	Kind RecordKind
+	// Body is the producer's encoding of the record. On replay it
+	// aliases the frame it was read from; callers that keep it past the
+	// callback need not copy it, since every frame is read into a fresh
+	// buffer.
+	Body []byte
 }

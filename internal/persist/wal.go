@@ -2,7 +2,7 @@ package persist
 
 import (
 	"bufio"
-	"encoding/json"
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -44,12 +45,77 @@ const checkpointName = "checkpoint.json"
 // prefix. Every error returned from a failed log wraps this sentinel.
 var ErrLogFailed = errors.New("persist: log failed; no further writes accepted")
 
-// checkpointFile is the on-disk checkpoint wrapper: the payload (opaque
-// to the log), the sequence number it covers, and a CRC over the payload.
-type checkpointFile struct {
-	Seq     uint64          `json:"seq"`
-	CRC     uint32          `json:"crc"`
-	Payload json.RawMessage `json:"payload"`
+// The checkpoint file wraps the payload (opaque to the log, but a JSON
+// value) with the sequence number it covers and a CRC over the payload:
+//
+//	{"seq":N,"crc":C,"payload":<payload bytes>}
+//
+// — the layout encoding/json gives such a struct, so checkpoints of
+// version-1 logs, which were written that way, load unchanged.
+// WriteCheckpoint writes it around the payload without re-encoding the
+// multi-megabyte payload, and Open slices the payload back out after
+// checking its CRC.
+const (
+	cpSeqKey     = `{"seq":`
+	cpCRCKey     = `,"crc":`
+	cpPayloadKey = `,"payload":`
+)
+
+// appendCheckpoint appends the checkpoint wrapper around payload.
+func appendCheckpoint(b []byte, seq uint64, payload []byte) []byte {
+	b = append(b, cpSeqKey...)
+	b = strconv.AppendUint(b, seq, 10)
+	b = append(b, cpCRCKey...)
+	b = strconv.AppendUint(b, uint64(crc32.ChecksumIEEE(payload)), 10)
+	b = append(b, cpPayloadKey...)
+	b = append(b, payload...)
+	return append(b, '}')
+}
+
+// parseCheckpoint checks a checkpoint file and returns the payload it
+// wraps (aliasing b) and the sequence number it covers.
+func parseCheckpoint(b []byte) (payload []byte, seq uint64, err error) {
+	number := func(key string, bits int) (uint64, bool) {
+		rest, found := bytes.CutPrefix(b, []byte(key))
+		n := 0
+		for n < len(rest) && n < 20 && rest[n] >= '0' && rest[n] <= '9' {
+			n++
+		}
+		if !found || n == 0 {
+			return 0, false
+		}
+		v, err := strconv.ParseUint(string(rest[:n]), 10, bits)
+		b = rest[n:]
+		return v, err == nil
+	}
+	seq, okSeq := number(cpSeqKey, 64)
+	crc, okCRC := number(cpCRCKey, 32)
+	rest, found := bytes.CutPrefix(b, []byte(cpPayloadKey))
+	if !okSeq || !okCRC || !found || len(rest) < 2 || rest[len(rest)-1] != '}' {
+		return nil, 0, errors.New("not a checkpoint wrapper")
+	}
+	payload = rest[: len(rest)-1 : len(rest)-1]
+	if crc32.ChecksumIEEE(payload) != uint32(crc) {
+		return nil, 0, errors.New("failed its checksum")
+	}
+	return payload, seq, nil
+}
+
+// readCheckpoint reads and checks the installed checkpoint; ok is false
+// when none is installed.
+func (l *Log) readCheckpoint() (payload []byte, seq uint64, ok bool, err error) {
+	path := filepath.Join(l.dir, checkpointName)
+	b, err := l.fs.ReadFile(path)
+	if errors.Is(err, iofs.ErrNotExist) {
+		return nil, 0, false, nil
+	}
+	if err != nil {
+		return nil, 0, false, fmt.Errorf("persist: open %s: %w", l.dir, err)
+	}
+	if payload, seq, err = parseCheckpoint(b); err != nil {
+		return nil, 0, false, fmt.Errorf("persist: checkpoint %s corrupt: %w", path, err)
+	}
+	return payload, seq, true, nil
 }
 
 // Log is a segmented write-ahead log in one directory. Methods are safe
@@ -78,8 +144,9 @@ type Log struct {
 	failed   error  // first write-path failure; sticky
 	seq      uint64 // last assigned or recovered sequence
 	cpSeq    uint64 // sequence covered by the installed checkpoint
-	cp       json.RawMessage
-	f        File // open tail segment, nil until first append
+	hasCP    bool   // a checkpoint is installed
+	cp       []byte // the payload Open read, held for recovery until Replay
+	f        File   // open tail segment, nil until first append
 	w        *bufio.Writer
 	segBytes int64
 }
@@ -97,23 +164,12 @@ func Open(dir string, opt Options) (*Log, error) {
 		return nil, fmt.Errorf("persist: open %s: %w", dir, err)
 	}
 	l := &Log{dir: dir, opt: opt, fs: opt.FS}
-	b, err := l.fs.ReadFile(filepath.Join(dir, checkpointName))
-	switch {
-	case err == nil:
-		var cp checkpointFile
-		if err := json.Unmarshal(b, &cp); err != nil {
-			return nil, fmt.Errorf("persist: checkpoint %s corrupt: %w",
-				filepath.Join(dir, checkpointName), err)
-		}
-		if crc32.ChecksumIEEE(cp.Payload) != cp.CRC {
-			return nil, fmt.Errorf("persist: checkpoint %s failed its checksum",
-				filepath.Join(dir, checkpointName))
-		}
-		l.cpSeq, l.cp, l.seq = cp.Seq, cp.Payload, cp.Seq
-	case errors.Is(err, iofs.ErrNotExist):
-		// Fresh log, or crash before the first checkpoint.
-	default:
-		return nil, fmt.Errorf("persist: open %s: %w", dir, err)
+	cp, seq, ok, err := l.readCheckpoint()
+	if err != nil {
+		return nil, err
+	}
+	if ok { // otherwise a fresh log, or a crash before the first checkpoint
+		l.cp, l.cpSeq, l.seq, l.hasCP = cp, seq, seq, true
 	}
 	// A crash between writing checkpoint.json.tmp and the rename leaves
 	// the tmp behind; it was never installed, so discard it.
@@ -125,14 +181,21 @@ func Open(dir string, opt Options) (*Log, error) {
 func (l *Log) Dir() string { return l.dir }
 
 // Checkpoint returns the installed checkpoint payload and the sequence
-// number it covers; ok is false if no checkpoint is installed.
+// number it covers; ok is false if no checkpoint is installed. Until
+// Replay it returns the payload Open read — recovery decodes it from
+// there — and the log keeps no copy of it after that: later calls read
+// the file again, and payload is nil if that read fails.
 func (l *Log) Checkpoint() (payload []byte, seq uint64, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.cp == nil {
+	if !l.hasCP {
 		return nil, 0, false
 	}
-	return l.cp, l.cpSeq, true
+	if l.cp != nil {
+		return l.cp, l.cpSeq, true
+	}
+	payload, _, _, _ = l.readCheckpoint()
+	return payload, l.cpSeq, true
 }
 
 // Seq returns the last assigned (or recovered) record sequence number.
@@ -236,6 +299,7 @@ func (l *Log) Replay(fn func(*Record) error) (int, error) {
 		}
 	}
 	l.replayed = true
+	l.cp = nil // recovery has decoded it; do not pin it for the log's life
 	return delivered, nil
 }
 
@@ -285,30 +349,6 @@ func (l *Log) replaySegment(path string, fn func(*Record) error) (clean int64, n
 	}
 }
 
-// decodeBatch decodes one frame's payload: a JSON array of records (a
-// multi-record batch) or a bare record (a single-record batch, the only
-// frame older logs hold). ok is false for anything undecodable, empty,
-// or whose sequence numbers are not dense — such a frame ends the clean
-// prefix as a whole.
-func decodeBatch(payload []byte) (recs []Record, ok bool) {
-	if len(payload) > 0 && payload[0] == '[' {
-		if json.Unmarshal(payload, &recs) != nil || len(recs) == 0 {
-			return nil, false
-		}
-		for i := 1; i < len(recs); i++ {
-			if recs[i].Seq != recs[i-1].Seq+1 {
-				return nil, false
-			}
-		}
-		return recs, true
-	}
-	var rec Record
-	if json.Unmarshal(payload, &rec) != nil {
-		return nil, false
-	}
-	return []Record{rec}, true
-}
-
 // Append logs one record: AppendBatch of a single-record batch.
 func (l *Log) Append(r *Record) (uint64, error) { return l.AppendBatch([]*Record{r}) }
 
@@ -317,11 +357,9 @@ func (l *Log) Append(r *Record) (uint64, error) { return l.AppendBatch([]*Record
 // Options.NoSync — fsyncs once before returning. Returns the last
 // assigned sequence. An empty batch writes nothing.
 //
-// A batch of one record is framed as the bare record; a larger batch as
-// the JSON array of its records. Either way the batch is one frame
-// under one CRC, so recovery restores all of it or none of it: a
-// durable facade operation logs its mutations as one batch and a crash
-// never leaves half of it on disk.
+// The batch is one frame under one CRC, so recovery restores all of it
+// or none of it: a durable facade operation logs its mutations as one
+// batch and a crash never leaves half of it on disk.
 //
 // A batch is acknowledged only after every byte is on disk (and
 // synced); any failure before that poisons the log (ErrLogFailed)
@@ -347,15 +385,13 @@ func (l *Log) AppendBatch(recs []*Record) (uint64, error) {
 		r.Seq = l.seq + 1 + uint64(i)
 	}
 	first, last := recs[0].Seq, recs[len(recs)-1].Seq
-	var payload []byte
-	var err error
-	if len(recs) == 1 {
-		payload, err = json.Marshal(recs[0])
-	} else {
-		payload, err = json.Marshal(recs)
+	size := 32
+	for _, r := range recs {
+		size += 16 + len(r.Body)
 	}
+	payload, err := encodeBatch(make([]byte, 0, size), recs)
 	if err != nil {
-		return 0, fmt.Errorf("persist: marshal records %d..%d: %w", first, last, err)
+		return 0, fmt.Errorf("persist: encode records %d..%d: %w", first, last, err)
 	}
 	if l.f == nil {
 		if err := l.openSegmentLocked(first); err != nil {
@@ -422,7 +458,8 @@ func (l *Log) closeSegmentLocked() error {
 }
 
 // WriteCheckpoint atomically installs payload as a checkpoint covering
-// every record appended so far, then deletes the covered segments. The
+// every record appended so far, then deletes the covered segments.
+// payload must be a JSON value: the wrapper embeds it verbatim. The
 // caller guarantees payload captures the project state as of the last
 // append — writers must be quiesced across the state capture and this
 // call (the host's per-project lock provides exactly that).
@@ -454,11 +491,7 @@ func (l *Log) WriteCheckpoint(payload []byte) error {
 	if err := l.closeSegmentLocked(); err != nil {
 		return l.failLocked(fmt.Errorf("persist: checkpoint %s: %w", l.dir, err))
 	}
-	cp := checkpointFile{Seq: l.seq, CRC: crc32.ChecksumIEEE(payload), Payload: payload}
-	b, err := json.Marshal(&cp)
-	if err != nil {
-		return fmt.Errorf("persist: checkpoint %s: %w", l.dir, err)
-	}
+	b := appendCheckpoint(make([]byte, 0, len(payload)+64), l.seq, payload)
 	final := filepath.Join(l.dir, checkpointName)
 	tmp := final + ".tmp"
 	if err := l.writeTmpLocked(tmp, b); err != nil {
@@ -472,7 +505,7 @@ func (l *Log) WriteCheckpoint(payload []byte) error {
 		return l.failLocked(fmt.Errorf("persist: install checkpoint %s: %w", l.dir, err))
 	}
 	l.syncDir()
-	l.cpSeq, l.cp = l.seq, append(json.RawMessage(nil), payload...)
+	l.cpSeq, l.hasCP, l.cp = l.seq, true, nil
 	// Every existing segment is now covered; drop them all. The next
 	// append starts a fresh segment at seq+1.
 	segs, err := l.segments()

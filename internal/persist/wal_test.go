@@ -3,24 +3,23 @@ package persist
 import (
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
-
-	"flowsched/internal/store"
 )
 
 var t0 = time.Date(1995, time.June, 5, 9, 0, 0, 0, time.UTC)
 
+// testKind is the record kind the tests append; the log never reads it.
+const testKind RecordKind = 7
+
 func testRecord(i int) *Record {
 	return &Record{
 		Now:  t0.Add(time.Duration(i) * time.Minute),
-		Kind: RecStore,
-		Store: &store.Mutation{
-			Kind: store.MutPayload, Version: uint64(i),
-			ID: fmt.Sprintf("netlist/%d", i), Payload: json.RawMessage(`{"i":` + fmt.Sprint(i) + `}`),
-		},
+		Kind: testKind,
+		Body: []byte(fmt.Sprintf(`{"id":"netlist/%d","i":%d}`, i, i)),
 	}
 }
 
@@ -80,8 +79,8 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		if r.Seq != uint64(i+1) {
 			t.Fatalf("record %d has seq %d", i, r.Seq)
 		}
-		if r.Store == nil || r.Store.ID != fmt.Sprintf("netlist/%d", i+1) {
-			t.Fatalf("record %d body mismatch: %+v", i, r.Store)
+		if r.Kind != testKind || string(r.Body) != string(testRecord(i+1).Body) {
+			t.Fatalf("record %d body mismatch: kind %d, %s", i, r.Kind, r.Body)
 		}
 		if !r.Now.Equal(t0.Add(time.Duration(i+1) * time.Minute)) {
 			t.Fatalf("record %d Now = %v", i, r.Now)
@@ -355,4 +354,74 @@ func TestFootprintBytes(t *testing.T) {
 		t.Fatal("zero footprint with live segments")
 	}
 	l.Close()
+}
+
+// TestCheckpointWrapperLayout: WriteCheckpoint writes exactly the
+// wrapper encoding/json gives the struct the log used to marshal,
+// without re-encoding the payload, and Open reads it back.
+func TestCheckpointWrapperLayout(t *testing.T) {
+	dir := t.TempDir()
+	l := openReplayed(t, dir, Options{NoSync: true})
+	appendN(t, l, 1, 3)
+	payload := []byte(`{"store":{"version":3},"events":[["a","b",1]]}`)
+	if err := l.WriteCheckpoint(payload); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	got, err := os.ReadFile(filepath.Join(dir, checkpointName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.Marshal(struct {
+		Seq     uint64          `json:"seq"`
+		CRC     uint32          `json:"crc"`
+		Payload json.RawMessage `json:"payload"`
+	}{3, crc32.ChecksumIEEE(payload), payload})
+	if string(got) != string(want) {
+		t.Fatalf("checkpoint file\n %s\nwant\n %s", got, want)
+	}
+	re, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if cp, seq, ok := re.Checkpoint(); !ok || seq != 3 || string(cp) != string(payload) {
+		t.Fatalf("checkpoint %s @%d ok=%v", cp, seq, ok)
+	}
+}
+
+// TestCheckpointNotPinnedAfterReplay: the log hands the payload Open read
+// to recovery and drops it at Replay; Checkpoint reads the file after
+// that, also for a checkpoint the log installed itself.
+func TestCheckpointNotPinnedAfterReplay(t *testing.T) {
+	dir := t.TempDir()
+	l := openReplayed(t, dir, Options{NoSync: true})
+	appendN(t, l, 1, 2)
+	if err := l.WriteCheckpoint([]byte(`{"n":2}`)); err != nil {
+		t.Fatal(err)
+	}
+	if l.cp != nil {
+		t.Fatal("WriteCheckpoint kept a copy of the payload")
+	}
+	if cp, seq, ok := l.Checkpoint(); !ok || seq != 2 || string(cp) != `{"n":2}` {
+		t.Fatalf("checkpoint %s @%d ok=%v", cp, seq, ok)
+	}
+	l.Close()
+	re, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.cp == nil {
+		t.Fatal("Open did not hold the payload for recovery")
+	}
+	if _, err := re.Replay(nil); err != nil {
+		t.Fatal(err)
+	}
+	if re.cp != nil {
+		t.Fatal("the payload is still pinned after Replay")
+	}
+	if cp, seq, ok := re.Checkpoint(); !ok || seq != 2 || string(cp) != `{"n":2}` {
+		t.Fatalf("checkpoint after Replay %s @%d ok=%v", cp, seq, ok)
+	}
 }

@@ -44,9 +44,11 @@ type Mutation struct {
 	Entry *Entry
 
 	// ID and Payload carry a MutPayload (the exact marshalled bytes the
-	// entry now holds).
+	// entry now holds); Prev is the payload it replaced, so a log can
+	// record the change as a delta against it.
 	ID      string
 	Payload json.RawMessage
+	Prev    json.RawMessage
 
 	// A and B are a MutLink's endpoints.
 	A, B string

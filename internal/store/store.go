@@ -353,7 +353,7 @@ func (db *DB) SetPayload(id string, payload any) error {
 	c.Entries[clone.Version-1] = &clone
 	db.version++
 	c.watermark = db.version
-	db.emitLocked(Mutation{Kind: MutPayload, Version: db.version, ID: id, Payload: b})
+	db.emitLocked(Mutation{Kind: MutPayload, Version: db.version, ID: id, Payload: b, Prev: e.Payload})
 	return nil
 }
 

@@ -35,8 +35,9 @@ type frameSpan struct {
 // 4-byte CRC, payload) and returns every frame's byte span in log
 // order. It is deliberately an independent reimplementation of the
 // reader, so the harness does not trust the code under test to locate
-// its own frame boundaries or to count the records in a batch (a JSON
-// array payload; any other payload is one record).
+// its own frame boundaries or to count the records in a batch (a
+// version-2 payload: 0x02, uvarint first seq, uvarint count, …; a
+// version-1 JSON array payload; any other payload is one record).
 func scanSpans(t *testing.T, dir string) []frameSpan {
 	t.Helper()
 	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
@@ -57,7 +58,14 @@ func scanSpans(t *testing.T, dir string) []frameSpan {
 				t.Fatalf("%s: torn frame in a cleanly written log", seg)
 			}
 			span := frameSpan{seg: seg, start: off, end: off + 8 + n, records: 1}
-			if payload := b[off+8 : off+8+n]; n > 0 && payload[0] == '[' {
+			if payload := b[off+8 : off+8+n]; n > 0 && payload[0] == 0x02 {
+				_, k := binary.Uvarint(payload[1:])
+				count, c := binary.Uvarint(payload[1+max(k, 0):])
+				if k <= 0 || c <= 0 {
+					t.Fatalf("%s@%d: batch frame header does not decode", seg, off)
+				}
+				span.records = int(count)
+			} else if n > 0 && payload[0] == '[' {
 				var batch []json.RawMessage
 				if err := json.Unmarshal(payload, &batch); err != nil {
 					t.Fatalf("%s@%d: batch frame does not decode: %v", seg, off, err)
@@ -279,10 +287,14 @@ func (m master) expectAt(k int) (want opState, ok bool) {
 		n += s.records
 	}
 	for _, r := range m.recs[:n] {
-		if r.Kind == persist.RecStore && r.Store != nil && r.Store.Version > want.version {
-			want.version = r.Store.Version
+		w, err := decodeRecord(&r, nil)
+		if err != nil {
+			panic(err) // every record of the master replayed cleanly once
 		}
-		if r.Kind == persist.RecEvent {
+		if w.mut != nil && w.mut.Version > want.version {
+			want.version = w.mut.Version
+		}
+		if w.event != nil {
 			want.events++
 		}
 	}
