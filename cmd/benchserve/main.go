@@ -5,17 +5,16 @@
 // (closed loop), so req/s and tail latency reflect the full
 // snapshot-render-respond path rather than queueing artifacts.
 //
-// Every cell is measured twice: cold (the memo cache disabled, each
+// Every cell is measured twice: cold (the response cache disabled, each
 // request renders from its own snapshot) and cached (the cache warmed,
-// each request served from the per-snapshot memo), over the cheap
-// /dashboard render and the expensive /risk Monte-Carlo render.
+// each request served from it), over the cheap /dashboard render and
+// the expensive /risk Monte-Carlo render.
 //
 // A third mode, edit-read, interleaves an unrelated store mutation
 // before every /risk read, so each request lands on a fresh store
-// version and the per-snapshot memo can never hit. Only the
-// fingerprint tier — keyed on the risk inputs rather than the snapshot
-// — keeps the Monte-Carlo off the hot path; the cell records what
-// fraction of reads it absorbed.
+// version. /risk's cache key is its risk-input fingerprint rather than
+// the snapshot, so it keeps the Monte-Carlo off the hot path; the cell
+// records what fraction of reads it absorbed.
 //
 // A final pair of modes prices the request-observability layer itself:
 // the warmed /dashboard cell — the cheapest render, where per-request
@@ -184,9 +183,8 @@ func main() {
 
 	// edit-read: a store mutation before every /risk read. The mutation
 	// (a milestone write) advances the store version but leaves the risk
-	// inputs alone, so the per-snapshot memo misses on every request and
-	// the fingerprint tier is the only thing between the reader and a
-	// fresh Monte-Carlo run.
+	// inputs alone, so the fingerprint key is the only thing between
+	// the reader and a fresh Monte-Carlo run.
 	{
 		base, shutdown, err := startServer(p, false, false)
 		if err != nil {

@@ -20,6 +20,7 @@ package scenario
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -448,6 +449,9 @@ func apply(f *engine.Manager, e *Edit) error {
 		base := float64(p.Base)
 		if factor, ok := e.Scale[act]; ok {
 			base *= factor
+		}
+		if !(base+float64(e.Delay[act]) < math.MaxInt64) { // also rejects NaN
+			return fmt.Errorf("scenario %q: edit %q: runtime %gns overflows a duration", e.Name, act, base)
 		}
 		p.Base = time.Duration(base) + e.Delay[act]
 		edited, err := tools.NewSim(t.Class(), t.Instance(), p)

@@ -12,17 +12,18 @@
 // response (X-Flowsched-Version, X-Flowsched-Now), so clients can
 // correlate reads.
 //
-// Expensive reads (risk simulation, what-if sweeps, dashboards) are
-// memoized per snapshot identity with singleflight semantics and
-// invalidated the moment the store advances; see memoCache. Behind that
-// memo, /risk and /whatif carry a second, fingerprint-keyed tier that
-// deliberately survives store advances: responses are keyed by a
-// canonical hash of their actual inputs (derived risk models, sweep
-// closure), so a mutation on an unrelated branch of the database is
-// still a cache hit (X-Flowsched-Cache: fingerprint) and re-runs zero
-// simulation trials; see fpCache. The server carries its own
-// request-scoped metrics (latency histogram, in-flight gauge, per-route
-// counters, cache hit/miss counters, fingerprint hit/miss counters)
+// Rendered reads are held in one response cache (respCache) with
+// singleflight semantics, and every route has exactly one key. /risk is
+// keyed by a canonical hash of its derived inputs
+// (ProjectView.RiskFingerprint), so a store advance that leaves the
+// risk model alone is still a cache hit (X-Flowsched-Cache:
+// fingerprint) and re-runs zero simulation trials. Every other route,
+// /whatif included, is keyed by snapshot identity and dropped the
+// moment the project's store advances (X-Flowsched-Cache: hit); serve
+// does not call ProjectView.WhatIfFingerprint, whose hash of
+// schedule-space watermarks moves with nearly every write. The
+// server carries its own request-scoped metrics (latency histogram,
+// in-flight gauge, per-route counters, cache events per key kind)
 // exposed on /metrics alongside the project's own registry.
 package serve
 
@@ -49,8 +50,9 @@ import (
 type Options struct {
 	// Addr is the listen address for ListenAndServe (default ":8080").
 	Addr string
-	// CacheEntries bounds the memoized responses held at once
-	// (default 256). The cache is cleared whenever the store advances.
+	// CacheEntries bounds the cached responses held at once per key
+	// kind (default 256 snapshot-keyed, 256 fingerprint-keyed).
+	// Snapshot-keyed entries are cleared whenever the store advances.
 	CacheEntries int
 	// DisableCache turns response memoization off: every request
 	// renders from its own snapshot. Responses stay snapshot-consistent
@@ -72,10 +74,6 @@ type Options struct {
 	// trace is always retained. 0 selects the default 500ms; negative
 	// disables the slow path.
 	SlowTraceThreshold time.Duration
-	// FlightEntries and FlightSlowest size the flight recorder's recent
-	// ring and slowest-N tier (defaults obs.DefaultFlightRing and
-	// obs.DefaultFlightSlow).
-	FlightEntries, FlightSlowest int
 	// EnablePprof mounts the stdlib net/http/pprof handlers under
 	// /debug/pprof/. Off by default: profiles expose internals, so the
 	// operator opts in (flowservd -pprof).
@@ -138,8 +136,7 @@ type Server struct {
 	p     *flowsched.Project
 	opt   Options
 	reg   *obs.Registry
-	cache *memoCache
-	fp    *fpCache
+	cache *respCache
 	mux   *http.ServeMux
 	srv   *http.Server
 
@@ -191,15 +188,14 @@ func New(p *flowsched.Project, opt Options) *Server {
 	reg := obs.NewRegistry()
 	s := &Server{
 		p: p, opt: opt, reg: reg,
-		cache:         newMemoCache(opt.CacheEntries, reg),
-		fp:            newFPCache(opt.CacheEntries, reg),
+		cache:         newRespCache(opt.CacheEntries, reg),
 		mux:           http.NewServeMux(),
 		inflight:      reg.Gauge("serve_requests_in_flight"),
 		requests:      reg.CounterVec("serve_requests_total", "route", "cache"),
 		latency:       reg.HistogramVec("serve_request_seconds", LatencyBuckets, "route"),
 		storeVersion:  reg.Gauge("serve_store_version"),
 		projDropped:   reg.Gauge("project_trace_dropped_spans"),
-		flight:        obs.NewFlightRecorder(opt.FlightEntries, opt.FlightSlowest),
+		flight:        obs.NewFlightRecorder(obs.DefaultFlightRing, obs.DefaultFlightSlow),
 		traceKeeps:    reg.Counter("serve_trace_retained_total"),
 		traceDiscards: reg.Counter("serve_trace_discarded_total"),
 		shed:          reg.CounterVec("serve_shed_total", "route", "reason"),
@@ -309,11 +305,6 @@ func retryAfterValue(d time.Duration) string {
 // renderFunc renders one route's body from a pinned view.
 type renderFunc func(v *flowsched.ProjectView, r *http.Request) ([]byte, string, error)
 
-// fingerprintFunc computes the canonical input fingerprint for one
-// request, or errors when the request is not fingerprintable (the route
-// then renders directly; the tier is a pure optimization).
-type fingerprintFunc func(v *flowsched.ProjectView, r *http.Request) (string, error)
-
 func (s *Server) routes() {
 	// Snapshot-pinned, memoized read surfaces.
 	s.handleView("/status", "status", renderStatus)
@@ -324,8 +315,8 @@ func (s *Server) routes() {
 	s.handleView("/milestones", "milestones", renderMilestones)
 	s.handleView("/query", "query", renderQuery)
 	s.handleView("/report", "report", renderReport)
-	s.handleViewFP("/risk", "risk", riskFingerprint, renderRisk)
-	s.handleViewFP("/whatif", "whatif", whatifFingerprint, renderWhatIf)
+	s.handleView("/risk", "risk", renderRisk)
+	s.handleView("/whatif", "whatif", renderWhatIf)
 	s.handleView("/predict", "predict", renderPredict)
 	s.handleView("/version", "version", renderVersion)
 
@@ -428,33 +419,26 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 }
 
 // handleView registers a snapshot-pinned route: one View per request,
-// the memo cache in front of the renderer, and the snapshot identity
-// echoed in response headers.
+// the response cache in front of the renderer, and the snapshot
+// identity echoed in response headers.
 func (s *Server) handleView(pattern, name string, fn renderFunc) {
-	s.handleViewFP(pattern, name, nil, fn)
-}
-
-// handleViewFP is handleView with an optional fingerprint tier behind
-// the per-snapshot memo: when the memo misses (a fresh snapshot), the
-// request's input fingerprint is probed before the renderer runs, so a
-// store advance that does not change the response's inputs is still a
-// cache hit (X-Flowsched-Cache: fingerprint) and re-runs nothing.
-func (s *Server) handleViewFP(pattern, name string, fp fingerprintFunc, fn renderFunc) {
 	s.mux.HandleFunc(pattern, s.instrument(name, func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			w.Header().Set("Allow", http.MethodGet)
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 			return
 		}
-		proj := s.p
+		proj, session := s.p, uint64(0)
 		if fname := r.URL.Query().Get("fork"); fname != "" {
 			// Read a fork session's state through the same routes
 			// (write.go): a designer inspects a what-if branch with the
 			// full read surface before deciding to promote or discard.
-			if proj = s.forks.get(fname); proj == nil {
+			fs, ok := s.forks.get(fname)
+			if !ok {
 				http.Error(w, fmt.Sprintf("no fork session %q", fname), http.StatusNotFound)
 				return
 			}
+			proj, session = fs.p, fs.id
 		}
 		v, err := proj.View()
 		if err != nil {
@@ -487,19 +471,22 @@ func (s *Server) handleViewFP(pattern, name string, fp fingerprintFunc, fn rende
 		if s.opt.DisableCache {
 			body, ctype, err = fn(v, r)
 		} else {
-			// The key embeds the full snapshot identity: the store
-			// version plus the virtual instant (the clock can tick
-			// between store writes, and rendered output shows "now").
-			key := fmt.Sprintf("%d.%d|%s?%s", v.Version(), v.Now().UnixNano(), name, canonicalQuery(r))
-			var hit, fpHit bool
+			key, fingerprint := cacheKey(name, session, v, r)
+			// Only the server's own project advances the snapshot
+			// generation; a fork's versions continue its parent's.
+			var version uint64
+			if session == 0 {
+				version = v.Version()
+			}
+			var hit bool
 			// Retry loop: a singleflight follower can inherit the
 			// *leader's* cancellation (the leader's client hung up
 			// mid-render). When that happens and this request is still
 			// live, re-probe the cache — the failed entry was dropped, so
 			// the retry renders fresh under this request's own context.
 			for {
-				body, ctype, hit, err = s.cache.do(v.Version(), key, func() ([]byte, string, error) {
-					return s.renderVia(fp, name, v, r, fn, &fpHit)
+				body, ctype, hit, err = s.cache.do(key, fingerprint, version, func() ([]byte, string, error) {
+					return fn(v, r)
 				})
 				if err != nil && !hit &&
 					(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) &&
@@ -509,10 +496,10 @@ func (s *Server) handleViewFP(pattern, name string, fp fingerprintFunc, fn rende
 				break
 			}
 			switch {
+			case hit && fingerprint:
+				cacheState = "fingerprint"
 			case hit:
 				cacheState = "hit"
-			case fpHit:
-				cacheState = "fingerprint"
 			default:
 				cacheState = "miss"
 			}
@@ -543,29 +530,23 @@ func (s *Server) handleViewFP(pattern, name string, fp fingerprintFunc, fn rende
 	}))
 }
 
-// renderVia consults the fingerprint tier around the renderer. A
-// fingerprint error (unfingerprintable request — e.g. fault-injection
-// what-if edits) falls through to a direct render: the tier never
-// gates correctness. fpHit is only written by the singleflight leader,
-// which runs this in the requesting goroutine.
-func (s *Server) renderVia(fp fingerprintFunc, name string, v *flowsched.ProjectView, r *http.Request, fn renderFunc, fpHit *bool) ([]byte, string, error) {
-	if fp == nil {
-		return fn(v, r)
+// cacheKey returns the request's one response-cache key and whether it
+// is an input fingerprint. /risk is keyed by its derived risk inputs, so
+// its entry outlives store advances that leave them unchanged; a request
+// the view cannot fingerprint (a bad parameter, an unknown target) falls
+// back to the snapshot key and renders its error uncached. Every other
+// route is keyed by the full snapshot identity: the fork session (0 for
+// the server's own project), the store version and the virtual instant
+// (the clock can tick between store writes, and rendered output shows
+// "now").
+func cacheKey(name string, session uint64, v *flowsched.ProjectView, r *http.Request) (string, bool) {
+	q := canonicalQuery(r)
+	if name == "risk" {
+		if fp, err := riskFingerprint(v, r); err == nil {
+			return name + "?" + q + "|" + fp, true
+		}
 	}
-	fpr, err := fp(v, r)
-	if err != nil {
-		return fn(v, r)
-	}
-	key := name + "?" + canonicalQuery(r) + "|" + fpr
-	if body, ctype, ok := s.fp.get(key); ok {
-		*fpHit = true
-		return body, ctype, nil
-	}
-	body, ctype, err := fn(v, r)
-	if err == nil {
-		s.fp.put(key, body, ctype)
-	}
-	return body, ctype, err
+	return fmt.Sprintf("%d.%d.%d|%s?%s", session, v.Version(), v.Now().UnixNano(), name, q), false
 }
 
 // canonicalQuery renders the request's query parameters in sorted-key
@@ -724,7 +705,7 @@ type riskSummary struct {
 }
 
 // riskParams is the parsed /risk request, shared between the renderer
-// and the fingerprint computation so both describe the same run.
+// and the cache key so both describe the same run.
 type riskParams struct {
 	targets []string
 	trials  int
@@ -805,17 +786,6 @@ func parseWhatIfParams(v *flowsched.ProjectView, r *http.Request) (targets []str
 		edits = append(edits, e)
 	}
 	return targets, edits, nil
-}
-
-// whatifFingerprint keys /whatif responses by the sweep's full input
-// closure (see flowsched.ProjectView.WhatIfFingerprint). Requests the
-// view refuses to fingerprint render directly.
-func whatifFingerprint(v *flowsched.ProjectView, r *http.Request) (string, error) {
-	targets, edits, err := parseWhatIfParams(v, r)
-	if err != nil {
-		return "", err
-	}
-	return v.WhatIfFingerprint(targets, edits, flowsched.ScenarioOptions{})
 }
 
 func renderWhatIf(v *flowsched.ProjectView, r *http.Request) ([]byte, string, error) {

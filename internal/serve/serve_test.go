@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"flowsched"
-	"flowsched/internal/workload"
 )
 
 // newTracked builds a fig4 project with observability on, tools bound,
@@ -131,7 +130,7 @@ func metricValue(t *testing.T, s *Server, name string) int64 {
 	return n
 }
 
-// TestRiskMemoized proves the per-snapshot cache short-circuits the
+// TestRiskMemoized proves the response cache short-circuits the
 // expensive read: after warm-up, an identical risk request re-runs zero
 // Monte-Carlo trials and the hit is observable in /metrics.
 func TestRiskMemoized(t *testing.T) {
@@ -149,8 +148,8 @@ func TestRiskMemoized(t *testing.T) {
 	}
 
 	second := get(t, s, "/risk?seed=3&trials=200") // same params, different spelling order
-	if h := second.Header().Get("X-Flowsched-Cache"); h != "hit" {
-		t.Fatalf("warm risk cache header = %q, want hit", h)
+	if h := second.Header().Get("X-Flowsched-Cache"); h != "fingerprint" {
+		t.Fatalf("warm risk cache header = %q, want fingerprint", h)
 	}
 	if second.Body.String() != first.Body.String() {
 		t.Fatal("cached risk body differs from cold body")
@@ -158,8 +157,8 @@ func TestRiskMemoized(t *testing.T) {
 	if after := metricValue(t, s, "monte_trials_total"); after != trialsBefore {
 		t.Fatalf("cached risk re-ran the simulation: monte_trials_total %d -> %d", trialsBefore, after)
 	}
-	if hits := metricValue(t, s, `serve_cache_events_total{event="hit",tier="memo"}`); hits < 1 {
-		t.Fatalf("memo cache hits = %d, want >= 1", hits)
+	if hits := metricValue(t, s, `serve_cache_events_total{event="hit",tier="fingerprint"}`); hits < 1 {
+		t.Fatalf("fingerprint cache hits = %d, want >= 1", hits)
 	}
 }
 
@@ -356,54 +355,5 @@ func TestRiskFingerprintSurvivesStoreAdvance(t *testing.T) {
 	}
 	if hits := metricValue(t, s, `serve_cache_events_total{event="hit",tier="fingerprint"}`); hits != 1 {
 		t.Fatalf("fingerprint cache hits = %d, want 1", hits)
-	}
-}
-
-// TestWhatIfFingerprintScopesToTree: a /whatif response survives store
-// writes outside its target tree's closure (an import of an unrelated
-// data class) but is re-rendered when a class inside the tree changes.
-func TestWhatIfFingerprintScopesToTree(t *testing.T) {
-	p, err := flowsched.New(workload.ASICSource, flowsched.Options{Designer: "ewj"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.UseSimulatedTools(); err != nil {
-		t.Fatal(err)
-	}
-	for _, class := range []string{"rtl", "constraints"} {
-		if _, err := p.Import(class, []byte(class+" v1")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s := New(p, Options{})
-	const path = "/whatif?targets=drcreport&edit=slow=Route*1.5"
-
-	cold := get(t, s, path)
-	if cold.Code != http.StatusOK {
-		t.Fatalf("cold whatif = %d: %s", cold.Code, cold.Body.String())
-	}
-	if h := cold.Header().Get("X-Flowsched-Cache"); h != "miss" {
-		t.Fatalf("cold whatif cache header = %q, want miss", h)
-	}
-
-	// testbench is declared in the schema but outside the drcreport tree.
-	if _, err := p.Import("testbench", []byte("tb v1")); err != nil {
-		t.Fatal(err)
-	}
-	warm := get(t, s, path)
-	if h := warm.Header().Get("X-Flowsched-Cache"); h != "fingerprint" {
-		t.Fatalf("whatif after unrelated import = %q, want fingerprint", h)
-	}
-	if warm.Body.String() != cold.Body.String() {
-		t.Fatal("fingerprint-tier whatif body differs from the cold render")
-	}
-
-	// rtl is a leaf of the tree: a new version must re-render.
-	if _, err := p.Import("rtl", []byte("rtl v2")); err != nil {
-		t.Fatal(err)
-	}
-	fresh := get(t, s, path)
-	if h := fresh.Header().Get("X-Flowsched-Cache"); h != "miss" {
-		t.Fatalf("whatif after in-tree import = %q, want miss", h)
 	}
 }

@@ -99,11 +99,11 @@ func (s *Server) writeTarget(r *http.Request) (p *flowsched.Project, isFork bool
 	if name == "" {
 		return s.p, false, nil
 	}
-	f := s.forks.get(name)
-	if f == nil {
+	fs, ok := s.forks.get(name)
+	if !ok {
 		return nil, false, &httpError{code: http.StatusNotFound, msg: fmt.Sprintf("no fork session %q", name)}
 	}
-	return f, true, nil
+	return fs.p, true, nil
 }
 
 // handleWrite registers one mutating route.
@@ -443,10 +443,20 @@ func writeEdit(p *flowsched.Project, r *http.Request) (any, error) {
 // routes (?fork=name) and reads through every read route (?fork=name),
 // without ever touching the tracked project.
 type forkSessions struct {
-	mu  sync.Mutex
-	m   map[string]*flowsched.Project
-	seq int
-	max int
+	mu     sync.Mutex
+	m      map[string]forkSession
+	seq    int
+	opened uint64 // sessions ever opened: the source of forkSession.id
+	max    int
+}
+
+// forkSession is one named fork. Its id is unique for the server's
+// life, unlike its name, which a new session may take once the old one
+// is deleted; response-cache keys carry the id, so a new session is
+// never answered from its predecessor's entries.
+type forkSession struct {
+	p  *flowsched.Project
+	id uint64
 }
 
 const defaultMaxForks = 8
@@ -458,17 +468,18 @@ func (f *forkSessions) limit() int {
 	return f.max
 }
 
-func (f *forkSessions) get(name string) *flowsched.Project {
+func (f *forkSessions) get(name string) (forkSession, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.m[name]
+	fs, ok := f.m[name]
+	return fs, ok
 }
 
 func (f *forkSessions) put(name string, p *flowsched.Project) (string, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.m == nil {
-		f.m = make(map[string]*flowsched.Project)
+		f.m = make(map[string]forkSession)
 	}
 	if name == "" {
 		f.seq++
@@ -479,7 +490,8 @@ func (f *forkSessions) put(name string, p *flowsched.Project) (string, error) {
 	if len(f.m) >= f.limit() {
 		return "", &forkLimitError{max: f.limit()}
 	}
-	f.m[name] = p
+	f.opened++
+	f.m[name] = forkSession{p: p, id: f.opened}
 	return name, nil
 }
 
@@ -497,8 +509,8 @@ func (f *forkSessions) list() map[string]uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	out := make(map[string]uint64, len(f.m))
-	for name, p := range f.m {
-		out[name] = p.Version()
+	for name, fs := range f.m {
+		out[name] = fs.p.Version()
 	}
 	return out
 }

@@ -402,6 +402,11 @@ func (v *ProjectView) RiskFingerprint(targets []string, opt RiskOptions) (string
 // carry arbitrary configuration and per-fork mutable state). Callers
 // must treat an error as "do not reuse", never as a failure of the
 // sweep itself.
+//
+// The HTTP server does not key /whatif by this fingerprint: it hashes
+// schedule-space watermarks, which nearly every write moves, so such a
+// cache never hit on the benchmark workloads. It is kept for callers
+// that price the hash itself, such as perfbench's shadow replay.
 func (v *ProjectView) WhatIfFingerprint(targets []string, edits []ScenarioEdit, opt ScenarioOptions) (string, error) {
 	if opt.Estimator != nil {
 		return "", fmt.Errorf("flowsched: whatif fingerprint: custom estimators are not fingerprintable")
