@@ -688,8 +688,9 @@ func ParseScenarioEdit(spec string) (ScenarioEdit, error) { return scenario.Pars
 
 // Fork branches an independent copy of the project at its current state.
 // The task database is forked copy-on-write (O(containers), no per-entry
-// copying), the design store shares its immutable objects, tool bindings
-// are cloned, and the virtual clock continues from the parent's now.
+// copying), the design store shares its immutable objects, the event
+// stream is shared rather than copied, tool bindings are cloned, and the
+// virtual clock continues from the parent's now.
 // Parent and fork never observe each other's subsequent changes — plan,
 // execute, and measure in the fork freely, then discard it. The fork is
 // uninstrumented regardless of the parent's observability options.

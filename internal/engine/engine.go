@@ -77,8 +77,16 @@ type Event struct {
 // Events/EventsSince concurrently (the hercules `events` command, status
 // dashboards). It lives behind a pointer so Manager stays copyable
 // (AtView) without copying a lock.
+//
+// The stream is base followed by evs. base is the prefix a fork took
+// over from its parent without copying it: a clipped alias of the
+// parent's array (base[:n:n]), which the log never writes. The parent's
+// later appends land past n, which the alias cannot see, and an append
+// here goes to evs, so parent and fork share the history but neither
+// sees the other's later events.
 type eventLog struct {
 	mu   sync.Mutex
+	base []Event
 	evs  []Event
 	hook func(Event)
 	wake chan struct{} // closed (and replaced) on append; lazily created
@@ -98,16 +106,44 @@ func (l *eventLog) append(e Event) {
 	}
 }
 
+// fork returns the log a forked manager starts from: this stream as of
+// now, shared rather than copied. A log with both a base and its own
+// events (a fork of a fork that has emitted) joins them once and keeps
+// the joined prefix as its own base, so its next fork shares it too.
+func (l *eventLog) fork() *eventLog {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	switch {
+	case len(l.evs) == 0:
+		return &eventLog{base: l.base}
+	case len(l.base) == 0:
+		return &eventLog{base: l.evs[:len(l.evs):len(l.evs)]}
+	}
+	base := make([]Event, 0, len(l.base)+len(l.evs))
+	l.base, l.evs = append(append(base, l.base...), l.evs...), nil
+	return &eventLog{base: l.base}
+}
+
+// sinceLocked copies the stream from position seq on; nil when there is
+// nothing past seq.
+func (l *eventLog) sinceLocked(seq int) []Event {
+	seq = max(seq, 0)
+	n := len(l.base) + len(l.evs)
+	if seq >= n {
+		return nil
+	}
+	out := make([]Event, 0, n-seq)
+	if seq < len(l.base) {
+		out = append(out, l.base[seq:]...)
+		seq = len(l.base)
+	}
+	return append(out, l.evs[seq-len(l.base):]...)
+}
+
 func (l *eventLog) since(seq int) []Event {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if seq < 0 {
-		seq = 0
-	}
-	if seq >= len(l.evs) {
-		return nil
-	}
-	return append([]Event(nil), l.evs[seq:]...)
+	return l.sinceLocked(seq)
 }
 
 // after is since plus a wakeup: when no events past seq exist yet, it
@@ -117,11 +153,8 @@ func (l *eventLog) since(seq int) []Event {
 func (l *eventLog) after(seq int) ([]Event, <-chan struct{}) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if seq < 0 {
-		seq = 0
-	}
-	if seq < len(l.evs) {
-		return append([]Event(nil), l.evs[seq:]...), nil
+	if evs := l.sinceLocked(seq); evs != nil {
+		return evs, nil
 	}
 	if l.wake == nil {
 		l.wake = make(chan struct{})
@@ -132,7 +165,7 @@ func (l *eventLog) after(seq int) ([]Event, <-chan struct{}) {
 func (l *eventLog) count() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.evs)
+	return len(l.base) + len(l.evs)
 }
 
 // Manager is the workflow manager.
@@ -297,7 +330,7 @@ func (m *Manager) SetEventHook(fn func(Event)) {
 // off. Only call on a freshly restored manager, before execution.
 func (m *Manager) RestoreEvents(evs []Event) {
 	m.ev.mu.Lock()
-	m.ev.evs = append([]Event(nil), evs...)
+	m.ev.base, m.ev.evs = nil, append([]Event(nil), evs...)
 	if m.ev.wake != nil {
 		close(m.ev.wake)
 		m.ev.wake = nil

@@ -14,8 +14,10 @@ import (
 // per-entry copies for untouched containers), the Level 4 design store is
 // forked aliasing its immutable objects, tool bindings are cloned, the
 // clock starts at the parent's current virtual time, and the event stream
-// is copied. Schema, flow graph, and calendar are shared — they are
-// immutable configuration.
+// is shared, not copied: the child reads the parent's history in place
+// and appends its own events after it, so forking costs the same however
+// long the history is. Schema, flow graph, and calendar are shared — they
+// are immutable configuration.
 //
 // Parent and child never see each other's subsequent writes, which makes a
 // fork the substrate for what-if exploration: re-plan or re-execute the
@@ -27,7 +29,9 @@ func (m *Manager) Fork() (*Manager, error) { return m.ForkAtView(nil) }
 // moment v captured instead of the live head, so several forks taken
 // while the parent keeps executing all observe the identical Level 3
 // state — what a snapshot-consistent what-if sweep needs. A nil view
-// forks the current state (plain Fork).
+// forks the current state (plain Fork). The view pins the task database
+// only: the child's event stream and clock are the parent's as of the
+// ForkAtView call, not as of v.
 func (m *Manager) ForkAtView(v *store.View) (*Manager, error) {
 	db := m.DB.ForkAt(v)
 	exec, err := meta.NewSpace(db, m.Schema)
@@ -43,7 +47,7 @@ func (m *Manager) ForkAtView(v *store.View) (*Manager, error) {
 		Exec: exec, Sched: sc, Tools: m.Tools.Clone(),
 		Clock: vclock.NewAt(m.Clock.Now()), Calendar: m.Calendar,
 		Designer: m.Designer,
-		ev:       &eventLog{evs: m.Events()},
+		ev:       m.ev.fork(),
 	}, nil
 }
 

@@ -267,24 +267,32 @@ func TestSSESlowConsumerDropped(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.After(5 * time.Second)
-	for {
-		select {
-		case _, ok := <-slow.ch:
-			if ok {
-				continue // drain the queued event; the close follows
-			}
-			if slow.reason != "slow" {
-				t.Fatalf("drop reason = %q, want slow", slow.reason)
-			}
-			if got := counterValue(s, "serve_sse_slow_dropped_total"); got < 1 {
-				t.Fatalf("serve_sse_slow_dropped_total = %v, want >= 1", got)
-			}
-			return
-		case <-deadline:
+	// The pump broadcasts asynchronously: reading slow.ch before the
+	// hub has dropped the subscriber would make room in its queue, so
+	// wait for the drop first.
+	deadline := time.Now().Add(5 * time.Second)
+	for subscribed(s.hub, slow) {
+		if time.Now().After(deadline) {
 			t.Fatal("slow subscriber was never dropped")
 		}
+		time.Sleep(time.Millisecond)
 	}
+	for range slow.ch { // the queued event, then the close
+	}
+	if slow.reason != "slow" {
+		t.Fatalf("drop reason = %q, want slow", slow.reason)
+	}
+	if got := counterValue(s, "serve_sse_slow_dropped_total"); got < 1 {
+		t.Fatalf("serve_sse_slow_dropped_total = %v, want >= 1", got)
+	}
+}
+
+// subscribed reports whether sub is still registered with the hub.
+func subscribed(h *eventHub, sub *subscriber) bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	_, ok := h.subs[sub]
+	return ok
 }
 
 // TestSSEHammerConcurrentWritersAndShutdown is the race recipe for the

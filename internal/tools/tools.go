@@ -9,6 +9,11 @@
 // instance and iteration number, so every experiment is reproducible while
 // still exercising the iterate-until-goals-met behaviour the schedule
 // tracker must handle.
+//
+// The stream is math/rand's: a tool run draws what
+// rand.New(rand.NewSource(seed)) would, computed lazily so the run does
+// not pay for seeding a 607-word generator it draws four values from
+// (lazyrand.go).
 package tools
 
 import (
@@ -117,10 +122,10 @@ func (t *SimTool) Class() string { return t.class }
 // Profile returns the tool's simulation parameters.
 func (t *SimTool) Profile() Profile { return t.profile }
 
-// rng returns the deterministic PRNG for one application: it depends on
-// the tool identity, the iteration, and the input content, so re-running
-// the same application reproduces the same result.
-func (t *SimTool) rng(inputs map[string][]byte, iteration int) *rand.Rand {
+// rng returns the deterministic random source for one application: it
+// depends on the tool identity, the iteration, and the input content, so
+// re-running the same application reproduces the same result.
+func (t *SimTool) rng(inputs map[string][]byte, iteration int) rand.Source {
 	h := fnv.New64a()
 	var keys []string
 	for k := range inputs {
@@ -134,7 +139,7 @@ func (t *SimTool) rng(inputs map[string][]byte, iteration int) *rand.Rand {
 		h.Write([]byte{0})
 	}
 	seed := t.seed ^ h.Sum64() ^ (uint64(iteration) * 0x9e3779b97f4a7c15)
-	return rand.New(rand.NewSource(int64(seed)))
+	return newLazySource(int64(seed))
 }
 
 // Run implements Tool.
@@ -142,7 +147,7 @@ func (t *SimTool) Run(inputs map[string][]byte, iteration int) (Result, error) {
 	if iteration < 1 {
 		return Result{}, fmt.Errorf("tools: iteration %d must be >= 1", iteration)
 	}
-	rng := t.rng(inputs, iteration)
+	rng := rand.New(t.rng(inputs, iteration))
 	spread := 1 + t.profile.Jitter*(2*rng.Float64()-1)
 	work := time.Duration(float64(t.profile.Base) * spread)
 	if rng.Float64() < t.profile.FailureRate {

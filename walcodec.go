@@ -377,7 +377,8 @@ func decodeV1(b []byte) (walRecord, error) {
 	}
 	switch {
 	case r.Kind == "store" && r.Store != nil:
-		return walRecord{mut: r.Store}, nil
+		m, err := v1Mutation(r.Store)
+		return walRecord{mut: m}, err
 	case r.Kind == "data" && r.Data != nil:
 		return walRecord{data: r.Data}, nil
 	case r.Kind == "event" && r.Event != nil:
@@ -386,4 +387,37 @@ func decodeV1(b []byte) (walRecord, error) {
 		return walRecord{plan: r.Plan.Version}, nil
 	}
 	return walRecord{}, fmt.Errorf("version-1 record of kind %q without its body", r.Kind)
+}
+
+// v1Mutation keeps the fields of a version-1 store mutation that its
+// kind uses, which are the ones a version-2 record holds: a version-1
+// record spells out every Mutation field, null or not. It rejects what
+// no store commit writes, so that replay would fail on or a version-2
+// record could not carry: an unknown kind, a put without its entry or
+// whose ID is not its container and version, and a payload that is not
+// UTF-8 (store payloads are json.Marshal output).
+func v1Mutation(m *store.Mutation) (*store.Mutation, error) {
+	out := &store.Mutation{Kind: m.Kind, Version: m.Version}
+	switch m.Kind {
+	case store.MutCreate:
+		out.Container, out.Space, out.Class = m.Container, m.Space, m.Class
+	case store.MutPut:
+		e := m.Entry
+		if e == nil || e.ID != e.Container+"/"+strconv.Itoa(e.Version) {
+			return nil, fmt.Errorf("version-1 put of malformed entry %+v", e)
+		}
+		out.Entry = &store.Entry{ID: e.ID, Container: e.Container, Version: e.Version,
+			Created: e.Created, Deps: e.Deps, Payload: e.Payload}
+	case store.MutPayload:
+		if !utf8.Valid(m.Payload) {
+			return nil, fmt.Errorf("version-1 payload update of %s is not UTF-8", m.ID)
+		}
+		out.ID, out.Payload, out.Prev = m.ID, m.Payload, m.Prev
+	case store.MutLink:
+		out.A, out.B = m.A, m.B
+	case store.MutTouch:
+	default:
+		return nil, fmt.Errorf("version-1 mutation of unknown kind %q", m.Kind)
+	}
+	return out, nil
 }
