@@ -79,8 +79,13 @@ func (s *Space) Milestones(p *Plan) ([]*store.Entry, []Milestone, error) {
 	if c == nil {
 		return nil, nil, nil // none set
 	}
-	var entries []*store.Entry
-	var ms []Milestone
+	// Sort entries and payloads as pairs, so entries[i] stays the entry
+	// of ms[i].
+	type pair struct {
+		e *store.Entry
+		m Milestone
+	}
+	var pairs []pair
 	for _, e := range c.Entries {
 		var m Milestone
 		if err := e.Decode(&m); err != nil {
@@ -89,16 +94,15 @@ func (s *Space) Milestones(p *Plan) ([]*store.Entry, []Milestone, error) {
 		if m.PlanVersion != p.Version {
 			continue
 		}
-		entries = append(entries, e)
-		ms = append(ms, m)
+		pairs = append(pairs, pair{e, m})
 	}
-	sort.SliceStable(ms, func(i, j int) bool { return ms[i].Target.Before(ms[j].Target) })
-	sort.SliceStable(entries, func(i, j int) bool {
-		var a, b Milestone
-		entries[i].Decode(&a)
-		entries[j].Decode(&b)
-		return a.Target.Before(b.Target)
-	})
+	sort.SliceStable(pairs, func(i, j int) bool { return pairs[i].m.Target.Before(pairs[j].m.Target) })
+	var entries []*store.Entry
+	var ms []Milestone
+	for _, pr := range pairs {
+		entries = append(entries, pr.e)
+		ms = append(ms, pr.m)
+	}
 	return entries, ms, nil
 }
 

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -82,6 +83,32 @@ func TestMilestonesSortedAndScoped(t *testing.T) {
 	_, none, err := fx.space.Milestones(&res2.Plan)
 	if err != nil || len(none) != 0 {
 		t.Fatalf("cross-plan milestones = %+v", none)
+	}
+}
+
+// TestMilestonesStayPaired: entries[i] is the entry of ms[i] after the
+// sort, also for milestones set out of date order and for equal dates.
+func TestMilestonesStayPaired(t *testing.T) {
+	sp, plan := milestoneFixture(t)
+	for i, days := range []int{9, 3, 9, 1, 3, 7} {
+		name := fmt.Sprintf("m%d", i)
+		if _, err := sp.SetMilestone(&plan, name, "performance", t0.Add(time.Duration(days)*24*time.Hour)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries, ms, err := sp.Milestones(&plan)
+	if err != nil || len(entries) != 6 || len(ms) != 6 {
+		t.Fatalf("milestones = %d entries, %d payloads, %v", len(entries), len(ms), err)
+	}
+	want := []string{"m3", "m1", "m4", "m5", "m0", "m2"} // by date, ties in set order
+	for i, m := range ms {
+		var stored Milestone
+		if err := entries[i].Decode(&stored); err != nil {
+			t.Fatal(err)
+		}
+		if m.Name != want[i] || stored.Name != m.Name {
+			t.Fatalf("position %d: payload %s, entry %s, want %s", i, m.Name, stored.Name, want[i])
+		}
 	}
 }
 

@@ -119,6 +119,7 @@ func (s *Space) Propagate(p *Plan, now time.Time) (time.Time, error) {
 	}
 	effFinish := make(map[string]time.Time)
 	resFree := make(map[string]time.Time)
+	inPlan := planSet(p)
 	projected := p.Start
 	for _, act := range p.Activities {
 		e, in, err := s.Instance(p, act)
@@ -140,7 +141,7 @@ func (s *Space) Propagate(p *Plan, now time.Time) (time.Time, error) {
 			continue
 		}
 		earliest := p.Start
-		for _, pred := range predecessorsIn(p, s, act) {
+		for _, pred := range s.producersIn(inPlan, act) {
 			if effFinish[pred].After(earliest) {
 				earliest = effFinish[pred]
 			}
@@ -209,8 +210,9 @@ func (s *Space) checkTopoOrder(p *Plan) error {
 	for i, a := range p.Activities {
 		pos[a] = i
 	}
+	inPlan := planSet(p)
 	for i, act := range p.Activities {
-		for _, pred := range predecessorsIn(p, s, act) {
+		for _, pred := range s.producersIn(inPlan, act) {
 			if pos[pred] > i {
 				return fmt.Errorf("sched: plan v%d is not topologically ordered: %s (position %d) precedes its predecessor %s (position %d)",
 					p.Version, act, i, pred, pos[pred])
@@ -220,12 +222,24 @@ func (s *Space) checkTopoOrder(p *Plan) error {
 	return nil
 }
 
-// predecessorsIn returns the in-plan producer activities of act.
-func predecessorsIn(p *Plan, s *Space, act string) []string {
+// planSet returns the set of p's activities.
+func planSet(p *Plan) map[string]bool {
 	inPlan := make(map[string]bool, len(p.Activities))
 	for _, a := range p.Activities {
 		inPlan[a] = true
 	}
+	return inPlan
+}
+
+// predecessorsIn returns the in-plan producer activities of act. A pass
+// over many activities builds planSet once and calls producersIn.
+func predecessorsIn(p *Plan, s *Space, act string) []string {
+	return s.producersIn(planSet(p), act)
+}
+
+// producersIn returns the producer activities of act that are in inPlan
+// (see planSet).
+func (s *Space) producersIn(inPlan map[string]bool, act string) []string {
 	rule := s.Schema.RuleByActivity(act)
 	if rule == nil {
 		return nil

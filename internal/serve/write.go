@@ -64,13 +64,16 @@ func (e *forkLimitError) Error() string {
 var errReadOnly = &httpError{code: http.StatusForbidden, msg: "server is read-only"}
 
 // parseIfMatch reads the optional If-Match header: a store version,
-// bare or quoted (ETag style). ok reports whether the header was sent.
+// bare or in exactly one pair of quotes (ETag style). ok reports whether
+// the header was sent.
 func parseIfMatch(r *http.Request) (version uint64, ok bool, err error) {
 	raw := strings.TrimSpace(r.Header.Get("If-Match"))
 	if raw == "" {
 		return 0, false, nil
 	}
-	raw = strings.Trim(raw, `"`)
+	if len(raw) >= 2 && raw[0] == '"' && raw[len(raw)-1] == '"' {
+		raw = raw[1 : len(raw)-1]
+	}
 	v, perr := strconv.ParseUint(raw, 10, 64)
 	if perr != nil {
 		return 0, false, badRequest("bad If-Match %q: want a store version", r.Header.Get("If-Match"))

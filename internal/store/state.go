@@ -88,6 +88,15 @@ func FromState(s *State) (*DB, error) {
 				return nil, fmt.Errorf("store: state: entry id %q, want %q", e.ID, want)
 			}
 		}
+		if n := len(c.Entries); n > 0 {
+			// Give the latest entry an empty decoded cell for its first
+			// Decode to fill. The state's entries may belong to a live
+			// database, so the entry is cloned and the slice copied.
+			latest := *c.Entries[n-1]
+			latest.value = new(decoded)
+			c.Entries = append(append(make([]*Entry, 0, n), c.Entries[:n-1]...), &latest)
+			c.shared = false
+		}
 		db.containers[cs.Name] = c
 		db.order = append(db.order, cs.Name)
 	}

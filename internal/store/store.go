@@ -11,6 +11,10 @@
 // Instances are append-only and versioned densely per container (version 1,
 // 2, 3, …), matching the paper's CC1/CC2, SC1/SC2, N1/N2 labelling. Typed
 // payloads are carried as JSON so the database itself stays schema-neutral.
+// The JSON bytes are the only durable and identity form; beside them the
+// latest entry of each container keeps its typed value, so reading it
+// again (the automatic plan update re-reads every schedule instance on
+// each slip) copies a struct instead of parsing JSON.
 //
 // # Snapshot isolation and copy-on-write
 //
@@ -29,11 +33,14 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"flowsched/internal/obs"
@@ -55,6 +62,10 @@ const (
 // field — including Links and Payload — as read-only. SetPayload and Link
 // swap in a cloned entry instead of mutating, so a pointer obtained from Get
 // (or from a View) is a stable value forever.
+//
+// An entry may also carry the typed value of its payload (see Decode).
+// Only a container's latest entry keeps one: appending to a container
+// retires the value of the entry that was latest before.
 type Entry struct {
 	// ID is the globally unique identifier "container/version".
 	ID string `json:"id"`
@@ -73,6 +84,88 @@ type Entry struct {
 	// Payload carries the typed instance data (run metadata, schedule
 	// parameters, …) marshalled as JSON by the owning package.
 	Payload json.RawMessage `json:"payload,omitempty"`
+
+	// value holds the decoded payload; nil for an entry that was never
+	// a container's latest in this process. Link clones share it.
+	value *decoded
+}
+
+// decoded is an entry's typed payload value: empty until a Put, a
+// SetPayload or the first Decode fills it, and retired for good once the
+// entry stops being its container's latest. The slot is atomic because
+// Views read entries without locks while the writer retires them.
+type decoded struct {
+	v atomic.Pointer[reflect.Value]
+}
+
+// retired is the slot of a decoded cell that must not be filled again.
+var retired = new(reflect.Value)
+
+// newDecoded returns a cell holding v, or an empty cell for an invalid v.
+func newDecoded(v reflect.Value) *decoded {
+	d := new(decoded)
+	if v.IsValid() {
+		d.v.Store(&v)
+	}
+	return d
+}
+
+// load returns the held value, or nil for an empty, retired or missing
+// cell.
+func (d *decoded) load() *reflect.Value {
+	if d == nil {
+		return nil
+	}
+	if v := d.v.Load(); v != retired {
+		return v
+	}
+	return nil
+}
+
+// fill keeps a copy of v in an empty cell. A missing, held or retired
+// cell is left alone.
+func (d *decoded) fill(v reflect.Value) {
+	if d != nil && d.v.Load() == nil {
+		c := structCopy(v)
+		d.v.CompareAndSwap(nil, &c)
+	}
+}
+
+// retire drops the held value and keeps the cell from being filled again.
+func (d *decoded) retire() {
+	if d != nil {
+		d.v.Store(retired)
+	}
+}
+
+// structCopy returns a shallow copy of the struct v.
+func structCopy(v reflect.Value) reflect.Value {
+	c := reflect.New(v.Type()).Elem()
+	c.Set(v)
+	return c
+}
+
+// payloadValue returns the value a Put or SetPayload keeps beside the
+// bytes b it marshalled payload to: a shallow copy of a struct or of the
+// struct a pointer refers to. Other kinds (maps, json.RawMessage, nil)
+// yield the invalid Value and are decoded on first use instead. So do
+// bytes holding the escape \ufffd, which the encoder writes for a string
+// that is not valid UTF-8: the kept string would differ from the decoded
+// one.
+func payloadValue(payload any, b []byte) reflect.Value {
+	v := reflect.ValueOf(payload)
+	ptr := v.Kind() == reflect.Pointer && !v.IsNil()
+	if ptr {
+		v = v.Elem()
+	}
+	if v.Kind() != reflect.Struct || bytes.Contains(b, []byte(`\ufffd`)) {
+		return reflect.Value{}
+	}
+	if ptr {
+		return structCopy(v) // the caller still owns *payload
+	}
+	// A struct passed by value is already a private copy in the interface.
+	return v
 }
 
 // Container groups the versioned instances of one class.
@@ -96,6 +189,10 @@ type Container struct {
 	// watermark is the owning DB's version counter at this container's last
 	// mutation.
 	watermark uint64
+	// inherited counts the leading entries a forked DB took over from its
+	// parent. They are shared with the parent and its views, so the fork
+	// never retires their decoded values.
+	inherited int
 }
 
 // Latest returns the highest-version entry, or nil for an empty container.
@@ -274,14 +371,20 @@ func (db *DB) cowLocked(c *Container) {
 
 // Put appends a new instance to the named container, assigning the next
 // version. All deps must reference existing entries. payload may be nil.
+//
+// The new entry keeps a shallow copy of a struct (or pointer-to-struct)
+// payload as its decoded value, and the entry that was latest before it
+// drops its own. The kept copy shares slices and maps with payload, so
+// the caller must not modify them afterwards.
 func (db *DB) Put(container string, created time.Time, payload any, deps ...string) (*Entry, error) {
 	var raw json.RawMessage
+	var val reflect.Value
 	if payload != nil {
 		b, err := json.Marshal(payload)
 		if err != nil {
 			return nil, fmt.Errorf("store: marshal payload for %q: %w", container, err)
 		}
-		raw = b
+		raw, val = b, payloadValue(payload, b)
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -301,6 +404,10 @@ func (db *DB) Put(container string, created time.Time, payload any, deps ...stri
 		Created:   created,
 		Deps:      append([]string(nil), deps...),
 		Payload:   raw,
+		value:     newDecoded(val),
+	}
+	if n := len(c.Entries); n > c.inherited {
+		c.Entries[n-1].value.retire()
 	}
 	// Appending is safe even on a shared backing array: every alias is
 	// clipped to cap == its snapshot length, so it cannot observe the new
@@ -323,18 +430,47 @@ func (db *DB) Get(id string) *Entry {
 	return db.lookupLocked(id)
 }
 
-// Decode unmarshals an entry's payload into out.
+// Decode stores the entry's payload in *out, replacing what *out held.
+//
+// When the entry keeps a decoded value of *out's type — a container's
+// latest entry does, once a Put, a SetPayload or an earlier Decode has
+// filled it — Decode copies that value instead of parsing Payload. The
+// copy shares slices and maps with the kept value (and with the payload
+// the writer passed in), so the caller must treat them as read-only, as
+// it treats the Entry. Otherwise Decode unmarshals Payload, and on a
+// latest entry keeps a copy of the struct it produced for the next call.
 func (e *Entry) Decode(out any) error {
 	if len(e.Payload) == 0 {
 		return fmt.Errorf("store: entry %s has no payload", e.ID)
 	}
-	return json.Unmarshal(e.Payload, out)
+	dst := reflect.ValueOf(out)
+	if dst.Kind() != reflect.Pointer || dst.IsNil() {
+		return json.Unmarshal(e.Payload, out) // reports the bad target
+	}
+	dst = dst.Elem()
+	if v := e.value.load(); v != nil && v.Type() == dst.Type() {
+		dst.Set(*v)
+		return nil
+	}
+	dst.SetZero()
+	if err := json.Unmarshal(e.Payload, out); err != nil {
+		return err
+	}
+	if dst.Kind() == reflect.Struct {
+		e.value.fill(dst)
+	}
+	return nil
 }
 
 // SetPayload replaces an entry's payload. Instances are append-only in
 // identity and dependencies, but their typed payloads evolve (a schedule
 // instance acquires actual dates as execution proceeds). The previous
 // *Entry value is left untouched — existing Views keep observing it.
+//
+// If the entry is its container's latest, the replacement keeps a
+// shallow copy of a struct (or pointer-to-struct) payload as its decoded
+// value, as Put does; the caller must not modify the payload's slices
+// and maps afterwards.
 func (db *DB) SetPayload(id string, payload any) error {
 	b, err := json.Marshal(payload)
 	if err != nil {
@@ -349,6 +485,10 @@ func (db *DB) SetPayload(id string, payload any) error {
 	clone := *e
 	clone.Payload = b
 	c := db.containers[clone.Container]
+	clone.value = nil
+	if clone.Version == len(c.Entries) {
+		clone.value = newDecoded(payloadValue(payload, b))
+	}
 	db.cowLocked(c)
 	c.Entries[clone.Version-1] = &clone
 	db.version++
@@ -387,7 +527,8 @@ func (db *DB) Link(a, b string) error {
 }
 
 // linkOneLocked adds target to e's links via clone-and-swap, unless already
-// present. Caller holds mu for writing.
+// present. The clone shares e's decoded value: the payload is the same.
+// Caller holds mu for writing.
 func (db *DB) linkOneLocked(e *Entry, target string) {
 	for _, l := range e.Links {
 		if l == target {

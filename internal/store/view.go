@@ -78,7 +78,9 @@ func (db *DB) Snapshot() *View {
 // until a side actually replaces an entry in a container, and appends on
 // either side are invisible to the other because the fork is clipped to the
 // snapshot length. Parent and child are fully independent afterwards —
-// writes never cross over in either direction.
+// writes never cross over in either direction. The child never retires
+// the decoded value of an entry it inherited (see Entry.Decode): that
+// entry is still the parent's, and its views'.
 //
 // The child is uninstrumented; call Instrument to attach its own metrics.
 func (db *DB) ForkAt(v *View) *DB {
@@ -92,6 +94,7 @@ func (db *DB) ForkAt(v *View) *DB {
 	}
 	for n, vc := range v.containers {
 		cc := *vc // shares the clipped Entries slice; shared bit carries over
+		cc.inherited = len(cc.Entries)
 		child.containers[n] = &cc
 	}
 	db.mu.RLock()

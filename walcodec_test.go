@@ -113,7 +113,7 @@ func TestCodecRoundTripRandomMutations(t *testing.T) {
 			}
 			for _, m := range muts {
 				got := roundTrip(t, walRecord{mut: &m}, base)
-				if got.mut == nil || !reflect.DeepEqual(*got.mut, m) {
+				if got.mut == nil || !reflect.DeepEqual(exportedMutation(*got.mut), exportedMutation(m)) {
 					t.Fatalf("seed %d: mutation changed in the round trip:\n got %+v\nwant %+v", seed, got.mut, m)
 				}
 				if err := applyMutation(replica, got.mut); err != nil {
@@ -126,6 +126,17 @@ func TestCodecRoundTripRandomMutations(t *testing.T) {
 			t.Fatalf("seed %d: replica diverged", seed)
 		}
 	}
+}
+
+// exportedMutation returns m with its entry reduced to the exported
+// fields (ID, Container, Version, Created, Deps, Links, Payload), which
+// are what a record carries; an entry's decoded value is not.
+func exportedMutation(m store.Mutation) store.Mutation {
+	if e := m.Entry; e != nil {
+		m.Entry = &store.Entry{ID: e.ID, Container: e.Container, Version: e.Version,
+			Created: e.Created, Deps: e.Deps, Links: e.Links, Payload: e.Payload}
+	}
+	return m
 }
 
 // TestCodecRoundTripEventsAndData covers the other record kinds, with
