@@ -96,7 +96,6 @@ func run(args []string) error {
 		tenantBurst = fs.Int("tenant-burst", 0, "host mode: per-project token-bucket burst (0 = ceil(tenant-rate))")
 
 		readOnly = fs.Bool("readonly", false, "disable the mutating routes (POST /plan, /run, /track, ...): writes answer 403")
-		sseQueue = fs.Int("sse-queue", 0, "per-subscriber SSE event queue; a subscriber that falls this far behind is dropped and resumes via Last-Event-ID (0 = default 64)")
 		maxForks = fs.Int("max-forks", 0, "fork sessions held at once; POST /fork beyond it answers 409 (0 = default 8)")
 	)
 	var schedules []string
@@ -122,7 +121,6 @@ func run(args []string) error {
 		TenantRate:         *tenantRate,
 		TenantBurst:        *tenantBurst,
 		ReadOnly:           *readOnly,
-		SSEQueue:           *sseQueue,
 		MaxForks:           *maxForks,
 	}
 

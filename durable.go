@@ -696,12 +696,14 @@ func (p *Project) DurableFootprint() (int64, error) {
 }
 
 // MemoryFootprint estimates the project's resident size in bytes: design
-// data content plus a per-instance estimate for the task database. The
-// host registry's byte-budget LRU evicts against this estimate.
+// data content, a per-instance estimate for the task database, and the
+// trial streams held by the risk memo. The host registry's byte-budget
+// LRU evicts against this estimate.
 func (p *Project) MemoryFootprint() int64 {
 	const perEntry = 512 // entry struct, ID strings, payload JSON
 	_, execInst, _, schedInst := p.Stats()
-	return int64(p.mgr.Data.TotalBytes()) + int64(execInst+schedInst)*perEntry
+	return int64(p.mgr.Data.TotalBytes()) + int64(execInst+schedInst)*perEntry +
+		p.riskMemo.Stats().Bytes
 }
 
 // Close checkpoints a durable project (bounding the next open's replay),

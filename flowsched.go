@@ -508,8 +508,8 @@ func (p *Project) EventsPage(since int) ([]Event, int) {
 // EventsAfter is the push-consumer variant of EventsPage: when events
 // past seq already exist they return immediately (wake is nil);
 // otherwise wake is closed at the next append and the caller re-reads.
-// The SSE broadcast hub rides this — one blocked goroutine per stream
-// instead of a poll loop.
+// Each HTTP SSE stream is a cursor over this — one blocked goroutine
+// per stream instead of a poll loop.
 func (p *Project) EventsAfter(seq int) ([]Event, <-chan struct{}) { return p.mgr.EventsAfter(seq) }
 
 // EventCount is the current event-stream length — the cursor at which

@@ -125,7 +125,7 @@ func TestEventsSinceCursor(t *testing.T) {
 // TestEventsAfterWakesOnAppend pins the push-consumer contract: when no
 // events past the cursor exist, EventsAfter hands back a channel that
 // closes at the next append, after which a re-read returns exactly the
-// new tail — the primitive the HTTP SSE hub blocks on instead of
+// new tail — the primitive each HTTP SSE stream blocks on instead of
 // polling.
 func TestEventsAfterWakesOnAppend(t *testing.T) {
 	l := &eventLog{}

@@ -1,6 +1,7 @@
 package monte
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -219,6 +220,38 @@ func TestMemoBudgetDegradesGracefully(t *testing.T) {
 	}
 	if st.Rejects == 0 {
 		t.Fatal("expected a budget reject")
+	}
+}
+
+// TestMemoAdmitsWholeRunsOnly: a memo with room for one fresh stream
+// but not for all of a run's fresh streams allocates no sample arrays —
+// the run costs what a memo-less run costs, caches nothing, and returns
+// the memo-less result.
+func TestMemoAdmitsWholeRunsOnly(t *testing.T) {
+	const trials = 200_000
+	memo := NewMemo(2 * entrySize(trials)) // branchy() has 6 activities
+	cfg := Config{Trials: trials, Seed: 3, Workers: 1}
+	alloc := func(cfg Config) (*Result, uint64) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		res, err := Simulate(branchy(), cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, after.TotalAlloc - before.TotalAlloc
+	}
+	cold, coldBytes := alloc(cfg)
+	cfg.Memo = memo
+	got, memoBytes := alloc(cfg)
+	sameResult(t, "over-budget run", got, cold)
+	// One stream is trials*8 bytes; the six fresh arrays would be six.
+	if bound := coldBytes + trials*8/2; memoBytes > bound {
+		t.Fatalf("memo run allocated %d bytes, memo-less %d; want <= %d", memoBytes, coldBytes, bound)
+	}
+	if st := memo.Stats(); st.Entries != 0 || st.Bytes != 0 || st.Rejects != 1 {
+		t.Fatalf("memo after an over-budget run: %+v, want empty with 1 reject", st)
 	}
 }
 

@@ -76,14 +76,15 @@ func entrySize(trials int) int64 {
 	return int64(trials)*int64(8) + memoEntryOverhead
 }
 
-// admits reports whether a stream of the given trial count can fit the
-// budget at all. Simulate skips materializing fresh sample arrays when
-// it cannot — the run still produces identical results, it just cannot
-// seed the cache.
-func (m *Memo) admits(trials int) bool {
+// admits reports whether a run's fresh streams of the given trial count
+// fit the budget together. Simulate allocates all of a run's fresh
+// sample arrays before it inserts any, so it skips materializing them
+// unless every one can be kept — the run still produces identical
+// results, it just does not seed the cache.
+func (m *Memo) admits(streams, trials int) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if entrySize(trials) > m.maxBytes {
+	if int64(streams)*entrySize(trials) > m.maxBytes {
 		m.rejects++
 		return false
 	}
@@ -144,7 +145,7 @@ type MemoStats struct {
 	Hits      int64 // subtree lookups served from cache
 	Misses    int64 // subtree lookups that required sampling
 	Evictions int64 // entries dropped for space
-	Rejects   int64 // streams too large for the budget entirely
+	Rejects   int64 // runs or streams too large for the budget entirely
 }
 
 // Stats returns current counters and occupancy.

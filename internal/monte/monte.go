@@ -325,8 +325,8 @@ func Simulate(acts []ActivityModel, cfg Config) (*Result, error) {
 	// samples for this (fingerprint, seed, trials) are served from the
 	// cache and its RNG stream is never touched. fresh[i] non-nil means
 	// the run materializes the samples it draws so they can seed the
-	// cache afterwards (skipped when a stream cannot fit the budget —
-	// results are identical either way).
+	// cache afterwards (skipped when the fresh streams cannot all fit
+	// the budget — results are identical either way).
 	cached := make([][]time.Duration, n)
 	cachedIters := make([]int64, n)
 	var fresh [][]time.Duration
@@ -340,7 +340,7 @@ func Simulate(acts []ActivityModel, cfg Config) (*Result, error) {
 				reused++
 			}
 		}
-		if reused < n && cfg.Memo.admits(cfg.Trials) {
+		if reused < n && cfg.Memo.admits(n-reused, cfg.Trials) {
 			fresh = make([][]time.Duration, n)
 			for i := range acts {
 				if cached[i] == nil {

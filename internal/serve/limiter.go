@@ -30,7 +30,8 @@ func routeWeight(name string) int64 {
 	// executes the flow (as heavy as a simulation), a plan simulates
 	// scheduling, the bookkeeping writes cost a read's unit. /events
 	// stays free — SSE streams park for hours and must not hold
-	// admission units; their cost is bounded by the hub's queues.
+	// admission units; a parked stream is one goroutine blocked on the
+	// event log.
 	case "run":
 		return heavyWeight
 	case "plan":

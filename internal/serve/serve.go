@@ -111,11 +111,6 @@ type Options struct {
 	// server of earlier releases, for deployments that mutate through
 	// the Go facade or CLI only.
 	ReadOnly bool
-	// SSEQueue bounds each SSE subscriber's event queue (default 64).
-	// A subscriber whose queue overflows is dropped — it reconnects
-	// with Last-Event-ID and replays what it missed — so one stalled
-	// dashboard never stalls the broadcast pump or its peers.
-	SSEQueue int
 	// MaxForks bounds the concurrently held fork sessions (default 8);
 	// POST /fork beyond it answers 409 until one is deleted.
 	MaxForks int
@@ -157,7 +152,11 @@ type Server struct {
 	shed     *obs.CounterVec // serve_shed_total{route,reason}
 	canceled *obs.CounterVec // serve_requests_canceled_total{route}
 
-	hub *eventHub // SSE broadcast fan-out for /events
+	draining       chan struct{} // closed once by CloseStreams: SSE streams end
+	drainOnce      sync.Once
+	sseSubscribers *obs.Gauge   // serve_sse_subscribers
+	sseStreams     *obs.Counter // serve_sse_streams_total
+	sseSent        *obs.Counter // serve_sse_events_sent_total
 
 	wmu       sync.Mutex      // serializes writes in standalone mode (see Options.writeVia)
 	writes    *obs.CounterVec // serve_writes_total{route,outcome}
@@ -202,8 +201,12 @@ func New(p *flowsched.Project, opt Options) *Server {
 		canceled:      reg.CounterVec("serve_requests_canceled_total", "route"),
 		writes:        reg.CounterVec("serve_writes_total", "route", "outcome"),
 		conflicts:     reg.Counter("serve_write_conflicts_total"),
+
+		draining:       make(chan struct{}),
+		sseSubscribers: reg.Gauge("serve_sse_subscribers"),
+		sseStreams:     reg.Counter("serve_sse_streams_total"),
+		sseSent:        reg.Counter("serve_sse_events_sent_total"),
 	}
-	s.hub = newEventHub(p, opt.SSEQueue, reg)
 	s.forks.max = opt.MaxForks
 	s.sched = newScheduler(reg)
 	if opt.RetryAfter <= 0 {
@@ -254,19 +257,20 @@ func (s *Server) ListenAndServe() error { return s.srv.ListenAndServe() }
 // Serve serves on an existing listener (Options.Addr is ignored).
 func (s *Server) Serve(l net.Listener) error { return s.srv.Serve(l) }
 
-// Shutdown drains gracefully: the event hub closes first (every live
-// SSE subscriber gets a terminal "shutdown" frame and its handler
-// returns, so streams never wedge the drain), then the listener closes
-// and in-flight requests run to completion (bounded by ctx).
+// Shutdown drains gracefully: SSE streams end first (every live stream
+// gets a terminal "shutdown" frame and its handler returns, so streams
+// never wedge the drain), then the listener closes and in-flight
+// requests run to completion (bounded by ctx).
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.hub.close()
+	s.CloseStreams()
 	return s.srv.Shutdown(ctx)
 }
 
 // CloseStreams ends every live SSE stream with a terminal frame without
 // shutting the HTTP server down — the Host drains its per-project
-// servers this way before closing its own listener.
-func (s *Server) CloseStreams() { s.hub.close() }
+// servers this way before closing its own listener. Streams opened
+// afterwards get 503 + Retry-After.
+func (s *Server) CloseStreams() { s.drainOnce.Do(func() { close(s.draining) }) }
 
 // httpError carries a status code through a renderer error path.
 type httpError struct {
@@ -704,6 +708,10 @@ type riskSummary struct {
 	Criticality map[string]float64 `json:"criticality"`
 }
 
+// maxRiskTrials bounds /risk's trials: 10M durations are 80 MB per
+// target run, and the trial streams behind them several times that.
+const maxRiskTrials = 10_000_000
+
 // riskParams is the parsed /risk request, shared between the renderer
 // and the cache key so both describe the same run.
 type riskParams struct {
@@ -721,6 +729,9 @@ func parseRiskParams(v *flowsched.ProjectView, r *http.Request) (riskParams, err
 	}
 	if p.trials, err = qInt(r, "trials", 1000); err != nil {
 		return p, err
+	}
+	if p.trials < 1 || p.trials > maxRiskTrials {
+		return p, badRequest("bad trials %d: want 1..%d", p.trials, maxRiskTrials)
 	}
 	if p.seed, err = qInt64(r, "seed", 1995); err != nil {
 		return p, err
@@ -866,9 +877,10 @@ func (s *Server) trace(w http.ResponseWriter, r *http.Request) {
 // events serves the event stream in two modes sharing one cursor
 // space: the default JSON poll returns the tail past ?since plus the
 // "next" cursor to resume from, and SSE (Accept: text/event-stream or
-// ?stream=sse) pushes each event as it happens via the broadcast hub,
-// with the same cursors as event IDs so Last-Event-ID resumes exactly
-// where a poll (or a dropped stream) left off.
+// ?stream=sse) follows the event log from the same cursor and pushes
+// each event as it is appended, with the same cursors as event IDs so
+// Last-Event-ID resumes exactly where a poll (or a dropped stream) left
+// off.
 func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 	since, err := qInt(r, "since", 0)
 	if err != nil {

@@ -97,12 +97,18 @@ func TestBadRequests(t *testing.T) {
 		"/predict": http.StatusBadRequest, // missing activity
 		"/predict?activity=Create&method=psychic": http.StatusBadRequest,
 		"/risk?trials=banana":                     http.StatusBadRequest,
+		"/risk?trials=0":                          http.StatusBadRequest,
+		"/risk?trials=-5":                         http.StatusBadRequest,
+		"/risk?trials=10000001":                   http.StatusBadRequest,
 		"/report?from=tuesday":                    http.StatusBadRequest,
 		"/whatif":                                 http.StatusBadRequest, // no edits
 	} {
 		if rec := get(t, s, path); rec.Code != wantCode {
 			t.Errorf("GET %s = %d, want %d", path, rec.Code, wantCode)
 		}
+	}
+	if rec := get(t, s, "/risk?trials=30000000"); !strings.Contains(rec.Body.String(), "10000000") {
+		t.Errorf("/risk trials over the bound: body does not name it: %s", rec.Body.String())
 	}
 	req := httptest.NewRequest(http.MethodPost, "/status", nil)
 	rec := httptest.NewRecorder()

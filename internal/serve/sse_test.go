@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -247,52 +248,50 @@ func TestSSELastEventIDResume(t *testing.T) {
 	}
 }
 
-// TestSSESlowConsumerDropped pins the slow-consumer policy at the hub:
-// a subscriber that stops draining is disconnected with reason "slow"
-// (to resume via Last-Event-ID) instead of stalling the pump or the
-// other streams.
-func TestSSESlowConsumerDropped(t *testing.T) {
+// TestSSEBurstDeliveredWhole: a burst of writes far larger than any
+// per-stream buffer reaches an open stream whole — every event, in
+// order, with no terminal frame — because the stream reads the event
+// log by cursor. GOMAXPROCS(1) lets the writer run well ahead of the
+// stream's goroutine.
+func TestSSEBurstDeliveredWhole(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	p := newTracked(t)
-	s := New(p, Options{SSEQueue: 1})
+	s := New(p, Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
 	defer s.CloseStreams()
 
-	slow := s.hub.subscribe()
-	if slow == nil {
-		t.Fatal("subscribe returned nil on a live hub")
-	}
-	// Never drained: the first event fills the 1-slot queue, the next
-	// broadcast drops the subscriber.
-	for i := 0; i < 4; i++ {
+	from := p.EventCount()
+	res, sr := openSSE(t, ts, "/events", from)
+	defer res.Body.Close()
+	const imports = 200
+	for i := 0; i < imports; i++ {
 		if _, err := p.Import("stimuli", []byte(fmt.Sprintf("burst %d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// The pump broadcasts asynchronously: reading slow.ch before the
-	// hub has dropped the subscriber would make room in its queue, so
-	// wait for the drop first.
-	deadline := time.Now().Add(5 * time.Second)
-	for subscribed(s.hub, slow) {
-		if time.Now().After(deadline) {
-			t.Fatal("slow subscriber was never dropped")
+	to := p.EventCount()
+	seen := 0
+	for want := from + 1; want <= to; want++ {
+		f, err := sr.next()
+		if err != nil {
+			t.Fatalf("after %d frames: %v", want-from-1, err)
 		}
-		time.Sleep(time.Millisecond)
+		if f.event != "flow" || f.id != want {
+			t.Fatalf("frame %d = id %d event %q, want id %d event flow", want-from, f.id, f.event, want)
+		}
+		if strings.Contains(f.data, "imported") {
+			seen++
+		}
 	}
-	for range slow.ch { // the queued event, then the close
+	if seen != imports {
+		t.Fatalf("stream carried %d import events, want %d", seen, imports)
 	}
-	if slow.reason != "slow" {
-		t.Fatalf("drop reason = %q, want slow", slow.reason)
+	for _, name := range []string{"serve_sse_streams_total", "serve_sse_subscribers"} {
+		if got := counterValue(s, name); got != 1 {
+			t.Fatalf("%s = %v with one open stream, want 1", name, got)
+		}
 	}
-	if got := counterValue(s, "serve_sse_slow_dropped_total"); got < 1 {
-		t.Fatalf("serve_sse_slow_dropped_total = %v, want >= 1", got)
-	}
-}
-
-// subscribed reports whether sub is still registered with the hub.
-func subscribed(h *eventHub, sub *subscriber) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	_, ok := h.subs[sub]
-	return ok
 }
 
 // TestSSEHammerConcurrentWritersAndShutdown is the race recipe for the
@@ -307,7 +306,7 @@ func subscribed(h *eventHub, sub *subscriber) bool {
 //     the test server's Close (which waits for open requests) returns.
 func TestSSEHammerConcurrentWritersAndShutdown(t *testing.T) {
 	p := newTracked(t)
-	s := New(p, Options{SSEQueue: 4096})
+	s := New(p, Options{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

@@ -8,6 +8,24 @@ import (
 	"flowsched/internal/obs"
 )
 
+// TestMemoryFootprintCountsRiskMemo: the host's byte-budget LRU evicts
+// by MemoryFootprint, so the trial streams a risk run leaves in the
+// project's memo must show in it.
+func TestMemoryFootprintCountsRiskMemo(t *testing.T) {
+	p := prepared(t)
+	before := p.MemoryFootprint()
+	if _, err := p.SimulateRiskWith([]string{"performance"}, RiskOptions{Trials: 5000, Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	memo := p.riskMemo.Stats().Bytes
+	if memo == 0 {
+		t.Fatal("risk run left nothing in the memo")
+	}
+	if got := p.MemoryFootprint() - before; got != memo {
+		t.Fatalf("footprint grew by %d bytes, want the memo's %d", got, memo)
+	}
+}
+
 func TestSimulateRisk(t *testing.T) {
 	p := prepared(t)
 	res, err := p.SimulateRiskWith([]string{"performance"}, RiskOptions{Trials: 500, Seed: 11})
