@@ -7,6 +7,7 @@ package flowsched
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -324,34 +325,99 @@ func BenchmarkAblation_ResourceLeveling(b *testing.B) {
 }
 
 // BenchmarkAblation_SnapshotRestore measures persisting and restoring a
-// full executed session.
+// full executed session (session), and encoding and decoding the image
+// of a designer-scale ASIC project — the checkpoint payload and what
+// recovery decodes it with (encode, decode; bytes are image bytes).
 func BenchmarkAblation_SnapshotRestore(b *testing.B) {
-	p, err := New(Fig4Schema, Options{Designer: "bench"})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := p.UseSimulatedTools(); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := p.Import("stimuli", []byte("v")); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := p.Plan([]string{"performance"}, Fixed{Default: 8 * time.Hour}, PlanOptions{}); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := p.Run([]string{"performance"}, true); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		blob, err := p.Snapshot()
+	b.Run("session", func(b *testing.B) {
+		p, err := New(Fig4Schema, Options{Designer: "bench"})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := Load(blob, Options{}); err != nil {
+		if err := p.UseSimulatedTools(); err != nil {
 			b.Fatal(err)
 		}
+		if _, err := p.Import("stimuli", []byte("v")); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := p.Plan([]string{"performance"}, Fixed{Default: 8 * time.Hour}, PlanOptions{}); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := p.Run([]string{"performance"}, true); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			blob, err := p.Snapshot()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := Load(blob, Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	p := designerProject(b, 100)
+	img, err := p.encodeImage("", "")
+	if err != nil {
+		b.Fatal(err)
 	}
+	b.Run("encode", func(b *testing.B) {
+		b.SetBytes(int64(len(img)))
+		for i := 0; i < b.N; i++ {
+			if _, err := p.encodeImage("", ""); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.SetBytes(int64(len(img)))
+		for i := 0; i < b.N; i++ {
+			if _, err := decodeImage(img, false); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// designerProject runs TestDurableEncodingSize's designer loop on an
+// in-memory ASIC project: import constraints and testbench once, then
+// import RTL, plan and run to sign-off, iterations times.
+func designerProject(tb testing.TB, iterations int) *Project {
+	tb.Helper()
+	p, err := New(ASICSchema, Options{Designer: "bench"})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := p.UseSimulatedTools(); err != nil {
+		tb.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(1))
+	text := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = "0123456789abcdef"[r.Intn(16)]
+		}
+		return b
+	}
+	for _, class := range []string{"constraints", "testbench"} {
+		if _, err := p.Import(class, text(512)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	targets := []string{"drcreport", "lvsreport", "timingreport", "simreport"}
+	for i := 0; i < iterations; i++ {
+		if _, err := p.Import("rtl", text(2048)); err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := p.Plan(targets, Fixed{Default: 8 * time.Hour}, PlanOptions{}); err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := p.RunWith(targets, RunOptions{AutoComplete: true}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return p
 }
 
 // BenchmarkAblation_ArchRollup measures architectural plan + actual

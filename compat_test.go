@@ -1,6 +1,7 @@
 package flowsched
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"os"
@@ -8,6 +9,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"flowsched/internal/persist"
 )
 
 // The version-1 fixtures in testdata/v1 were written by the code that
@@ -126,4 +129,76 @@ func TestV1FixturesLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "durable after a version-2 append", after, goldenOf(t, re))
+}
+
+// The version-2 fixtures in testdata/v2 were written by the
+// encoding/json image codec that preceded the hand-written one, and must
+// keep loading unchanged. They hold a crashed durable ASIC project
+// (durable/: a version-2 checkpoint, then a segment holding every record
+// kind), a Snapshot of the same state (session.json) and what that code
+// reported for it (golden.json, as for version 1). The design data holds
+// newlines, '<' and '&' (which that codec escaped as \u003c and
+// \u0026), and one blob that is not UTF-8 (the image's base64 "bytes"
+// form); the failed STA runs' event details hold '"'.
+func TestV2FixturesLoad(t *testing.T) {
+	b, err := os.ReadFile("testdata/v2/golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want v1Golden
+	if err := json.Unmarshal(b, &want); err != nil {
+		t.Fatal(err)
+	}
+
+	cp, err := os.ReadFile("testdata/v2/durable/checkpoint.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []string{`"payload":{"v":2,`, `"bytes":"`, `\n`, `\u003c`, `\u0026`, `\"sta\"`} {
+		if !bytes.Contains(cp, []byte(s)) {
+			t.Fatalf("fixture checkpoint lacks %s", s)
+		}
+	}
+	l, err := persist.Open(copyDir(t, "testdata/v2/durable"), persist.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[persist.RecordKind]int{}
+	if _, err := l.Replay(func(r *persist.Record) error { kinds[r.Kind]++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	for k := recCreate; k <= recPlan; k++ {
+		if kinds[k] == 0 {
+			t.Fatalf("fixture segment holds no record of kind %d: %v", k, kinds)
+		}
+	}
+
+	s, err := os.ReadFile("testdata/v2/session.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(s, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "session", want, goldenOf(t, loaded))
+
+	dir := copyDir(t, "testdata/v2/durable")
+	po := PersistOptions{NoSync: true, CheckpointEvery: -1}
+	p, err := Open(dir, "", Options{}, po)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "durable", want, goldenOf(t, p))
+
+	// A checkpoint written now restores the same state.
+	if err := p.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir, "", Options{}, po)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "durable after a new checkpoint", want, goldenOf(t, re))
 }

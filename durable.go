@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"sync"
 	"time"
 
@@ -51,156 +50,6 @@ type durableManifest struct {
 	Schema   string    `json:"schema"`
 	Designer string    `json:"designer"`
 	Start    time.Time `json:"start"`
-}
-
-// projectImage is the one persisted form of a project: the WAL
-// checkpoint payload and, with Schema and Designer filled in, the session
-// snapshot (Snapshot/Load). It holds the full-fidelity store state (exact
-// version counter and watermarks — see store.State), the design data, the
-// virtual clock, the tracked plan, and the event stream; restoring it is
-// bit-identical to replaying the records it covers. Checkpoints leave
-// Schema and Designer empty — a durable project's manifest pins them — so
-// omitempty keeps the checkpoint bytes free of them.
-//
-// Version 2 (V = 2) drops what the structure implies: an entry's ID,
-// container and version follow from its container and position, events
-// are positional arrays as in the WAL, and the design data is encoded
-// in the same pass as the rest. Version-1 images (no "v") still decode:
-// their entries carry "id"/"container"/"version" and their events are
-// objects.
-type projectImage struct {
-	V           int           `json:"v,omitempty"`
-	Schema      string        `json:"schema,omitempty"`
-	Designer    string        `json:"designer,omitempty"`
-	Now         time.Time     `json:"now"`
-	Store       *storeImage   `json:"store"`
-	Data        *design.State `json:"data"`
-	PlanVersion int           `json:"planVersion,omitempty"`
-	Events      []eventImage  `json:"events,omitempty"`
-}
-
-// imageVersion is the projectImage version Checkpoint and Snapshot write.
-const imageVersion = 2
-
-// storeImage is store.State in the image.
-type storeImage struct {
-	Version    uint64           `json:"version"`
-	Containers []containerImage `json:"containers"`
-}
-
-type containerImage struct {
-	Name      string       `json:"name"`
-	Space     store.Space  `json:"space"`
-	Class     string       `json:"class"`
-	Watermark uint64       `json:"watermark"`
-	Entries   []entryImage `json:"entries"`
-}
-
-// entryImage is a store entry in the image. ID and Version are set only
-// in version-1 images, where restore checks them; the entry's container
-// is always the one holding it.
-type entryImage struct {
-	ID      string          `json:"id,omitempty"`
-	Version int             `json:"version,omitempty"`
-	Created jsonTime        `json:"created"`
-	Deps    []string        `json:"deps,omitempty"`
-	Links   []string        `json:"links,omitempty"`
-	Payload json.RawMessage `json:"payload,omitempty"`
-}
-
-// eventImage is an engine event in the image: the WAL's positional
-// array, or a version-1 image's object.
-type eventImage engine.Event
-
-func (e eventImage) MarshalJSON() ([]byte, error) {
-	return appendEvent(nil, (*engine.Event)(&e))
-}
-
-func (e *eventImage) UnmarshalJSON(b []byte) error {
-	if len(b) > 0 && b[0] == '{' {
-		return json.Unmarshal(b, (*engine.Event)(e))
-	}
-	ev, err := decodeEvent(b)
-	if err != nil {
-		return err
-	}
-	*e = eventImage(*ev)
-	return nil
-}
-
-// image captures the project's state — the capture behind both
-// Checkpoint and Snapshot.
-func (p *Project) image() *projectImage {
-	st := p.mgr.DB.State()
-	img := &projectImage{
-		V: imageVersion, Now: p.Now(), Data: p.mgr.Data.State(),
-		Store: &storeImage{Version: st.Version, Containers: make([]containerImage, len(st.Containers))},
-	}
-	for i, c := range st.Containers {
-		ci := containerImage{Name: c.Name, Space: c.Space, Class: c.Class, Watermark: c.Watermark,
-			Entries: make([]entryImage, len(c.Entries))}
-		for j, e := range c.Entries {
-			ci.Entries[j] = entryImage{Created: jsonTime(e.Created), Deps: e.Deps, Links: e.Links, Payload: e.Payload}
-		}
-		img.Store.Containers[i] = ci
-	}
-	evs := p.mgr.Events()
-	img.Events = make([]eventImage, len(evs))
-	for i, e := range evs {
-		img.Events[i] = eventImage(e)
-	}
-	if p.plan != nil {
-		img.PlanVersion = p.plan.Version
-	}
-	return img
-}
-
-// projectState is persisted state decoded into live structures: what a
-// projectImage decodes to, and what WAL replay advances.
-type projectState struct {
-	now         time.Time
-	db          *store.DB
-	data        *design.Store
-	events      []engine.Event
-	planVersion int
-}
-
-// decode validates the image and rebuilds its store and design data.
-func (img *projectImage) decode() (*projectState, error) {
-	if img.V != 0 && img.V != imageVersion {
-		return nil, fmt.Errorf("image version %d is not supported", img.V)
-	}
-	var state *store.State // nil is FromState's "missing" error
-	if si := img.Store; si != nil {
-		state = &store.State{Version: si.Version, Containers: make([]store.ContainerState, len(si.Containers))}
-		for i, c := range si.Containers {
-			cs := store.ContainerState{Name: c.Name, Space: c.Space, Class: c.Class, Watermark: c.Watermark,
-				Entries: make([]*store.Entry, len(c.Entries))}
-			for j, e := range c.Entries {
-				if e.ID == "" {
-					e.ID, e.Version = c.Name+"/"+strconv.Itoa(j+1), j+1
-				}
-				cs.Entries[j] = &store.Entry{ID: e.ID, Container: c.Name, Version: e.Version,
-					Created: time.Time(e.Created), Deps: e.Deps, Links: e.Links, Payload: e.Payload}
-			}
-			state.Containers[i] = cs
-		}
-	}
-	db, err := store.FromState(state)
-	if err != nil {
-		return nil, err
-	}
-	data, err := design.FromState(img.Data)
-	if err != nil {
-		return nil, err
-	}
-	events := make([]engine.Event, len(img.Events))
-	for i, e := range img.Events {
-		events[i] = engine.Event(e)
-	}
-	return &projectState{
-		now: img.Now, db: db, data: data, events: events, planVersion: img.PlanVersion,
-	}, nil
 }
 
 // restore builds a Project from persisted state — the one path Load and
@@ -530,11 +379,7 @@ func recoverDurable(manBytes []byte, opt Options, log *persist.Log) (*Project, m
 	covered := map[string]bool{}
 	st := &projectState{now: man.Start, db: store.NewDB(), data: design.NewStore()}
 	if cpb, _, ok := log.Checkpoint(); ok {
-		var img projectImage
-		if err := json.Unmarshal(cpb, &img); err != nil {
-			return nil, nil, fmt.Errorf("flowsched: checkpoint payload: %w", err)
-		}
-		if st, err = img.decode(); err != nil {
+		if st, err = decodeImage(cpb, false); err != nil {
 			return nil, nil, fmt.Errorf("flowsched: checkpoint: %w", err)
 		}
 		for _, c := range st.db.Containers() {
@@ -650,7 +495,7 @@ func (p *Project) Checkpoint() error {
 	if err := p.rec.flush(); err != nil {
 		return &QuarantineError{Cause: err}
 	}
-	b, err := json.Marshal(p.image())
+	b, err := p.encodeImage("", "")
 	if err != nil {
 		return err
 	}

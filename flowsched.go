@@ -27,7 +27,6 @@
 package flowsched
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"time"
@@ -799,9 +798,7 @@ func (p *Project) HistoricalEstimator(fb Estimator) Estimator {
 // its manifest. Restore it with Load. Tool bindings are not persisted;
 // rebind tools after loading.
 func (p *Project) Snapshot() ([]byte, error) {
-	img := p.image()
-	img.Schema, img.Designer = p.mgr.Schema.Format(), p.mgr.Designer
-	return json.Marshal(img)
+	return p.encodeImage(p.mgr.Schema.Format(), p.mgr.Designer)
 }
 
 // Load restores a project from a Snapshot through the same path as
@@ -812,27 +809,15 @@ func (p *Project) Snapshot() ([]byte, error) {
 // executing. Sessions in the earlier "db" format, which lost the store
 // version and the event stream, are rejected.
 func Load(snapshot []byte, opt Options) (*Project, error) {
-	var img projectImage
-	if err := json.Unmarshal(snapshot, &img); err != nil {
+	st, err := decodeImage(snapshot, true)
+	if err != nil {
 		return nil, fmt.Errorf("flowsched: load: %w", err)
 	}
-	if img.Store == nil {
-		var legacy struct {
-			DB json.RawMessage `json:"db"`
-		}
-		if json.Unmarshal(snapshot, &legacy) == nil && legacy.DB != nil {
-			return nil, fmt.Errorf(`flowsched: load: session uses the retired "db" snapshot format (no exact store version, no events); only the checkpoint-image format with a "store" key is supported`)
-		}
-	}
-	sch, err := schema.Parse(img.Schema)
+	sch, err := schema.Parse(st.schemaSrc)
 	if err != nil {
 		return nil, fmt.Errorf("flowsched: load schema: %w", err)
 	}
-	st, err := img.decode()
-	if err != nil {
-		return nil, fmt.Errorf("flowsched: load: %w", err)
-	}
-	designer := img.Designer
+	designer := st.designer
 	if opt.Designer != "" {
 		designer = opt.Designer
 	}

@@ -103,6 +103,31 @@ func TestDecodeReplacesAndFallsBack(t *testing.T) {
 	}
 }
 
+// TestRawPayloadKeptAsGiven checks that Put and SetPayload keep a
+// json.RawMessage payload — what WAL replay passes — as given instead of
+// marshalling it again, and that an empty one is still JSON null.
+func TestRawPayloadKeptAsGiven(t *testing.T) {
+	db := newTestDB(t)
+	raw := json.RawMessage(`{"name": "Create"}`)
+	e := mustPut(t, db, "sched:Create", t0, raw)
+	if string(e.Payload) != string(raw) {
+		t.Fatalf("Put kept %s, want %s", e.Payload, raw)
+	}
+	raw = json.RawMessage(`{"name":  "Route"}`)
+	if err := db.SetPayload(e.ID, raw); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.Get(e.ID).Payload; string(got) != string(raw) {
+		t.Fatalf("SetPayload kept %s, want %s", got, raw)
+	}
+	if err := db.SetPayload(e.ID, json.RawMessage(nil)); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.Get(e.ID).Payload; string(got) != "null" {
+		t.Fatalf("an empty raw payload became %s, want null", got)
+	}
+}
+
 func TestDecodeFillsUnseededLatest(t *testing.T) {
 	db := newTestDB(t)
 	raw, _ := json.Marshal(task{Name: "Create", Pass: 1, Finish: t0})

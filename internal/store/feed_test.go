@@ -298,7 +298,48 @@ func TestFromStateRejectsCorruptStates(t *testing.T) {
 		e.Deps = append(append([]string(nil), e.Deps...), "ghost/1")
 		c.Entries = append([]*Entry{&e}, c.Entries[1:]...)
 	})
+	corrupt("entry id with a leading zero", func(s *State) {
+		c := &s.Containers[0]
+		e := *c.Entries[0]
+		e.ID = c.Name + "/01"
+		c.Entries = append([]*Entry{&e}, c.Entries[1:]...)
+	})
+	corrupt("entry id of a longer container", func(s *State) {
+		c := &s.Containers[0]
+		e := *c.Entries[0]
+		e.ID = c.Name + "x/1"
+		c.Entries = append([]*Entry{&e}, c.Entries[1:]...)
+	})
 	if _, err := FromState(nil); err == nil {
 		t.Fatal("missing state accepted")
+	}
+}
+
+// TestFromStateAllocatesPerContainer checks that restoring a state
+// allocates per container, not per entry: entry IDs are checked and
+// references resolved without building strings or slices.
+func TestFromStateAllocatesPerContainer(t *testing.T) {
+	allocs := func(entries int) float64 {
+		db := NewDB()
+		if _, err := db.CreateContainer("netlist", ExecutionSpace, "netlist"); err != nil {
+			t.Fatal(err)
+		}
+		prev := []string{}
+		for i := 0; i < entries; i++ {
+			e, err := db.Put("netlist", t0, nil, prev...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prev = []string{e.ID}
+		}
+		st := db.State()
+		return testing.AllocsPerRun(20, func() {
+			if _, err := FromState(st); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := allocs(10), allocs(1000); many > few {
+		t.Fatalf("FromState allocates %.0f times for 1000 entries, %.0f for 10", many, few)
 	}
 }

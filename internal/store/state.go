@@ -1,6 +1,10 @@
 package store
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
 
 // State is the serialized form of a database — the only one: WAL
 // checkpoints and saved sessions both carry it. It holds the exact
@@ -84,8 +88,8 @@ func FromState(s *State) (*DB, error) {
 			if e.Version != j+1 {
 				return nil, fmt.Errorf("store: state: container %q has non-dense versions", cs.Name)
 			}
-			if want := fmt.Sprintf("%s/%d", cs.Name, e.Version); e.ID != want {
-				return nil, fmt.Errorf("store: state: entry id %q, want %q", e.ID, want)
+			if !isEntryID(e.ID, cs.Name, e.Version) {
+				return nil, fmt.Errorf("store: state: entry id %q, want %q", e.ID, cs.Name+"/"+strconv.Itoa(e.Version))
 			}
 		}
 		if n := len(c.Entries); n > 0 {
@@ -102,12 +106,22 @@ func FromState(s *State) (*DB, error) {
 	}
 	for _, n := range db.order {
 		for _, e := range db.containers[n].Entries {
-			for _, d := range append(append([]string(nil), e.Deps...), e.Links...) {
-				if db.lookupLocked(d) == nil {
-					return nil, fmt.Errorf("store: state: entry %s references missing %q", e.ID, d)
+			for _, refs := range [2][]string{e.Deps, e.Links} {
+				for _, d := range refs {
+					if db.lookupLocked(d) == nil {
+						return nil, fmt.Errorf("store: state: entry %s references missing %q", e.ID, d)
+					}
 				}
 			}
 		}
 	}
 	return db, nil
+}
+
+// isEntryID reports whether id is "container/version", without
+// building that string.
+func isEntryID(id, container string, version int) bool {
+	var buf [20]byte
+	rest, ok := strings.CutPrefix(id, container)
+	return ok && len(rest) > 1 && rest[0] == '/' && rest[1:] == string(strconv.AppendInt(buf[:0], int64(version), 10))
 }

@@ -145,6 +145,17 @@ func structCopy(v reflect.Value) reflect.Value {
 	return c
 }
 
+// marshalPayload returns payload as JSON. A non-empty json.RawMessage
+// is taken as the JSON it already is, neither copied nor re-compacted:
+// WAL replay hands the store the bytes it marshalled before, which the
+// log's checksums guard.
+func marshalPayload(payload any) ([]byte, error) {
+	if raw, ok := payload.(json.RawMessage); ok && len(raw) > 0 {
+		return raw, nil
+	}
+	return json.Marshal(payload)
+}
+
 // payloadValue returns the value a Put or SetPayload keeps beside the
 // bytes b it marshalled payload to: a shallow copy of a struct or of the
 // struct a pointer refers to. Other kinds (maps, json.RawMessage, nil)
@@ -375,12 +386,13 @@ func (db *DB) cowLocked(c *Container) {
 // The new entry keeps a shallow copy of a struct (or pointer-to-struct)
 // payload as its decoded value, and the entry that was latest before it
 // drops its own. The kept copy shares slices and maps with payload, so
-// the caller must not modify them afterwards.
+// the caller must not modify them afterwards; nor a json.RawMessage
+// payload, which is kept as given.
 func (db *DB) Put(container string, created time.Time, payload any, deps ...string) (*Entry, error) {
 	var raw json.RawMessage
 	var val reflect.Value
 	if payload != nil {
-		b, err := json.Marshal(payload)
+		b, err := marshalPayload(payload)
 		if err != nil {
 			return nil, fmt.Errorf("store: marshal payload for %q: %w", container, err)
 		}
@@ -470,9 +482,9 @@ func (e *Entry) Decode(out any) error {
 // If the entry is its container's latest, the replacement keeps a
 // shallow copy of a struct (or pointer-to-struct) payload as its decoded
 // value, as Put does; the caller must not modify the payload's slices
-// and maps afterwards.
+// and maps, or a json.RawMessage payload, afterwards.
 func (db *DB) SetPayload(id string, payload any) error {
-	b, err := json.Marshal(payload)
+	b, err := marshalPayload(payload)
 	if err != nil {
 		return fmt.Errorf("store: marshal payload for %s: %w", id, err)
 	}

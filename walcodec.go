@@ -116,14 +116,7 @@ func appendMutation(b []byte, m *store.Mutation) (persist.RecordKind, []byte, er
 			return 0, nil, err
 		}
 		if len(e.Deps) > 0 || e.Payload != nil {
-			b = append(b, ",["...)
-			for i, d := range e.Deps {
-				if i > 0 {
-					b = append(b, ',')
-				}
-				b = appendString(b, d)
-			}
-			b = append(b, ']')
+			b = appendStrings(append(b, ','), e.Deps)
 		}
 		if e.Payload != nil {
 			b = append(append(b, ','), e.Payload...)
@@ -178,63 +171,78 @@ func appendEvent(b []byte, e *engine.Event) ([]byte, error) {
 	return append(b, ']'), nil
 }
 
-// appendString appends s as a JSON string. Valid UTF-8 passes through
-// except '"', '\\' and control characters, which are escaped; anything
-// else takes encoding/json's path, as version-1 records did.
+// appendString appends s as a JSON string. '"', '\\' and control
+// characters are escaped (newline, return and tab in their short forms)
+// and each byte that is not UTF-8 becomes \ufffd, as encoding/json
+// writes it; everything else passes through.
 func appendString(b []byte, s string) []byte {
-	if !utf8.ValidString(s) {
-		q, _ := json.Marshal(s) // a string always marshals
-		return append(b, q...)
-	}
 	const hex = "0123456789abcdef"
 	b = append(b, '"')
 	start := 0
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			r, n := utf8.DecodeRuneInString(s[i:])
+			if i += n; r == utf8.RuneError && n == 1 {
+				b = append(append(b, s[start:i-1]...), `\ufffd`...)
+				start = i
+			}
+			continue
+		}
+		switch {
 		case c == '"' || c == '\\':
 			b = append(append(b, s[start:i]...), '\\', c)
+		case c == '\n':
+			b = append(append(b, s[start:i]...), '\\', 'n')
+		case c == '\r':
+			b = append(append(b, s[start:i]...), '\\', 'r')
+		case c == '\t':
+			b = append(append(b, s[start:i]...), '\\', 't')
 		case c < 0x20:
 			b = append(append(b, s[start:i]...), '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
 		default:
+			i++
 			continue
 		}
-		start = i + 1
+		i++
+		start = i
 	}
 	return append(append(b, s[start:]...), '"')
 }
 
+// appendStrings appends ss as a JSON array of strings.
+func appendStrings(b []byte, ss []string) []byte {
+	b = append(b, '[')
+	for i, s := range ss {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendString(b, s)
+	}
+	return append(b, ']')
+}
+
 // appendTime appends t as a JSON number of Unix nanoseconds when it is
 // in UTC and within int64 nanoseconds (years 1678 to 2262) — every
-// virtual-clock reading of a project that starts in UTC — and as
-// encoding/json writes it, an RFC 3339 string, otherwise.
+// virtual-clock reading of a project that starts in UTC — and as an
+// RFC 3339 string (appendRFC3339) otherwise.
 func appendTime(b []byte, t time.Time) ([]byte, error) {
 	if t.Location() == time.UTC {
 		if ns := t.UnixNano(); time.Unix(0, ns).Equal(t) {
 			return strconv.AppendInt(b, ns, 10), nil
 		}
 	}
-	if y := t.Year(); y < 0 || y > 9999 {
+	return appendRFC3339(b, t)
+}
+
+// appendRFC3339 appends t as encoding/json writes a time.Time: an
+// RFC 3339 string, refused outside years 0–9999 and zone offsets of a
+// day or more, which RFC 3339 cannot hold.
+func appendRFC3339(b []byte, t time.Time) ([]byte, error) {
+	if _, off := t.Zone(); t.Year() < 0 || t.Year() > 9999 || off <= -86400 || off >= 86400 {
 		return nil, fmt.Errorf("flowsched: time %v out of the JSON range", t)
 	}
 	return t.AppendFormat(b, `"`+time.RFC3339Nano+`"`), nil
-}
-
-// jsonTime is a time.Time that encodes with appendTime and decodes
-// either form.
-type jsonTime time.Time
-
-func (t jsonTime) MarshalJSON() ([]byte, error) { return appendTime(nil, time.Time(t)) }
-
-func (t *jsonTime) UnmarshalJSON(b []byte) error {
-	if len(b) > 0 && b[0] == '"' {
-		return (*time.Time)(t).UnmarshalJSON(b)
-	}
-	ns, err := strconv.ParseInt(string(b), 10, 64)
-	if err != nil {
-		return fmt.Errorf("flowsched: time %s: %w", b, err)
-	}
-	*t = jsonTime(time.Unix(0, ns).UTC())
-	return nil
 }
 
 // decodeRecord decodes one replayed record. base returns the current
@@ -249,55 +257,56 @@ func decodeRecord(r *persist.Record, base func(id string) (json.RawMessage, bool
 	return w, nil
 }
 
-func decodeBody(r *persist.Record, base func(id string) (json.RawMessage, bool)) (walRecord, error) {
-	switch r.Kind {
-	case persist.KindV1:
-		return decodeV1(r.Body)
+func decodeBody(rec *persist.Record, base func(id string) (json.RawMessage, bool)) (walRecord, error) {
+	if rec.Kind == persist.KindV1 {
+		return decodeV1(rec.Body)
+	}
+	r := &jsonReader{b: rec.Body}
+	w, err := decodeV2(r, rec.Kind, base)
+	if r.end(); err == nil {
+		err = r.err
+	}
+	return w, err
+}
+
+// decodeV2 decodes a version-2 record body of the given kind with r.
+func decodeV2(r *jsonReader, kind persist.RecordKind, base func(id string) (json.RawMessage, bool)) (walRecord, error) {
+	switch kind {
 	case recData:
-		n, k := binary.Uvarint(r.Body)
-		if k <= 0 || n > uint64(len(r.Body)-k) {
+		n, k := binary.Uvarint(r.b)
+		if k <= 0 || n > uint64(len(r.b)-k) {
 			return walRecord{}, fmt.Errorf("data record content out of bounds")
 		}
 		d := &dataPut{}
 		if n > 0 {
-			d.Bytes = r.Body[k : k+int(n)]
+			d.Bytes = r.b[k : k+int(n)] // design.Store.Put copies it
 		}
-		if _, err := fields(r.Body[k+int(n):], 2, &d.Class, (*jsonTime)(&d.Created), &d.Producer); err != nil {
-			return walRecord{}, err
-		}
+		r.i = k + int(n)
+		r.tuple(2, &d.Class, &d.Created, &d.Producer)
 		return walRecord{data: d}, nil
 	case recEvent:
-		e, err := decodeEvent(r.Body)
-		return walRecord{event: e}, err
+		e := decodeEvent(r)
+		return walRecord{event: &e}, nil
 	case recPlan:
-		var v int
-		err := json.Unmarshal(r.Body, &v)
-		return walRecord{plan: v}, err
+		return walRecord{plan: r.int()}, nil
 	}
 	m := &store.Mutation{}
-	var err error
-	switch r.Kind {
+	switch kind {
 	case recCreate:
 		m.Kind = store.MutCreate
-		_, err = fields(r.Body, 4, &m.Version, &m.Container, &m.Space, &m.Class)
+		r.tuple(4, &m.Version, &m.Container, (*string)(&m.Space), &m.Class)
 	case recPut:
 		m.Kind, m.Entry = store.MutPut, &store.Entry{}
 		e := m.Entry
-		var present int
-		if present, err = fields(r.Body, 3, &m.Version, &e.ID, (*jsonTime)(&e.Created), &e.Deps, &e.Payload); err != nil {
+		if r.tuple(3, &m.Version, &e.ID, &e.Created, &e.Deps, &e.Payload); r.err != nil { // a null payload stays "null"
 			break
-		}
-		if len(e.Deps) == 0 {
-			e.Deps = nil
-		}
-		if present == 5 && e.Payload == nil {
-			e.Payload = json.RawMessage("null") // a JSON null payload decodes as absent
 		}
 		i := strings.LastIndexByte(e.ID, '/')
 		if i < 0 {
 			return walRecord{}, fmt.Errorf("put of malformed entry id %q", e.ID)
 		}
 		e.Container = e.ID[:i]
+		var err error
 		if e.Version, err = strconv.Atoi(e.ID[i+1:]); err != nil {
 			return walRecord{}, fmt.Errorf("put of malformed entry id %q", e.ID)
 		}
@@ -306,7 +315,7 @@ func decodeBody(r *persist.Record, base func(id string) (json.RawMessage, bool))
 		var pre, suf int
 		var mid string
 		var sum uint32
-		if _, err = fields(r.Body, 6, &m.Version, &m.ID, &pre, &suf, &mid, &sum); err != nil || base == nil {
+		if r.tuple(6, &m.Version, &m.ID, &pre, &suf, &mid, &sum); r.err != nil || base == nil {
 			break
 		}
 		prev, ok := base(m.ID)
@@ -324,38 +333,21 @@ func decodeBody(r *persist.Record, base func(id string) (json.RawMessage, bool))
 		m.Payload, m.Prev = next, prev
 	case recLink:
 		m.Kind = store.MutLink
-		_, err = fields(r.Body, 3, &m.Version, &m.A, &m.B)
+		r.tuple(3, &m.Version, &m.A, &m.B)
 	case recTouch:
 		m.Kind = store.MutTouch
-		err = json.Unmarshal(r.Body, &m.Version)
+		m.Version = r.uint64()
 	default:
-		return walRecord{}, fmt.Errorf("unknown kind %d", r.Kind)
-	}
-	if err != nil {
-		return walRecord{}, err
+		return walRecord{}, fmt.Errorf("unknown kind %d", kind)
 	}
 	return walRecord{mut: m}, nil
 }
 
 // decodeEvent decodes a positional event: ["kind","activity",at] with
 // an optional trailing "detail".
-func decodeEvent(b []byte) (*engine.Event, error) {
-	e := &engine.Event{}
-	_, err := fields(b, 3, &e.Kind, &e.Activity, (*jsonTime)(&e.At), &e.Detail)
-	return e, err
-}
-
-// fields decodes the JSON array b into ptrs, in order, and returns how
-// many elements it held: at least least, and at most one per pointer.
-func fields(b []byte, least int, ptrs ...any) (int, error) {
-	most := len(ptrs)
-	if err := json.Unmarshal(b, &ptrs); err != nil {
-		return 0, err
-	}
-	if len(ptrs) < least || len(ptrs) > most {
-		return 0, fmt.Errorf("record has %d fields, want %d to %d", len(ptrs), least, most)
-	}
-	return len(ptrs), nil
+func decodeEvent(r *jsonReader) (e engine.Event) {
+	r.tuple(3, (*string)(&e.Kind), &e.Activity, &e.At, &e.Detail)
+	return e
 }
 
 // v1Record is a version-1 WAL record: a JSON object per record with the

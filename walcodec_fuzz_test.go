@@ -29,8 +29,8 @@ func fuzzBase(string) (json.RawMessage, bool) {
 // and the record's own for a version-1 one.
 //
 // Seeds: the records of a version-2 segment written by a durable
-// project, the version-1 records of testdata/v1/durable, and payload
-// deltas against fuzzBase.
+// project, the version-1 records of testdata/v1/durable, payload
+// deltas against fuzzBase, and escape-heavy bodies.
 func FuzzDecodeRecord(f *testing.F) {
 	v2 := f.TempDir()
 	p, err := Open(v2, Fig4Schema, Options{Designer: "ewj"}, PersistOptions{NoSync: true})
@@ -85,6 +85,16 @@ func FuzzDecodeRecord(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(byte(kind), body)
+	}
+	// Escape-heavy bodies: surrogate pairs, a lone surrogate, an escaped
+	// solidus and U+2028/U+2029, in strings and in a verbatim payload.
+	for kind, body := range map[persist.RecordKind]string{
+		recEvent:  `["run-failed","Create",1,"\ud83d\ude00 \/ \u2028 \ud800 \u00e9 \"q\""]`,
+		recCreate: `[3,"sched:\u0043reate","sched\/x","Create\u2029"]`,
+		recPut:    `[4,"run:\ud834\udd1e/1",5,["a\/b/1"],{"t":"\ud83d\ude00\u2028\/"}]`,
+		recLink:   `[6,"a\"b/1","\\c\udc00/2"]`,
+	} {
+		f.Add(byte(kind), []byte(body))
 	}
 
 	f.Fuzz(func(t *testing.T, kind byte, body []byte) {
