@@ -380,6 +380,43 @@ func BenchmarkAblation_SnapshotRestore(b *testing.B) {
 	})
 }
 
+// BenchmarkAblation_WhatIfSweep measures a what-if sweep of the ASIC
+// flow: eight edited forks plus the baseline, each re-planned and
+// re-executed to sign-off, on a project that has been through ten
+// designer iterations. The forks write only to their own copy-on-write
+// stores, so allocations per sweep show what the forks' writes cost.
+func BenchmarkAblation_WhatIfSweep(b *testing.B) {
+	p := designerProject(b, 10)
+	targets := []string{"drcreport", "lvsreport", "timingreport", "simreport"}
+	edits := asicSweepEdits()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := p.Scenarios(targets, edits, ScenarioOptions{Workers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(rep.Scenarios) != len(edits) {
+			b.Fatalf("%d scenarios, want %d", len(rep.Scenarios), len(edits))
+		}
+	}
+}
+
+// asicSweepEdits is sweepEdits for the ASIC flow's activities: slower
+// and faster tools, slips, a parallel team and a crunch.
+func asicSweepEdits() []ScenarioEdit {
+	return []ScenarioEdit{
+		{Name: "synth-slow", Scale: map[string]float64{"Synthesize": 2}},
+		{Name: "sim-fast", Scale: map[string]float64{"GateSim": 0.5}},
+		{Name: "route-slow", Scale: map[string]float64{"Route": 1.5}},
+		{Name: "route-slip", Delay: map[string]time.Duration{"Route": 16 * time.Hour}},
+		{Name: "sta-slip", Delay: map[string]time.Duration{"STA": 8 * time.Hour}},
+		{Name: "both-slow", Scale: map[string]float64{"Synthesize": 1.25, "Route": 1.25}},
+		{Name: "team", Parallel: true},
+		{Name: "crunch", Scale: map[string]float64{"Synthesize": 0.75, "Route": 0.75}},
+	}
+}
+
 // designerProject runs TestDurableEncodingSize's designer loop on an
 // in-memory ASIC project: import constraints and testbench once, then
 // import RTL, plan and run to sign-off, iterations times.

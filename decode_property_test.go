@@ -16,11 +16,11 @@ import (
 
 // sameDecode requires e.Decode into a fresh T — twice, so both a decode
 // that fills the entry's kept value and one that copies it are checked —
-// to equal a fresh json.Unmarshal of e.Payload.
+// to equal a fresh json.Unmarshal of e.Payload().
 func sameDecode[T any](t *testing.T, e *store.Entry) {
 	t.Helper()
 	var want T
-	if err := json.Unmarshal(e.Payload, &want); err != nil {
+	if err := json.Unmarshal(e.Payload(), &want); err != nil {
 		t.Fatalf("%s: Unmarshal: %v", e.ID, err)
 	}
 	for i := 0; i < 2; i++ {
@@ -42,7 +42,7 @@ func checkDecodes(t *testing.T, db store.Reader) map[string]int {
 	seen := map[string]int{}
 	for _, c := range db.Containers() {
 		for _, e := range c.Entries {
-			if len(e.Payload) == 0 {
+			if len(e.Payload()) == 0 {
 				continue
 			}
 			var kind string
@@ -112,12 +112,59 @@ func driveDecodeSession(t *testing.T, p *Project, rng *rand.Rand) {
 	must(err)
 }
 
+// eagerTwin gives p's database a commit hook that ignores what it sees,
+// so that, like a durable project's, it marshals every payload as it is
+// written; without one a fork or an in-memory project produces the
+// bytes only when asked.
+func eagerTwin(p *Project) *Project {
+	p.mgr.DB.SetCommitHook(func(store.Mutation) {})
+	return p
+}
+
+// checkLazyBytes drives the same seeded session on lazy and on its eager
+// twin, then requires every entry's bytes and the Snapshot to be the
+// same on both: lazily produced bytes equal what json.Marshal gave at
+// write time. Each entry's Decode is checked on the lazy side first, so
+// that some bytes are produced after the values were read.
+func checkLazyBytes(t *testing.T, lazy, eager *Project, seed int64) {
+	t.Helper()
+	for i := 0; i < 2; i++ {
+		driveDecodeSession(t, lazy, rand.New(rand.NewSource(seed+int64(i))))
+		driveDecodeSession(t, eager, rand.New(rand.NewSource(seed+int64(i))))
+	}
+	checkDecodes(t, lazy.mgr.DB)
+	for _, c := range eager.mgr.DB.Containers() {
+		lc := lazy.mgr.DB.Container(c.Name)
+		if lc == nil || len(lc.Entries) != len(c.Entries) {
+			t.Fatalf("container %s differs between the twins", c.Name)
+		}
+		for i, e := range c.Entries {
+			if got, want := lc.Entries[i].Payload(), e.Payload(); string(got) != string(want) {
+				t.Fatalf("%s: lazy bytes %s, marshalled at write %s", e.ID, got, want)
+			}
+		}
+	}
+	a, err := lazy.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := eager.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(a) != string(b) {
+		t.Fatal("the lazy project's Snapshot differs from its eager twin's")
+	}
+}
+
 // TestDecodeMatchesUnmarshalProperty: after seeded sessions covering
 // plan, run, tracking, completion, milestones, propagation, a fork, a
 // checkpoint and a restart, every entry's Decode equals a fresh
 // json.Unmarshal of its payload, for all five payload types — whether
 // the entry was written in this process, replayed from the WAL or
-// restored from the checkpoint.
+// restored from the checkpoint. On a fork and on an in-memory project,
+// whose bytes are produced on demand, they equal what an eager twin
+// marshalled at write time, and so does the Snapshot.
 func TestDecodeMatchesUnmarshalProperty(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
@@ -132,6 +179,17 @@ func TestDecodeMatchesUnmarshalProperty(t *testing.T) {
 			}
 			driveDecodeSession(t, f, rng)
 			checkDecodes(t, f.mgr.DB)
+
+			lazy, err := p.Fork()
+			if err != nil {
+				t.Fatal(err)
+			}
+			eager, err := p.Fork()
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkLazyBytes(t, lazy, eagerTwin(eager), seed*100)
+			checkLazyBytes(t, prepared(t), eagerTwin(prepared(t)), seed*100+50)
 
 			if rng.Intn(2) == 0 {
 				if err := p.Checkpoint(); err != nil {

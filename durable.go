@@ -388,7 +388,7 @@ func recoverDurable(manBytes []byte, opt Options, log *persist.Log) (*Project, m
 	}
 	base := func(id string) (json.RawMessage, bool) {
 		if e := st.db.Get(id); e != nil {
-			return e.Payload, true
+			return e.Payload(), true
 		}
 		return nil, false
 	}
@@ -440,8 +440,8 @@ func applyMutation(db *store.DB, m *store.Mutation) error {
 			return fmt.Errorf("flowsched: put record without entry")
 		}
 		var payload any
-		if m.Entry.Payload != nil {
-			payload = m.Entry.Payload
+		if raw := m.Entry.Payload(); raw != nil {
+			payload = raw
 		}
 		var e *store.Entry
 		if e, err = db.Put(m.Entry.Container, m.Entry.Created, payload, m.Entry.Deps...); err == nil && e.ID != m.Entry.ID {

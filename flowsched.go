@@ -703,15 +703,7 @@ func (p *Project) Fork() (*Project, error) {
 	// full hit and an edited fork pays only for its dirty subtrees.
 	f := &Project{mgr: m, riskMemo: p.riskMemo}
 	if p.plan != nil {
-		c := *p.plan
-		c.Targets = append([]string(nil), p.plan.Targets...)
-		c.Activities = append([]string(nil), p.plan.Activities...)
-		c.BasedOn = append([]string(nil), p.plan.BasedOn...)
-		c.Instances = make(map[string]string, len(p.plan.Instances))
-		for a, id := range p.plan.Instances {
-			c.Instances[a] = id
-		}
-		f.plan = &c
+		f.plan = p.plan.Clone()
 	}
 	return f, nil
 }

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strconv"
 	"time"
+	"unicode/utf8"
 
 	"flowsched/internal/design"
 	"flowsched/internal/engine"
@@ -47,18 +48,18 @@ const imageVersion = 2
 // encodeImage encodes the project's image, with the schema and designer
 // when they are not empty (a session).
 func (p *Project) encodeImage(schemaSrc, designer string) ([]byte, error) {
-	st, data, evs := p.mgr.DB.State(), p.mgr.Data.State(), p.mgr.Events()
+	st, data, evs := p.mgr.DB.State(), p.mgr.Data.Chains(), p.mgr.Events()
 	// Reserve about what the image takes, so the multi-megabyte buffer
 	// is not regrown (and copied) a few dozen times on the way.
 	n := 512 + 96*len(evs)
 	for _, c := range st.Containers {
 		for _, e := range c.Entries {
-			n += 32 + len(e.Payload) + 24*(len(e.Deps)+len(e.Links))
+			n += 32 + len(e.Payload()) + 24*(len(e.Deps)+len(e.Links))
 		}
 	}
-	for _, objs := range data.Classes {
+	for _, objs := range data {
 		for _, o := range objs {
-			n += 160 + len(o.Text) + len(o.Bytes)*4/3
+			n += 160 + len(o.Bytes)*4/3
 		}
 	}
 	b := strconv.AppendInt(append(make([]byte, 0, n), `{"v":`...), imageVersion, 10)
@@ -96,16 +97,16 @@ func (p *Project) encodeImage(schemaSrc, designer string) ([]byte, error) {
 			if len(e.Links) > 0 {
 				b = appendStrings(append(b, `,"links":`...), e.Links)
 			}
-			if len(e.Payload) > 0 {
-				b = append(append(b, `,"payload":`...), e.Payload...)
+			if raw := e.Payload(); len(raw) > 0 {
+				b = append(append(b, `,"payload":`...), raw...)
 			}
 			b = append(b, '}')
 		}
 		b = append(b, "]}"...)
 	}
 	b = append(b, `]},"data":{"classes":{`...)
-	classes := make([]string, 0, len(data.Classes))
-	for class := range data.Classes {
+	classes := make([]string, 0, len(data))
+	for class := range data {
 		classes = append(classes, class)
 	}
 	sort.Strings(classes)
@@ -114,22 +115,23 @@ func (p *Project) encodeImage(schemaSrc, designer string) ([]byte, error) {
 			b = append(b, ',')
 		}
 		b = append(appendString(b, class), ":["...)
-		for j, o := range data.Classes[class] {
+		for j, o := range data[class] {
 			if j > 0 {
 				b = append(b, ',')
 			}
-			b = strconv.AppendInt(append(b, `{"version":`...), int64(o.Version), 10)
-			b = strconv.AppendUint(append(b, `,"sum":`...), o.Sum, 10)
+			b = strconv.AppendInt(append(b, `{"version":`...), int64(o.Ref.Version), 10)
+			b = strconv.AppendUint(append(b, `,"sum":`...), o.Ref.Sum, 10)
 			if b, err = appendRFC3339(append(b, `,"created":`...), o.Created); err != nil {
 				return nil, err
 			}
 			if o.Producer != "" {
 				b = appendString(append(b, `,"producer":`...), o.Producer)
 			}
-			if o.Text != "" {
-				b = appendString(append(b, `,"text":`...), o.Text)
-			}
-			if len(o.Bytes) > 0 {
+			switch {
+			case len(o.Bytes) == 0:
+			case utf8.Valid(o.Bytes):
+				b = appendString(append(b, `,"text":`...), o.Bytes)
+			default:
 				b = append(base64.StdEncoding.AppendEncode(append(b, `,"bytes":"`...), o.Bytes), '"')
 			}
 			b = append(b, '}')
@@ -276,7 +278,8 @@ func decodeContainer(r *jsonReader) store.ContainerState {
 }
 
 func decodeEntry(r *jsonReader) *store.Entry {
-	e := &store.Entry{}
+	var e store.Entry
+	var payload json.RawMessage
 	r.object(func(key []byte) {
 		switch string(key) {
 		case "created":
@@ -286,7 +289,7 @@ func decodeEntry(r *jsonReader) *store.Entry {
 		case "links":
 			e.Links = r.strs()
 		case "payload":
-			e.Payload = r.raw()
+			payload = r.raw()
 		case "id": // version-1 images
 			e.ID = r.str()
 		case "version":
@@ -295,7 +298,7 @@ func decodeEntry(r *jsonReader) *store.Entry {
 			r.skip()
 		}
 	})
-	return e
+	return e.WithPayload(payload)
 }
 
 // decodeDesign decodes the design data. Content lands in Bytes from

@@ -137,7 +137,7 @@ func TestRecoveryDoesNotAliasCheckpoint(t *testing.T) {
 	var payloads, objects int
 	for _, c := range p.mgr.DB.State().Containers {
 		for _, e := range c.Entries {
-			if inside(unsafe.SliceData(e.Payload), len(e.Payload)) {
+			if inside(unsafe.SliceData(e.Payload()), len(e.Payload())) {
 				t.Fatalf("entry %s payload shares the checkpoint buffer", e.ID)
 			}
 			for _, s := range append(append([]string{e.ID}, e.Deps...), e.Links...) {
@@ -145,7 +145,7 @@ func TestRecoveryDoesNotAliasCheckpoint(t *testing.T) {
 					t.Fatalf("entry %s reference %q shares the checkpoint buffer", e.ID, s)
 				}
 			}
-			payloads += len(e.Payload)
+			payloads += len(e.Payload())
 		}
 	}
 	for class, objs := range p.mgr.Data.State().Classes {

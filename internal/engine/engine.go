@@ -328,9 +328,12 @@ func (m *Manager) SetEventHook(fn func(Event)) {
 // resume path after write-ahead-log replay, so EventsSince cursors and
 // event-log renderings pick up exactly where the crashed process left
 // off. Only call on a freshly restored manager, before execution.
+//
+// The manager takes ownership of evs: it becomes the stream itself, so
+// the caller must neither read nor modify it afterwards.
 func (m *Manager) RestoreEvents(evs []Event) {
 	m.ev.mu.Lock()
-	m.ev.base, m.ev.evs = nil, append([]Event(nil), evs...)
+	m.ev.base, m.ev.evs = nil, evs
 	if m.ev.wake != nil {
 		close(m.ev.wake)
 		m.ev.wake = nil

@@ -32,6 +32,11 @@ func TestEventHookObservesEmissionOrder(t *testing.T) {
 	if got := r.EventsSince(len(evs)); got != nil {
 		t.Fatalf("EventsSince(len) = %d events, want none", len(got))
 	}
+	// It takes the slice over instead of copying it: a restart's
+	// recovered history is not allocated twice.
+	if &r.ev.evs[0] != &evs[0] {
+		t.Fatal("RestoreEvents copied the history it was handed")
+	}
 
 	// nil removes the hook; forks do not inherit it.
 	m.SetEventHook(func(Event) { t.Fatal("hook fired after removal") })

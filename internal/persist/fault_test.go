@@ -437,8 +437,9 @@ func TestCheckpointRenameFaultKeepsOldCheckpoint(t *testing.T) {
 	}
 
 	ffs := NewFaultFS(OSFS{}, 1)
-	// Ops: 0 = stale-tmp Remove, 1..2 = appends, 3 = tmp write, 4 = rename.
-	ffs.FailAt(4)
+	// Ops: 0 = stale-tmp Remove, 1..2 = appends, 3..5 = tmp writes (the
+	// wrapper's head, the payload, the closing brace), 6 = rename.
+	ffs.FailAt(6)
 	fl, err := Open(dir, Options{NoSync: true, FS: ffs})
 	if err != nil {
 		t.Fatal(err)

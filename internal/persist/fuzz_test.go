@@ -100,7 +100,7 @@ func checkReplay(t *testing.T, seg []byte, cpSeq uint64) {
 		cpSeq %= 1 << 20 // a sequence a real log can reach
 		dir := t.TempDir()
 		if cpSeq > 0 {
-			cp := appendCheckpoint(nil, cpSeq, []byte(`{}`))
+			cp := append(appendCheckpointHead(nil, cpSeq, []byte(`{}`)), `{}}`...)
 			if err := os.WriteFile(filepath.Join(dir, checkpointName), cp, 0o644); err != nil {
 				t.Fatal(err)
 			}

@@ -52,24 +52,23 @@ var ErrLogFailed = errors.New("persist: log failed; no further writes accepted")
 //
 // — the layout encoding/json gives such a struct, so checkpoints of
 // version-1 logs, which were written that way, load unchanged.
-// WriteCheckpoint writes it around the payload without re-encoding the
-// multi-megabyte payload, and Open slices the payload back out after
-// checking its CRC.
+// WriteCheckpoint writes the head, the payload and the closing brace
+// without re-encoding or copying the multi-megabyte payload, and Open
+// slices the payload back out after checking its CRC.
 const (
 	cpSeqKey     = `{"seq":`
 	cpCRCKey     = `,"crc":`
 	cpPayloadKey = `,"payload":`
 )
 
-// appendCheckpoint appends the checkpoint wrapper around payload.
-func appendCheckpoint(b []byte, seq uint64, payload []byte) []byte {
+// appendCheckpointHead appends the checkpoint wrapper's head, all of it
+// that comes before payload; a closing '}' follows the payload.
+func appendCheckpointHead(b []byte, seq uint64, payload []byte) []byte {
 	b = append(b, cpSeqKey...)
 	b = strconv.AppendUint(b, seq, 10)
 	b = append(b, cpCRCKey...)
 	b = strconv.AppendUint(b, uint64(crc32.ChecksumIEEE(payload)), 10)
-	b = append(b, cpPayloadKey...)
-	b = append(b, payload...)
-	return append(b, '}')
+	return append(b, cpPayloadKey...)
 }
 
 // parseCheckpoint checks a checkpoint file and returns the payload it
@@ -491,10 +490,10 @@ func (l *Log) WriteCheckpoint(payload []byte) error {
 	if err := l.closeSegmentLocked(); err != nil {
 		return l.failLocked(fmt.Errorf("persist: checkpoint %s: %w", l.dir, err))
 	}
-	b := appendCheckpoint(make([]byte, 0, len(payload)+64), l.seq, payload)
+	head := appendCheckpointHead(make([]byte, 0, 64), l.seq, payload)
 	final := filepath.Join(l.dir, checkpointName)
 	tmp := final + ".tmp"
-	if err := l.writeTmpLocked(tmp, b); err != nil {
+	if err := l.writeTmpLocked(tmp, head, payload, []byte{'}'}); err != nil {
 		// The temporary file was never installed; clean it up so a
 		// later recovery does not have to.
 		l.fs.Remove(tmp)
@@ -521,15 +520,18 @@ func (l *Log) WriteCheckpoint(payload []byte) error {
 	return nil
 }
 
-// writeTmpLocked writes and fsyncs the checkpoint's temporary file.
-func (l *Log) writeTmpLocked(tmp string, b []byte) error {
+// writeTmpLocked writes parts, in order, to the checkpoint's temporary
+// file and fsyncs it.
+func (l *Log) writeTmpLocked(tmp string, parts ...[]byte) error {
 	f, err := l.fs.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("persist: checkpoint %s: %w", l.dir, err)
 	}
-	if _, err := f.Write(b); err != nil {
-		f.Close()
-		return fmt.Errorf("persist: checkpoint %s: %w", l.dir, err)
+	for _, b := range parts {
+		if _, err := f.Write(b); err != nil {
+			f.Close()
+			return fmt.Errorf("persist: checkpoint %s: %w", l.dir, err)
+		}
 	}
 	if !l.opt.NoSync {
 		if err := f.Sync(); err != nil {

@@ -52,6 +52,29 @@ func TestApplyRejectsOverflowingRuntime(t *testing.T) {
 	}
 }
 
+// TestEstimateRejectsOverflow: a scale that fits the runtime (so Apply
+// takes it) can still push the PERT bounds past a time.Duration. The
+// estimate must refuse it by name, in a sweep and on a live project,
+// rather than wrap to a negative bound.
+func TestEstimateRejectsOverflow(t *testing.T) {
+	e := Edit{Name: "huge", Scale: map[string]float64{"Create": 1e5}}
+	m := ready(t)
+	if _, err := Sweep(m, []string{"performance"}, []Edit{e}, Options{}); err == nil ||
+		!strings.Contains(err.Error(), `estimate for "Create"`) || !strings.Contains(err.Error(), "overflows a duration") {
+		t.Fatalf("sweep at scale 1e5 = %v, want an overflow error naming Create", err)
+	}
+	if err := Apply(m, e); err != nil {
+		t.Fatalf("Apply at scale 1e5 = %v; the runtime itself fits", err)
+	}
+	est, err := ProfileEstimator{Tools: m.Tools}.Estimate("Create", nil)
+	if err == nil || !strings.Contains(err.Error(), `estimate for "Create"`) || !strings.Contains(err.Error(), "overflows a duration") {
+		t.Fatalf("Estimate after the edit = %+v, %v; want an overflow error naming Create", est, err)
+	}
+	if est, err := (ProfileEstimator{Tools: m.Tools}).Estimate("Simulate", nil); err != nil || est.Pessimistic <= est.Work {
+		t.Fatalf("an unedited activity estimates to %+v, %v", est, err)
+	}
+}
+
 // FuzzParseEdit: the what-if parser behind /whatif, POST /edit and the
 // CLI never panics, and every edit it accepts has finite scale factors
 // in (0, maxScale] and delays that are the faithful value of their

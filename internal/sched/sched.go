@@ -20,6 +20,8 @@ package sched
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"flowsched/internal/flow"
@@ -95,6 +97,16 @@ type Plan struct {
 	// ResourceConstrained records whether the plan serialized activities
 	// sharing a resource; slip propagation honors the same discipline.
 	ResourceConstrained bool `json:"resourceConstrained,omitempty"`
+}
+
+// Clone returns a copy of p that shares no slice or map with it.
+func (p *Plan) Clone() *Plan {
+	c := *p
+	c.Targets = slices.Clone(p.Targets)
+	c.Activities = slices.Clone(p.Activities)
+	c.BasedOn = slices.Clone(p.BasedOn)
+	c.Instances = maps.Clone(p.Instances)
+	return &c
 }
 
 // Space is the schedule space of a task database for one schema.
@@ -265,7 +277,9 @@ func (s *Space) Plan(tree *flow.Tree, start time.Time, est Estimator, opt PlanOp
 	if err != nil {
 		return nil, err
 	}
-	return &PlanResult{Entry: entry, Plan: p}, nil
+	// The store keeps p's slices and map (and, without a commit hook,
+	// marshals them only later), so the caller gets its own.
+	return &PlanResult{Entry: entry, Plan: *p.Clone()}, nil
 }
 
 // CurrentPlan returns the latest plan, or nil if none has been created.

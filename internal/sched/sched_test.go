@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -124,6 +125,38 @@ func TestPlanSimulatesPostOrder(t *testing.T) {
 	}
 	if !p.Finish.Equal(wantSimFinish) {
 		t.Errorf("plan finish = %v, want %v", p.Finish, wantSimFinish)
+	}
+}
+
+// TestPlanResultOwnsItsPlan: a database without a commit hook marshals
+// the plan payload only when asked, so the Plan a caller gets back must
+// share no slice or map with it. Changing the result after planning
+// leaves the stored plan's bytes and decoded value as they were.
+func TestPlanResultOwnsItsPlan(t *testing.T) {
+	fx := newFixture(t, fig4, "performance")
+	res, err := fx.space.Plan(fx.tree, t0, fixedEst(map[string]int{"Create": 16, "Simulate": 8}), PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(res.Plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Plan.Instances["Create"] = "changed/1"
+	res.Plan.Activities[0] = "changed"
+	res.Plan.Targets[0] = "changed"
+	if got := res.Entry.Payload(); string(got) != string(want) {
+		t.Fatalf("stored plan bytes after the caller changed its result:\n%s\nwant\n%s", got, want)
+	}
+	_, stored, err := fx.space.CurrentPlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stored.Instances["Create"] == "changed/1" || stored.Activities[0] == "changed" || stored.Targets[0] == "changed" {
+		t.Fatalf("the stored plan shares the caller's result: %+v", stored)
+	}
+	if c := stored.Clone(); &c.Activities[0] == &stored.Activities[0] || &c.Targets[0] == &stored.Targets[0] {
+		t.Fatal("Clone shares a slice")
 	}
 }
 

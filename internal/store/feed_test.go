@@ -21,8 +21,8 @@ func replay(t *testing.T, muts []Mutation) *DB {
 		case MutPut:
 			e := m.Entry
 			var payload any
-			if e.Payload != nil {
-				payload = e.Payload
+			if raw := e.Payload(); raw != nil {
+				payload = raw
 			}
 			got, err := db.Put(e.Container, e.Created, payload, e.Deps...)
 			if err != nil {
@@ -221,7 +221,7 @@ func TestStateRoundTripPreservesIdentity(t *testing.T) {
 	if err := got.SetPayload("netlist/1", "mutated"); err != nil {
 		t.Fatal(err)
 	}
-	if string(db.Get("netlist/1").Payload) == `"mutated"` {
+	if string(db.Get("netlist/1").Payload()) == `"mutated"` {
 		t.Fatal("restored-database write visible in original")
 	}
 }
@@ -232,8 +232,8 @@ func TestStateRoundTripPreservesIdentity(t *testing.T) {
 func exportedEntries(es []*Entry) []Entry {
 	out := make([]Entry, len(es))
 	for i, e := range es {
-		out[i] = Entry{ID: e.ID, Container: e.Container, Version: e.Version,
-			Created: e.Created, Deps: e.Deps, Links: e.Links, Payload: e.Payload}
+		out[i] = *Entry{ID: e.ID, Container: e.Container, Version: e.Version,
+			Created: e.Created, Deps: e.Deps, Links: e.Links}.WithPayload(e.Payload())
 	}
 	return out
 }
@@ -242,12 +242,12 @@ func TestStateAliasesAreCopyOnWrite(t *testing.T) {
 	db := NewDB()
 	mutate(t, db)
 	st := db.State()
-	before := string(st.Containers[0].Entries[0].Payload)
+	before := string(st.Containers[0].Entries[0].Payload())
 	// Mutating the live database after State must not change the state.
 	if err := db.SetPayload("netlist/1", "after-state"); err != nil {
 		t.Fatal(err)
 	}
-	if got := string(st.Containers[0].Entries[0].Payload); got != before {
+	if got := string(st.Containers[0].Entries[0].Payload()); got != before {
 		t.Fatalf("checkpoint payload changed after live write: %q -> %q", before, got)
 	}
 }

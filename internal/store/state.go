@@ -95,9 +95,10 @@ func FromState(s *State) (*DB, error) {
 		if n := len(c.Entries); n > 0 {
 			// Give the latest entry an empty decoded cell for its first
 			// Decode to fill. The state's entries may belong to a live
-			// database, so the entry is cloned and the slice copied.
+			// database, so the entry is cloned (with its bytes, which a
+			// lazy entry produces now) and the slice copied.
 			latest := *c.Entries[n-1]
-			latest.value = new(decoded)
+			latest.payload, latest.value = latest.Payload(), new(decoded)
 			c.Entries = append(append(make([]*Entry, 0, n), c.Entries[:n-1]...), &latest)
 			c.shared = false
 		}

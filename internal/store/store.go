@@ -11,10 +11,15 @@
 // Instances are append-only and versioned densely per container (version 1,
 // 2, 3, …), matching the paper's CC1/CC2, SC1/SC2, N1/N2 labelling. Typed
 // payloads are carried as JSON so the database itself stays schema-neutral.
-// The JSON bytes are the only durable and identity form; beside them the
-// latest entry of each container keeps its typed value, so reading it
-// again (the automatic plan update re-reads every schedule instance on
-// each slip) copies a struct instead of parsing JSON.
+// The JSON bytes are the only durable and identity form, and a database
+// with a commit hook (a durable project) marshals them as each payload is
+// written. A database without one — a scenario fork, an in-memory
+// project — keeps a struct payload in its typed form and marshals it only
+// when something asks for the bytes (Entry.Payload): a what-if sweep
+// never does. Either way the latest entry of each container keeps its
+// typed value, so reading it again (the automatic plan update re-reads
+// every schedule instance on each slip) copies a struct instead of
+// parsing JSON.
 //
 // # Snapshot isolation and copy-on-write
 //
@@ -33,14 +38,12 @@
 package store
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"reflect"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"flowsched/internal/obs"
@@ -59,13 +62,15 @@ const (
 // Entry is one versioned instance inside a container.
 //
 // Entries are immutable once stored: packages outside store must treat every
-// field — including Links and Payload — as read-only. SetPayload and Link
-// swap in a cloned entry instead of mutating, so a pointer obtained from Get
-// (or from a View) is a stable value forever.
+// field — including Links and the payload — as read-only. SetPayload and
+// Link swap in a cloned entry instead of mutating, so a pointer obtained
+// from Get (or from a View) is a stable value forever.
 //
 // An entry may also carry the typed value of its payload (see Decode).
-// Only a container's latest entry keeps one: appending to a container
-// retires the value of the entry that was latest before.
+// In a database with a commit hook only a container's latest entry keeps
+// one: appending to a container retires the value of the entry that was
+// latest before. In one without, an entry keeps its value until its
+// bytes exist (see docs/store.md).
 type Entry struct {
 	// ID is the globally unique identifier "container/version".
 	ID string `json:"id"`
@@ -81,102 +86,60 @@ type Entry struct {
 	// Links are cross-space associations: a schedule instance linked to the
 	// entity instance that completed its task, and vice versa (Fig. 7).
 	Links []string `json:"links,omitempty"`
-	// Payload carries the typed instance data (run metadata, schedule
-	// parameters, …) marshalled as JSON by the owning package.
-	Payload json.RawMessage `json:"payload,omitempty"`
 
-	// value holds the decoded payload; nil for an entry that was never
-	// a container's latest in this process. Link clones share it.
+	// payload carries the typed instance data (run metadata, schedule
+	// parameters, …) as JSON; nil for no payload and for a lazy one,
+	// whose bytes value produces. Read it through Payload.
+	payload json.RawMessage
+	// value holds the decoded payload, and a lazy payload's bytes once
+	// produced; nil for an eager entry that was never a container's
+	// latest in this process. Link clones share it.
 	value *decoded
 }
 
-// decoded is an entry's typed payload value: empty until a Put, a
-// SetPayload or the first Decode fills it, and retired for good once the
-// entry stops being its container's latest. The slot is atomic because
-// Views read entries without locks while the writer retires them.
-type decoded struct {
-	v atomic.Pointer[reflect.Value]
+// WithPayload returns a copy of e that carries raw as its payload bytes
+// and keeps no decoded value: how codecs rebuild the entries they
+// decode. raw is kept as given.
+func (e Entry) WithPayload(raw json.RawMessage) *Entry {
+	e.payload, e.value = raw, nil
+	return &e
 }
 
-// retired is the slot of a decoded cell that must not be filled again.
-var retired = new(reflect.Value)
-
-// newDecoded returns a cell holding v, or an empty cell for an invalid v.
-func newDecoded(v reflect.Value) *decoded {
-	d := new(decoded)
-	if v.IsValid() {
-		d.v.Store(&v)
+// Payload returns the entry's payload as JSON, or nil for an entry
+// without one. An entry written to a database without a commit hook
+// produces its bytes on the first call, exactly as json.Marshal of the
+// written payload would have at write time. The bytes are read-only.
+func (e *Entry) Payload() json.RawMessage {
+	if e.payload != nil {
+		return e.payload
 	}
-	return d
+	return e.value.bytes()
 }
 
-// load returns the held value, or nil for an empty, retired or missing
-// cell.
-func (d *decoded) load() *reflect.Value {
-	if d == nil {
-		return nil
+// entryFields is Entry without its methods, for the JSON codec below.
+type entryFields Entry
+
+// entryJSON is an Entry's JSON form: its exported fields and the
+// payload bytes.
+type entryJSON struct {
+	*entryFields
+	Payload json.RawMessage `json:"payload,omitempty"`
+}
+
+// MarshalJSON encodes the entry with its payload bytes, producing them
+// if they do not exist yet.
+func (e *Entry) MarshalJSON() ([]byte, error) {
+	return json.Marshal(entryJSON{(*entryFields)(e), e.Payload()})
+}
+
+// UnmarshalJSON decodes what MarshalJSON encodes.
+func (e *Entry) UnmarshalJSON(b []byte) error {
+	j := entryJSON{entryFields: (*entryFields)(e)}
+	if err := json.Unmarshal(b, &j); err != nil {
+		return err
 	}
-	if v := d.v.Load(); v != retired {
-		return v
-	}
+	e.payload, e.value = j.Payload, nil
 	return nil
-}
-
-// fill keeps a copy of v in an empty cell. A missing, held or retired
-// cell is left alone.
-func (d *decoded) fill(v reflect.Value) {
-	if d != nil && d.v.Load() == nil {
-		c := structCopy(v)
-		d.v.CompareAndSwap(nil, &c)
-	}
-}
-
-// retire drops the held value and keeps the cell from being filled again.
-func (d *decoded) retire() {
-	if d != nil {
-		d.v.Store(retired)
-	}
-}
-
-// structCopy returns a shallow copy of the struct v.
-func structCopy(v reflect.Value) reflect.Value {
-	c := reflect.New(v.Type()).Elem()
-	c.Set(v)
-	return c
-}
-
-// marshalPayload returns payload as JSON. A non-empty json.RawMessage
-// is taken as the JSON it already is, neither copied nor re-compacted:
-// WAL replay hands the store the bytes it marshalled before, which the
-// log's checksums guard.
-func marshalPayload(payload any) ([]byte, error) {
-	if raw, ok := payload.(json.RawMessage); ok && len(raw) > 0 {
-		return raw, nil
-	}
-	return json.Marshal(payload)
-}
-
-// payloadValue returns the value a Put or SetPayload keeps beside the
-// bytes b it marshalled payload to: a shallow copy of a struct or of the
-// struct a pointer refers to. Other kinds (maps, json.RawMessage, nil)
-// yield the invalid Value and are decoded on first use instead. So do
-// bytes holding the escape \ufffd, which the encoder writes for a string
-// that is not valid UTF-8: the kept string would differ from the decoded
-// one.
-func payloadValue(payload any, b []byte) reflect.Value {
-	v := reflect.ValueOf(payload)
-	ptr := v.Kind() == reflect.Pointer && !v.IsNil()
-	if ptr {
-		v = v.Elem()
-	}
-	if v.Kind() != reflect.Struct || bytes.Contains(b, []byte(`\ufffd`)) {
-		return reflect.Value{}
-	}
-	if ptr {
-		return structCopy(v) // the caller still owns *payload
-	}
-	// A struct passed by value is already a private copy in the interface.
-	return v
 }
 
 // Container groups the versioned instances of one class.
@@ -384,22 +347,25 @@ func (db *DB) cowLocked(c *Container) {
 // version. All deps must reference existing entries. payload may be nil.
 //
 // The new entry keeps a shallow copy of a struct (or pointer-to-struct)
-// payload as its decoded value, and the entry that was latest before it
-// drops its own. The kept copy shares slices and maps with payload, so
+// payload as its decoded value, and in a database with a commit hook
+// the entry that was latest before it drops its own. In a database
+// without one, the copy is the payload's only form until Entry.Payload
+// marshals it. The kept copy shares slices and maps with payload, so
 // the caller must not modify them afterwards; nor a json.RawMessage
 // payload, which is kept as given.
 func (db *DB) Put(container string, created time.Time, payload any, deps ...string) (*Entry, error) {
-	var raw json.RawMessage
-	var val reflect.Value
-	if payload != nil {
-		b, err := marshalPayload(payload)
-		if err != nil {
-			return nil, fmt.Errorf("store: marshal payload for %q: %w", container, err)
-		}
-		raw, val = b, payloadValue(payload, b)
-	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	var raw json.RawMessage
+	var value *decoded
+	if payload == nil {
+		value = new(decoded)
+	} else {
+		var err error
+		if raw, value, err = db.encodeLocked(payload, true); err != nil {
+			return nil, fmt.Errorf("store: marshal payload for %q: %w", container, err)
+		}
+	}
 	c, ok := db.containers[container]
 	if !ok {
 		return nil, fmt.Errorf("store: unknown container %q", container)
@@ -415,8 +381,8 @@ func (db *DB) Put(container string, created time.Time, payload any, deps ...stri
 		Version:   len(c.Entries) + 1,
 		Created:   created,
 		Deps:      append([]string(nil), deps...),
-		Payload:   raw,
-		value:     newDecoded(val),
+		payload:   raw,
+		value:     value,
 	}
 	if n := len(c.Entries); n > c.inherited {
 		c.Entries[n-1].value.retire()
@@ -446,18 +412,19 @@ func (db *DB) Get(id string) *Entry {
 //
 // When the entry keeps a decoded value of *out's type — a container's
 // latest entry does, once a Put, a SetPayload or an earlier Decode has
-// filled it — Decode copies that value instead of parsing Payload. The
+// filled it, and so does every entry whose bytes are still to be
+// produced — Decode copies that value instead of parsing the bytes. The
 // copy shares slices and maps with the kept value (and with the payload
 // the writer passed in), so the caller must treat them as read-only, as
-// it treats the Entry. Otherwise Decode unmarshals Payload, and on a
+// it treats the Entry. Otherwise Decode unmarshals the bytes, and on a
 // latest entry keeps a copy of the struct it produced for the next call.
 func (e *Entry) Decode(out any) error {
-	if len(e.Payload) == 0 {
+	if e.payload == nil && !e.value.lazy() { // a lazy payload waits to be produced
 		return fmt.Errorf("store: entry %s has no payload", e.ID)
 	}
 	dst := reflect.ValueOf(out)
 	if dst.Kind() != reflect.Pointer || dst.IsNil() {
-		return json.Unmarshal(e.Payload, out) // reports the bad target
+		return json.Unmarshal(e.Payload(), out) // reports the bad target
 	}
 	dst = dst.Elem()
 	if v := e.value.load(); v != nil && v.Type() == dst.Type() {
@@ -465,7 +432,7 @@ func (e *Entry) Decode(out any) error {
 		return nil
 	}
 	dst.SetZero()
-	if err := json.Unmarshal(e.Payload, out); err != nil {
+	if err := json.Unmarshal(e.Payload(), out); err != nil {
 		return err
 	}
 	if dst.Kind() == reflect.Struct {
@@ -479,33 +446,33 @@ func (e *Entry) Decode(out any) error {
 // instance acquires actual dates as execution proceeds). The previous
 // *Entry value is left untouched — existing Views keep observing it.
 //
-// If the entry is its container's latest, the replacement keeps a
-// shallow copy of a struct (or pointer-to-struct) payload as its decoded
-// value, as Put does; the caller must not modify the payload's slices
-// and maps, or a json.RawMessage payload, afterwards.
+// The replacement keeps a shallow copy of a struct (or pointer-to-struct)
+// payload as its decoded value as Put does — in a database with a commit
+// hook only if the entry is its container's latest. The caller must not
+// modify the payload's slices and maps, or a json.RawMessage payload,
+// afterwards.
 func (db *DB) SetPayload(id string, payload any) error {
-	b, err := marshalPayload(payload)
-	if err != nil {
-		return fmt.Errorf("store: marshal payload for %s: %w", id, err)
-	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	e := db.lookupLocked(id)
+	latest := e != nil && e.Version == len(db.containers[e.Container].Entries)
+	b, value, err := db.encodeLocked(payload, latest)
+	if err != nil {
+		return fmt.Errorf("store: marshal payload for %s: %w", id, err)
+	}
 	if e == nil {
 		return fmt.Errorf("store: unknown entry %q", id)
 	}
 	clone := *e
-	clone.Payload = b
+	clone.payload, clone.value = b, value
 	c := db.containers[clone.Container]
-	clone.value = nil
-	if clone.Version == len(c.Entries) {
-		clone.value = newDecoded(payloadValue(payload, b))
-	}
 	db.cowLocked(c)
 	c.Entries[clone.Version-1] = &clone
 	db.version++
 	c.watermark = db.version
-	db.emitLocked(Mutation{Kind: MutPayload, Version: db.version, ID: id, Payload: b, Prev: e.Payload})
+	if db.commitHook != nil { // Prev would produce a lazy entry's bytes
+		db.emitLocked(Mutation{Kind: MutPayload, Version: db.version, ID: id, Payload: b, Prev: e.Payload()})
+	}
 	return nil
 }
 

@@ -71,7 +71,7 @@ func TestSnapshotInvisibleToLaterWrites(t *testing.T) {
 		t.Fatal("snapshot dump changed after parent writes")
 	}
 	// The live DB, by contrast, sees everything.
-	if db.Get(n1.ID).Payload == nil || !db.Linked(n1.ID, s1.ID) {
+	if db.Get(n1.ID).Payload() == nil || !db.Linked(n1.ID, s1.ID) {
 		t.Fatal("live DB lost its own writes")
 	}
 }

@@ -1,6 +1,7 @@
 package flowsched
 
 import (
+	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
@@ -72,6 +73,90 @@ func TestViewReadsRaceFreeDuringWrites(t *testing.T) {
 		t.Fatal("reader never completed a pass")
 	}
 	t.Logf("%d read passes overlapped 30 write rounds", reads)
+}
+
+// TestViewReadsRaceFreeWithLazyPayloads: an in-memory project produces
+// its payload bytes only when asked. View readers decode entries, a
+// second reader produces the bytes of every entry of store snapshots,
+// and the writer takes a Snapshot after each round — all at once, so
+// bytes are produced while the same entries are read and retired. Run
+// it with -race. The last Snapshot still loads back to itself.
+func TestViewReadsRaceFreeWithLazyPayloads(t *testing.T) {
+	p := prepared(t)
+	targets := []string{"performance"}
+	est := Fixed{Default: 8 * time.Hour}
+	if _, err := p.Plan(targets, est, PlanOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	g, err := NewGrouping(map[string][]string{"circuit": {"Create", "Simulate"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	stop := sync.OnceFunc(func() { close(done) })
+	defer stop()
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				var err error
+				if r == 0 {
+					err = readEverything(p, g, targets)
+				} else {
+					for _, c := range p.mgr.DB.Snapshot().Containers() {
+						for _, e := range c.Entries {
+							if raw := e.Payload(); raw != nil && !json.Valid(raw) {
+								err = fmt.Errorf("%s: invalid payload %s", e.ID, raw)
+							}
+						}
+					}
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	var snap []byte
+	for round := 0; round < 15; round++ {
+		if _, err := p.Import("stimuli", []byte(fmt.Sprintf("pulse %d", round))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Plan(targets, est, PlanOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Run(targets, round%2 == 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Propagate(); err != nil {
+			t.Fatal(err)
+		}
+		if snap, err = p.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	re, err := Load(snap, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := re.Snapshot(); err != nil || string(again) != string(snap) {
+		t.Fatalf("the last Snapshot does not load back to itself (%v)", err)
+	}
 }
 
 // readEverything takes one view and calls every read it offers.

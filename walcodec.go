@@ -115,11 +115,12 @@ func appendMutation(b []byte, m *store.Mutation) (persist.RecordKind, []byte, er
 		if err != nil {
 			return 0, nil, err
 		}
-		if len(e.Deps) > 0 || e.Payload != nil {
+		payload := e.Payload()
+		if len(e.Deps) > 0 || payload != nil {
 			b = appendStrings(append(b, ','), e.Deps)
 		}
-		if e.Payload != nil {
-			b = append(append(b, ','), e.Payload...)
+		if payload != nil {
+			b = append(append(b, ','), payload...)
 		}
 		return recPut, append(b, ']'), nil
 	case store.MutPayload:
@@ -174,15 +175,16 @@ func appendEvent(b []byte, e *engine.Event) ([]byte, error) {
 // appendString appends s as a JSON string. '"', '\\' and control
 // characters are escaped (newline, return and tab in their short forms)
 // and each byte that is not UTF-8 becomes \ufffd, as encoding/json
-// writes it; everything else passes through.
-func appendString(b []byte, s string) []byte {
+// writes it; everything else passes through. s is a string or the
+// bytes of one, which are not copied into a string first.
+func appendString[S ~string | ~[]byte](b []byte, s S) []byte {
 	const hex = "0123456789abcdef"
 	b = append(b, '"')
 	start := 0
 	for i := 0; i < len(s); {
 		c := s[i]
 		if c >= utf8.RuneSelf {
-			r, n := utf8.DecodeRuneInString(s[i:])
+			r, n := utf8.DecodeRuneInString(string(s[i:min(i+utf8.UTFMax, len(s))]))
 			if i += n; r == utf8.RuneError && n == 1 {
 				b = append(append(b, s[start:i-1]...), `\ufffd`...)
 				start = i
@@ -296,9 +298,10 @@ func decodeV2(r *jsonReader, kind persist.RecordKind, base func(id string) (json
 		m.Kind = store.MutCreate
 		r.tuple(4, &m.Version, &m.Container, (*string)(&m.Space), &m.Class)
 	case recPut:
-		m.Kind, m.Entry = store.MutPut, &store.Entry{}
-		e := m.Entry
-		if r.tuple(3, &m.Version, &e.ID, &e.Created, &e.Deps, &e.Payload); r.err != nil { // a null payload stays "null"
+		m.Kind = store.MutPut
+		var e store.Entry
+		var payload json.RawMessage
+		if r.tuple(3, &m.Version, &e.ID, &e.Created, &e.Deps, &payload); r.err != nil { // a null payload stays "null"
 			break
 		}
 		i := strings.LastIndexByte(e.ID, '/')
@@ -310,6 +313,7 @@ func decodeV2(r *jsonReader, kind persist.RecordKind, base func(id string) (json
 		if e.Version, err = strconv.Atoi(e.ID[i+1:]); err != nil {
 			return walRecord{}, fmt.Errorf("put of malformed entry id %q", e.ID)
 		}
+		m.Entry = e.WithPayload(payload)
 	case recPayload:
 		m.Kind = store.MutPayload
 		var pre, suf int
@@ -398,8 +402,8 @@ func v1Mutation(m *store.Mutation) (*store.Mutation, error) {
 		if e == nil || e.ID != e.Container+"/"+strconv.Itoa(e.Version) {
 			return nil, fmt.Errorf("version-1 put of malformed entry %+v", e)
 		}
-		out.Entry = &store.Entry{ID: e.ID, Container: e.Container, Version: e.Version,
-			Created: e.Created, Deps: e.Deps, Payload: e.Payload}
+		out.Entry = store.Entry{ID: e.ID, Container: e.Container, Version: e.Version,
+			Created: e.Created, Deps: e.Deps}.WithPayload(e.Payload())
 	case store.MutPayload:
 		if !utf8.Valid(m.Payload) {
 			return nil, fmt.Errorf("version-1 payload update of %s is not UTF-8", m.ID)

@@ -155,7 +155,7 @@ func recordDiff(a, b walRecord) string {
 		if x.Entry != nil {
 			e, f := *x.Entry, *y.Entry
 			if e.ID != f.ID || e.Container != f.Container || e.Version != f.Version || !sameTime(e.Created, f.Created) ||
-				!slices.Equal(e.Deps, f.Deps) || !slices.Equal(e.Links, f.Links) || !bytes.Equal(e.Payload, f.Payload) {
+				!slices.Equal(e.Deps, f.Deps) || !slices.Equal(e.Links, f.Links) || !bytes.Equal(e.Payload(), f.Payload()) {
 				return fmt.Sprintf("entry %+v vs %+v", e, f)
 			}
 		}

@@ -57,7 +57,7 @@ func TestCodecRoundTripRandomMutations(t *testing.T) {
 		db, replica := store.NewDB(), store.NewDB()
 		base := func(id string) (json.RawMessage, bool) {
 			if e := replica.Get(id); e != nil {
-				return e.Payload, true
+				return e.Payload(), true
 			}
 			return nil, false
 		}
@@ -96,7 +96,7 @@ func TestCodecRoundTripRandomMutations(t *testing.T) {
 				case 0:
 					payload = nil // JSON null
 				case 1:
-					payload = json.RawMessage(db.Get(ids[len(ids)-1]).Payload) // identical or from another entry
+					payload = db.Get(ids[len(ids)-1]).Payload() // identical or from another entry
 				}
 				if err := db.SetPayload(ids[r.Intn(len(ids))], payload); err != nil {
 					t.Fatal(err)
@@ -133,8 +133,8 @@ func TestCodecRoundTripRandomMutations(t *testing.T) {
 // are what a record carries; an entry's decoded value is not.
 func exportedMutation(m store.Mutation) store.Mutation {
 	if e := m.Entry; e != nil {
-		m.Entry = &store.Entry{ID: e.ID, Container: e.Container, Version: e.Version,
-			Created: e.Created, Deps: e.Deps, Links: e.Links, Payload: e.Payload}
+		m.Entry = store.Entry{ID: e.ID, Container: e.Container, Version: e.Version,
+			Created: e.Created, Deps: e.Deps, Links: e.Links}.WithPayload(e.Payload())
 	}
 	return m
 }
