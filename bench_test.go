@@ -402,6 +402,40 @@ func BenchmarkAblation_WhatIfSweep(b *testing.B) {
 	}
 }
 
+// BenchmarkAblation_PMViews measures the project manager's read
+// surface (paper §IV.C): a fresh view of a project after 24 designer
+// iterations with 24 milestones set, rendered as the Gantt chart, the
+// milestone report and the dashboard. All three rest on working-time
+// arithmetic over the plan's span.
+func BenchmarkAblation_PMViews(b *testing.B) {
+	p := designerProject(b, 24)
+	cal := p.Calendar()
+	classes := []string{"drcreport", "lvsreport", "timingreport", "simreport"}
+	for i := 0; i < 24; i++ {
+		target := cal.AddWork(p.Now(), cal.Workdays(i%10+1))
+		if err := p.SetMilestone(fmt.Sprintf("m%d", i), classes[i%len(classes)], target); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v, err := p.View()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := v.Gantt(); err != nil {
+			b.Fatal(err)
+		}
+		if rows, err := v.MilestoneReport(); err != nil || len(rows) != 24 {
+			b.Fatalf("milestone report: %d rows, %v", len(rows), err)
+		}
+		if _, err := v.Dashboard(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // asicSweepEdits is sweepEdits for the ASIC flow's activities: slower
 // and faster tools, slips, a parallel team and a crunch.
 func asicSweepEdits() []ScenarioEdit {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -85,6 +86,42 @@ func TestWriteRoutesMutateTheProject(t *testing.T) {
 	// The milestone is visible on the read surface.
 	if rec := get(t, s, "/milestones"); !strings.Contains(rec.Body.String(), "tapeout") {
 		t.Fatalf("/milestones does not show the written milestone:\n%s", rec.Body.String())
+	}
+}
+
+// TestFarMilestoneMarginSaturates sets a milestone in year 9999: its
+// working-time margin is larger than a time.Duration holds, so
+// /milestones reports the largest one instead of a wrapped value, and
+// the views that measure against it still render.
+func TestFarMilestoneMarginSaturates(t *testing.T) {
+	p := newTracked(t)
+	s := New(p, Options{})
+	if rec := post(t, s, "/milestone?name=far&class=performance&target=9999-12-31T17:00:00Z", ""); rec.Code != http.StatusOK {
+		t.Fatalf("POST /milestone = %d: %s", rec.Code, rec.Body.String())
+	}
+	rec := get(t, s, "/milestones")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /milestones = %d: %s", rec.Code, rec.Body.String())
+	}
+	var body struct {
+		Milestones []struct {
+			Name   string
+			Margin time.Duration
+		} `json:"milestones"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatal(err)
+	}
+	if len(body.Milestones) != 1 || body.Milestones[0].Name != "far" {
+		t.Fatalf("milestones = %+v, want the one named far", body.Milestones)
+	}
+	if got := body.Milestones[0].Margin; got != math.MaxInt64 {
+		t.Fatalf("margin = %d, want the saturated %d", int64(got), int64(math.MaxInt64))
+	}
+	for _, path := range []string{"/gantt", "/dashboard"} {
+		if rec := get(t, s, path); rec.Code != http.StatusOK {
+			t.Fatalf("GET %s = %d: %s", path, rec.Code, rec.Body.String())
+		}
 	}
 }
 

@@ -29,7 +29,8 @@
 //
 //   - Snapshot returns an immutable View of the whole database in
 //     O(containers), sharing the entry slices with the live DB (clipped with
-//     full slice expressions so later appends stay invisible).
+//     full slice expressions so later appends stay invisible). Until the
+//     next mutation it returns that same View again.
 //   - ForkAt branches a child DB off a View in O(containers); parent and
 //     child alias unmodified containers and copy a container's entry slice
 //     only on first write (copy-on-write, tracked by a shared bit).
@@ -191,6 +192,9 @@ type DB struct {
 	// version counts mutations (container creations, puts, payload swaps,
 	// links); each mutation stamps the touched container's watermark.
 	version uint64
+	// last is the View Snapshot returned last; it is returned again
+	// while version stays at last.version.
+	last *View
 	// commitHook, when set, observes every committed mutation in commit
 	// order (see SetCommitHook) — the change feed a write-ahead log
 	// subscribes to. Called under mu.

@@ -47,9 +47,24 @@ type View struct {
 // to the view. The live containers are marked shared, which makes the next
 // in-place entry replacement copy its slice first (copy-on-write); appends
 // never copy.
+//
+// Every mutation advances the version, so until one does, Snapshot
+// returns the View it returned last: under the read lock, without
+// allocating.
 func (db *DB) Snapshot() *View {
+	db.mu.RLock()
+	if v := db.last; v != nil && v.version == db.version {
+		db.mSnaps.Inc()
+		db.mu.RUnlock()
+		return v
+	}
+	db.mu.RUnlock()
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	db.mSnaps.Inc()
+	if v := db.last; v != nil && v.version == db.version {
+		return v // another reader took it while this one waited
+	}
 	v := &View{
 		version:    db.version,
 		containers: make(map[string]*Container, len(db.order)),
@@ -68,7 +83,7 @@ func (db *DB) Snapshot() *View {
 			watermark: c.watermark,
 		}
 	}
-	db.mSnaps.Inc()
+	db.last = v
 	return v
 }
 

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"flowsched/internal/obs"
 )
 
 func mustPut(t *testing.T, db *DB, container string, at time.Time, payload any, deps ...string) *Entry {
@@ -387,5 +389,77 @@ func TestWatermarksAdvanceOnMutation(t *testing.T) {
 	v := db.Snapshot()
 	if v.Version() != db.Version() {
 		t.Fatalf("view version %d != db version %d", v.Version(), db.Version())
+	}
+}
+
+func TestSnapshotReusedUntilVersionMoves(t *testing.T) {
+	o := obs.New()
+	db := NewDB()
+	db.Instrument(o)
+	at := time.Date(1995, 6, 5, 9, 0, 0, 0, time.UTC)
+	calls := 0
+	snap := func() *View { calls++; return db.Snapshot() }
+	v := snap()
+	if again := snap(); again != v {
+		t.Fatal("Snapshot with no mutation between returned a new View")
+	}
+	var a, b *Entry
+	mutations := []struct {
+		name string
+		fn   func() error
+	}{
+		{"CreateContainer", func() error {
+			_, err := db.CreateContainer("netlist", ExecutionSpace, "netlist")
+			return err
+		}},
+		{"Put", func() (err error) { a, err = db.Put("netlist", at, map[string]int{"n": 1}); return err }},
+		{"SetPayload", func() error { return db.SetPayload(a.ID, map[string]int{"n": 2}) }},
+		{"Link", func() (err error) {
+			if b, err = db.Put("netlist", at, nil); err != nil {
+				return err
+			}
+			v = snap()
+			return db.Link(a.ID, b.ID)
+		}},
+		{"Touch", func() error { db.Touch(); return nil }},
+	}
+	for _, m := range mutations {
+		if err := m.fn(); err != nil {
+			t.Fatalf("%s: %v", m.name, err)
+		}
+		next := snap()
+		if next == v {
+			t.Fatalf("Snapshot after %s returned the View from before it", m.name)
+		}
+		if next.Version() != db.Version() {
+			t.Fatalf("Snapshot after %s at version %d, db at %d", m.name, next.Version(), db.Version())
+		}
+		if again := snap(); again != next {
+			t.Fatalf("Snapshot after %s not reused", m.name)
+		}
+		v = next
+	}
+	// A link already present commits nothing, so the View stays.
+	if err := db.Link(a.ID, b.ID); err != nil {
+		t.Fatal(err)
+	}
+	if snap() != v {
+		t.Fatal("Snapshot after a no-op Link returned a new View")
+	}
+	if got := o.Metrics().Counter("store_snapshots_total").Value(); got != int64(calls) {
+		t.Fatalf("store_snapshots_total = %d, want %d (one per call)", got, calls)
+	}
+}
+
+func TestReusedSnapshotAllocatesNothing(t *testing.T) {
+	db := NewDB()
+	for _, n := range []string{"a", "b", "c"} {
+		if _, err := db.CreateContainer(n, ExecutionSpace, n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.Snapshot()
+	if allocs := testing.AllocsPerRun(100, func() { db.Snapshot() }); allocs != 0 {
+		t.Fatalf("reused Snapshot allocates %v times", allocs)
 	}
 }

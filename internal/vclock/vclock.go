@@ -6,6 +6,29 @@
 // The package also models business calendars (working days and hours) so
 // that schedule arithmetic — "this task takes three working days" — matches
 // what a project-management system would compute.
+//
+// # Calendar arithmetic
+//
+// NextWorkInstant, AddWork and WorkBetween work on day numbers: an
+// instant splits into its civil day, counted from 1970-01-01 in the
+// instant's own location, and an offset into that day. The working days
+// between two day numbers are counted by whole weeks, less the holidays
+// between them, found by binary search in a sorted index the calendar
+// builds when it is made; AddWork inverts that count. A call costs
+// O(log holidays) whatever the span, where it used to walk the span one
+// day at a time.
+//
+// The day walk stays as the reference the arithmetic must equal — same
+// instant, same Location — and as the path for a span in which the
+// location's UTC offset changes, as read from time.Time.ZoneBounds: the
+// arithmetic holds only where every civil day lasts 86400 s. The walk
+// steps to the next civil midnight with time.Date, so a 25-hour day
+// ends and a 23-hour one loses no work. A day's working window is
+// measured in elapsed time from the day's midnight as time.Date gives
+// it.
+//
+// A Calendar is immutable: holidays are given to NewCalendar. WorkBetween
+// saturates at the largest time.Duration, as time.Time.Sub does.
 package vclock
 
 import (

@@ -175,9 +175,13 @@ func TestAddWorkNegativePanics(t *testing.T) {
 }
 
 func TestHolidaySkipped(t *testing.T) {
-	cal := Standard()
 	tue := time.Date(1995, time.June, 6, 0, 0, 0, 0, time.UTC)
-	cal.AddHoliday(tue)
+	cal, err := NewCalendar([]time.Weekday{
+		time.Monday, time.Tuesday, time.Wednesday, time.Thursday, time.Friday,
+	}, 9*time.Hour, 17*time.Hour, tue)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Monday 09:00 + 10h: 8h Monday, then Tuesday is a holiday, so the
 	// remaining 2h land Wednesday 09:00–11:00.
 	got := cal.AddWork(Epoch, 10*time.Hour)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -31,7 +32,7 @@ func TestViewReadsRaceFreeDuringWrites(t *testing.T) {
 	stop := sync.OnceFunc(func() { close(done) })
 	defer stop() // a failed write round must not leave the reader spinning
 	result := make(chan error, 1)
-	reads := 0 // written by the reader, read after result
+	var reads atomic.Int64 // completed read passes
 	go func() {
 		for {
 			select {
@@ -44,11 +45,14 @@ func TestViewReadsRaceFreeDuringWrites(t *testing.T) {
 				result <- err
 				return
 			}
-			reads++
+			reads.Add(1)
 		}
 	}()
 
-	for round := 0; round < 30; round++ {
+	// Write at least 30 rounds, and on until the reader has completed a
+	// pass, so that reads overlap writes however the two goroutines are
+	// scheduled.
+	for round := 0; round < 30 || reads.Load() == 0 && round < 1000; round++ {
 		if _, err := p.Import("stimuli", []byte(fmt.Sprintf("pulse %d", round))); err != nil {
 			t.Fatal(err)
 		}
@@ -69,10 +73,10 @@ func TestViewReadsRaceFreeDuringWrites(t *testing.T) {
 	if err := <-result; err != nil {
 		t.Fatal(err)
 	}
-	if reads == 0 {
+	if reads.Load() == 0 {
 		t.Fatal("reader never completed a pass")
 	}
-	t.Logf("%d read passes overlapped 30 write rounds", reads)
+	t.Logf("%d read passes overlapped the write rounds", reads.Load())
 }
 
 // TestViewReadsRaceFreeWithLazyPayloads: an in-memory project produces
