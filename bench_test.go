@@ -8,6 +8,7 @@ package flowsched
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"testing"
 	"time"
 
@@ -19,6 +20,7 @@ import (
 	"flowsched/internal/pert"
 	"flowsched/internal/predict"
 	"flowsched/internal/report"
+	"flowsched/internal/scenario"
 	"flowsched/internal/schema"
 	"flowsched/internal/vclock"
 	"flowsched/internal/workload"
@@ -402,6 +404,31 @@ func BenchmarkAblation_WhatIfSweep(b *testing.B) {
 	}
 }
 
+// BenchmarkAblation_WhatIfRiskSweep adds the Monte-Carlo risk
+// dimension (1000 trials) to what-if sweeps of growing scenario count,
+// each scenario one slower late-stage activity. The baseline's trial
+// streams are shared through the sweep's memo, so the activity-trials
+// sampled grow with the edited subtrees and the rest are reused.
+func BenchmarkAblation_WhatIfRiskSweep(b *testing.B) {
+	p := designerProject(b, 10)
+	targets := []string{"drcreport", "lvsreport", "timingreport", "simreport"}
+	opt := ScenarioOptions{Workers: 1, Risk: &scenario.RiskSpec{Trials: 1000, Seed: 1995}}
+	for _, n := range []int{5, 25, 100} {
+		edits := report.RiskSweepEdits(n)
+		b.Run(fmt.Sprintf("scenarios=%d", n), func(b *testing.B) {
+			var rep *ScenarioReport
+			for i := 0; i < b.N; i++ {
+				var err error
+				if rep, err = p.Scenarios(targets, edits, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(rep.RiskSampledTrials), "sampled-trials/op")
+			b.ReportMetric(float64(rep.RiskReusedTrials), "reused-trials/op")
+		})
+	}
+}
+
 // BenchmarkAblation_PMViews measures the project manager's read
 // surface (paper §IV.C): a fresh view of a project after 24 designer
 // iterations with 24 milestones set, rendered as the Gantt chart, the
@@ -460,6 +487,13 @@ func designerProject(tb testing.TB, iterations int) *Project {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	designerLoop(tb, p, iterations)
+	return p
+}
+
+// designerLoop is designerProject's loop over a project already made.
+func designerLoop(tb testing.TB, p *Project, iterations int) {
+	tb.Helper()
 	if err := p.UseSimulatedTools(); err != nil {
 		tb.Fatal(err)
 	}
@@ -488,7 +522,6 @@ func designerProject(tb testing.TB, iterations int) *Project {
 			tb.Fatal(err)
 		}
 	}
-	return p
 }
 
 // BenchmarkAblation_ArchRollup measures architectural plan + actual
@@ -529,7 +562,9 @@ func BenchmarkAblation_ArchRollup(b *testing.B) {
 // Fig. 4 flow with default tool profiles at a fixed worker count.
 // With instrumented, the project carries the full observability layer
 // (metrics + tracing), measuring its overhead on the risk path.
-func benchRisk(b *testing.B, workers int, instrumented bool) {
+// With quietFaults, a zero-probability fault plan wraps every tool, so
+// profiles are read through the injectors.
+func benchRisk(b *testing.B, workers int, instrumented, quietFaults bool) {
 	b.Helper()
 	p, err := New(Fig4Schema, Options{
 		Designer: "bench",
@@ -540,6 +575,11 @@ func benchRisk(b *testing.B, workers int, instrumented bool) {
 	}
 	if err := p.UseSimulatedTools(); err != nil {
 		b.Fatal(err)
+	}
+	if quietFaults {
+		if err := p.InjectFaults(FaultConfig{Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
 	}
 	opt := RiskOptions{Trials: 1000, Seed: 7, Workers: workers}
 	b.ResetTimer()
@@ -553,17 +593,17 @@ func benchRisk(b *testing.B, workers int, instrumented bool) {
 // BenchmarkE6_RiskSimulation is the serial (1-worker) risk engine;
 // BenchmarkE6_RiskSimulation_Parallel runs the same sharded engine on
 // all cores and must return bit-identical results (see
-// internal/monte's equivalence test). cmd/benchrisk records the
-// serial/parallel trials sweep into BENCH_risk.json.
-// BenchmarkE6_RiskSimulation_Instrumented is the same serial run with
-// the observability layer enabled; the overhead budget is <5% (see
-// BENCH_obs.json, recorded by cmd/benchrisk -obs).
-func BenchmarkE6_RiskSimulation(b *testing.B)              { benchRisk(b, 1, false) }
-func BenchmarkE6_RiskSimulation_Parallel(b *testing.B)     { benchRisk(b, 0, false) }
-func BenchmarkE6_RiskSimulation_Instrumented(b *testing.B) { benchRisk(b, 1, true) }
+// internal/monte's equivalence test, and its Simulate benchmarks for
+// the trials × workers sweep). BenchmarkE6_RiskSimulation_Instrumented
+// is the same serial run with the observability layer enabled; the
+// overhead budget is <5% (BENCH_obs.json holds the frozen history).
+func BenchmarkE6_RiskSimulation(b *testing.B)              { benchRisk(b, 1, false, false) }
+func BenchmarkE6_RiskSimulation_Parallel(b *testing.B)     { benchRisk(b, 0, false, false) }
+func BenchmarkE6_RiskSimulation_Instrumented(b *testing.B) { benchRisk(b, 1, true, false) }
 
-// benchExecMode measures tracked ASIC execution under one timeline mode.
-func benchExecMode(b *testing.B, parallel bool) {
+// benchExecMode measures tracked ASIC execution under one timeline mode,
+// optionally with a zero-probability fault plan around every tool.
+func benchExecMode(b *testing.B, parallel, quietFaults bool) {
 	b.Helper()
 	targets := []string{"drcreport", "lvsreport", "timingreport", "simreport"}
 	for i := 0; i < b.N; i++ {
@@ -573,6 +613,11 @@ func benchExecMode(b *testing.B, parallel bool) {
 		}
 		if err := p.UseSimulatedTools(); err != nil {
 			b.Fatal(err)
+		}
+		if quietFaults {
+			if err := p.InjectFaults(FaultConfig{Seed: 1}); err != nil {
+				b.Fatal(err)
+			}
 		}
 		for _, leaf := range []string{"rtl", "constraints", "testbench"} {
 			if _, err := p.Import(leaf, []byte("x")); err != nil {
@@ -597,5 +642,66 @@ func benchExecMode(b *testing.B, parallel bool) {
 // BenchmarkAblation_ExecSerial / _ExecParallel compare the two execution
 // timeline models on the ASIC flow (the compute cost is similar; the
 // virtual-time spans differ — see engine's parallel tests).
-func BenchmarkAblation_ExecSerial(b *testing.B)   { benchExecMode(b, false) }
-func BenchmarkAblation_ExecParallel(b *testing.B) { benchExecMode(b, true) }
+func BenchmarkAblation_ExecSerial(b *testing.B)   { benchExecMode(b, false, false) }
+func BenchmarkAblation_ExecParallel(b *testing.B) { benchExecMode(b, true, false) }
+
+// BenchmarkAblation_FaultHooks prices the fault-injection hooks armed
+// but quiet: the Fig. 4 risk run and the ASIC execution, each plain and
+// under a zero-probability plan, so the difference is the injectors'
+// per-run cost (one seeded draw and a history append), not any fault.
+// The budget is <2% on the risk run.
+func BenchmarkAblation_FaultHooks(b *testing.B) {
+	for _, quiet := range []bool{false, true} {
+		plan := "plain"
+		if quiet {
+			plan = "quiet"
+		}
+		b.Run("risk-fig4/"+plan, func(b *testing.B) { benchRisk(b, 1, false, quiet) })
+		b.Run("exec-asic/"+plan, func(b *testing.B) { benchExecMode(b, false, quiet) })
+	}
+}
+
+// BenchmarkRecovery measures crash recovery: Open on a copy of a
+// durable ASIC project's directory after 10 designer iterations, left
+// without Close. "replay" rebuilds the state from the WAL alone;
+// "checkpoint" loads the checkpoint that Close wrote over the log.
+func BenchmarkRecovery(b *testing.B) {
+	po := PersistOptions{NoSync: true, CheckpointEvery: -1}
+	src := b.TempDir()
+	p, err := Open(src, ASICSchema, Options{Designer: "bench"}, po)
+	if err != nil {
+		b.Fatal(err)
+	}
+	designerLoop(b, p, 10)
+	records := p.WALSeq()
+	cp := copyDir(b, src)
+	q, err := Open(cp, "", Options{}, po)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := q.Close(); err != nil { // checkpoints
+		b.Fatal(err)
+	}
+	for _, c := range []struct{ name, dir string }{{"replay", src}, {"checkpoint", cp}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				dir := copyDir(b, c.dir)
+				b.StartTimer()
+				r, err := Open(dir, "", Options{}, po)
+				b.StopTimer()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := r.Close(); err != nil {
+					b.Fatal(err)
+				}
+				os.RemoveAll(dir)
+				b.StartTimer()
+			}
+			if c.name == "replay" {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(records), "ns/record")
+			}
+		})
+	}
+}

@@ -41,7 +41,7 @@ func exhibits() []exhibit {
 		{"e8", report.E8Scenarios},
 		{"e9", report.E9FaultTolerance},
 		// e10 (HTTP serving under load) is bench-backed only — see
-		// cmd/benchserve and EXPERIMENTS.md.
+		// perfbench (BENCHMARK.json) and EXPERIMENTS.md.
 		{"e11", report.E11IncrementalRisk},
 	}
 }

@@ -548,8 +548,13 @@ func (p *Project) MemoryFootprint() int64 {
 	const perEntry = 512 // entry struct, ID strings, payload JSON
 	_, execInst, _, schedInst := p.Stats()
 	return int64(p.mgr.Data.TotalBytes()) + int64(execInst+schedInst)*perEntry +
-		p.riskMemo.Stats().Bytes
+		p.RiskMemoBytes()
 }
+
+// RiskMemoBytes reports the bytes of trial streams held by the risk
+// memo, the one part of MemoryFootprint that read-only risk analyses
+// grow. It is cheap to read, unlike the full estimate.
+func (p *Project) RiskMemoBytes() int64 { return p.riskMemo.Stats().Bytes }
 
 // Close checkpoints a durable project (bounding the next open's replay),
 // detaches the change-feed hooks, and closes the WAL. A no-op on

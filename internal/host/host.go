@@ -26,6 +26,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"flowsched"
 	"flowsched/internal/obs"
@@ -71,6 +72,9 @@ type entry struct {
 	evicted bool
 	grave   chan struct{} // set at eviction, closed when finalized
 	wmu     sync.Mutex
+
+	// memoBytes is the risk memo's size at the last estimate of bytes.
+	memoBytes atomic.Int64
 }
 
 // Registry maps project IDs to resident projects. Safe for concurrent
@@ -187,10 +191,17 @@ func (h *Handle) Health() flowsched.Health {
 	return hl
 }
 
-// Release unpins the project. Idempotent. If the project was evicted
-// while pinned, the last release checkpoints and closes it.
+// Release unpins the project. Idempotent. If the project's risk memo
+// moved since the last estimate (read-only risk analyses grow it), the
+// byte estimate is refreshed and the LRU budget applied first. If the
+// project was evicted while pinned, the last release checkpoints and
+// closes it.
 func (h *Handle) Release() {
 	h.once.Do(func() {
+		if h.e.project.RiskMemoBytes() != h.e.memoBytes.Load() {
+			h.r.refreshBytes(h.e)
+			h.r.enforceBudget(h.e)
+		}
 		h.r.mu.Lock()
 		h.e.refs--
 		fin := h.e.evicted && h.e.refs == 0
@@ -288,6 +299,7 @@ func (r *Registry) load(e *entry, schemaSrc string) (*Handle, error) {
 		return nil, e.loadErr
 	}
 	e.project = p
+	e.memoBytes.Store(p.RiskMemoBytes())
 	e.bytes = p.MemoryFootprint()
 	r.mu.Unlock()
 	close(e.ready)
@@ -388,8 +400,10 @@ func (r *Registry) finalize(e *entry) error {
 	return err
 }
 
-// refreshBytes re-estimates a project's resident size after mutations.
+// refreshBytes re-estimates a project's resident size after mutations
+// or risk memo growth.
 func (r *Registry) refreshBytes(e *entry) {
+	e.memoBytes.Store(e.project.RiskMemoBytes())
 	b := e.project.MemoryFootprint()
 	r.mu.Lock()
 	e.bytes = b

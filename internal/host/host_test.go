@@ -234,6 +234,57 @@ func TestLRUEvictionUnderByteBudget(t *testing.T) {
 	}
 }
 
+// TestReadOnlyRiskGrowthEnforcesBudget: trial streams a read-only risk
+// analysis leaves in a project's memo count against the byte budget at
+// the handle's release, so an unpinned tenant is evicted with no write
+// to the one that grew.
+func TestReadOnlyRiskGrowthEnforcesBudget(t *testing.T) {
+	root := t.TempDir()
+	seed := newRegistry(t, Options{Root: root})
+	want := createProject(t, seed, "alpha")
+	createProject(t, seed, "beta")
+	budget := seed.ResidentBytes() + 1024 // both fit, with a kilobyte to spare
+	if err := seed.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r := newRegistry(t, Options{Root: root, MaxResidentBytes: budget})
+	for _, id := range []string{"beta", "alpha"} {
+		h, err := r.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Release()
+	}
+	if r.ResidentBytes() != budget-1024 {
+		t.Fatalf("reloaded footprint %d, want %d", r.ResidentBytes(), budget-1024)
+	}
+
+	h, err := r.Get("alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Project().SimulateRiskWith([]string{"performance"}, flowsched.RiskOptions{Trials: 5000, Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if got := versionOf(t, h); got != want {
+		t.Fatalf("risk analysis moved alpha to version %d, want %d", got, want)
+	}
+	h.Release()
+
+	resident := map[string]bool{}
+	list, err := r.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, info := range list {
+		resident[info.ID] = info.Resident
+	}
+	if !resident["alpha"] || resident["beta"] {
+		t.Fatalf("resident = %v, want alpha kept and beta evicted once alpha's memo outgrew the budget", resident)
+	}
+}
+
 func TestListUnionsDiskAndResident(t *testing.T) {
 	r := newRegistry(t, Options{})
 	createProject(t, r, "alpha")

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// benchSimulate sweeps the engine over trial counts and worker counts;
-// cmd/benchrisk records the same sweep (over the heavier E6 ASIC model)
-// into BENCH_risk.json.
+// benchSimulate sweeps the engine over trial counts and worker counts,
+// the trials × workers grid that BENCH_risk.json recorded over the E6
+// ASIC model until it was frozen.
 func benchSimulate(b *testing.B, trials, workers int) {
 	b.Helper()
 	acts := branchy()

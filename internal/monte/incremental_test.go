@@ -358,9 +358,18 @@ func TestModelsFingerprint(t *testing.T) {
 	}
 }
 
-func BenchmarkColdSimulate(b *testing.B) {
+// BenchmarkColdSimulate and BenchmarkWarmAfterEdit compare a cold
+// simulation of an edited model with a warm one whose memo was primed
+// with the baseline, in exact and sketch mode. The warm run reports the
+// activity-trials it sampled and the ones the memo served.
+func BenchmarkColdSimulate(b *testing.B)         { benchCold(b, false) }
+func BenchmarkColdSimulate_Sketch(b *testing.B)  { benchCold(b, true) }
+func BenchmarkWarmAfterEdit(b *testing.B)        { benchWarm(b, false) }
+func BenchmarkWarmAfterEdit_Sketch(b *testing.B) { benchWarm(b, true) }
+
+func benchCold(b *testing.B, sketch bool) {
 	acts := edited("tb", 1.3)
-	cfg := Config{Trials: 20000, Seed: 7}
+	cfg := Config{Trials: 20000, Seed: 7, Sketch: sketch}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Simulate(acts, cfg); err != nil {
@@ -369,9 +378,10 @@ func BenchmarkColdSimulate(b *testing.B) {
 	}
 }
 
-func BenchmarkWarmAfterEdit(b *testing.B) {
-	cfg := Config{Trials: 20000, Seed: 7}
+func benchWarm(b *testing.B, sketch bool) {
+	cfg := Config{Trials: 20000, Seed: 7, Sketch: sketch}
 	acts := edited("tb", 1.3)
+	var res *Result
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		memo := NewMemo(0)
@@ -381,8 +391,11 @@ func BenchmarkWarmAfterEdit(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if _, err := Simulate(acts, primed); err != nil {
+		var err error
+		if res, err = Simulate(acts, primed); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(res.SampledActivityTrials), "sampled-trials/op")
+	b.ReportMetric(float64(res.ReusedActivityTrials), "reused-trials/op")
 }

@@ -36,7 +36,7 @@ func E11IncrementalRisk() (string, error) {
 		if err != nil {
 			return "", err
 		}
-		rep, err := scenario.Sweep(m, m.Schema.PrimaryOutputs(), e11edits(sc), scenario.Options{
+		rep, err := scenario.Sweep(m, m.Schema.PrimaryOutputs(), RiskSweepEdits(sc), scenario.Options{
 			Workers: 1, // serial: the sampled/reused split is exactly reproducible
 			Risk:    &scenario.RiskSpec{Trials: trials, Seed: 1995},
 		})
@@ -82,9 +82,10 @@ func e11manager() (*engine.Manager, error) {
 	return m, nil
 }
 
-// e11edits mirrors cmd/benchstore's risk sweep: n single-activity
-// perturbations cycling over the flow's late-stage activities.
-func e11edits(n int) []scenario.Edit {
+// RiskSweepEdits builds n single-activity perturbations cycling over the
+// ASIC flow's late-stage activities: the scenarios of E11 and of the
+// risk-sweep benchmark.
+func RiskSweepEdits(n int) []scenario.Edit {
 	acts := []string{"DRC", "LVS", "STA", "GateSim", "Extract"}
 	edits := make([]scenario.Edit, n)
 	for i := range edits {

@@ -273,7 +273,7 @@ func E5Queries() (string, error) {
 
 // ASICRiskModels derives the Monte-Carlo activity models for the ASIC
 // flow from the standard tool profiles. It is the stochastic model
-// behind exhibit E6 and the benchrisk harness.
+// behind exhibit E6.
 func ASICRiskModels() ([]monte.ActivityModel, error) {
 	sch := workload.ASIC()
 	profiles := tools.StandardProfiles()
@@ -296,56 +296,6 @@ func ASICRiskModels() ([]monte.ActivityModel, error) {
 			MeanIterations: prof.MeanIterations, Preds: preds,
 		})
 	}
-	return models, nil
-}
-
-// SoCRiskModels builds a chip-scale risk network: the ASIC flow
-// replicated per block (activities namespaced "b<k>."), plus a
-// top-level assembly chain that integrates every block's layout and
-// signs the chip off. It is the workload for the incremental-risk
-// benchmarks and the E11 exhibit — wide enough that a single-block edit
-// leaves most of the network's trial streams reusable, which is the
-// regime the subtree memo is for.
-func SoCRiskModels(blocks int) ([]monte.ActivityModel, error) {
-	if blocks < 1 {
-		return nil, fmt.Errorf("report: soc model needs >= 1 block, got %d", blocks)
-	}
-	base, err := ASICRiskModels()
-	if err != nil {
-		return nil, err
-	}
-	var models []monte.ActivityModel
-	var layoutActs []string
-	for k := 1; k <= blocks; k++ {
-		ns := fmt.Sprintf("b%d.", k)
-		for _, m := range base {
-			nm := m
-			nm.Name = ns + m.Name
-			nm.Preds = make([]string, len(m.Preds))
-			for i, p := range m.Preds {
-				nm.Preds[i] = ns + p
-			}
-			models = append(models, nm)
-			if m.Name == "Route" {
-				layoutActs = append(layoutActs, nm.Name)
-			}
-		}
-	}
-	h := func(n int) time.Duration { return time.Duration(n) * time.Hour }
-	models = append(models,
-		monte.ActivityModel{
-			Name: "Assemble", Min: h(6), Mode: h(10), Max: h(18),
-			MeanIterations: 1.5, Preds: layoutActs,
-		},
-		monte.ActivityModel{
-			Name: "ChipDRC", Min: h(3), Mode: h(5), Max: h(9),
-			MeanIterations: 1.8, Preds: []string{"Assemble"},
-		},
-		monte.ActivityModel{
-			Name: "Signoff", Min: h(2), Mode: h(3), Max: h(6),
-			MeanIterations: 1.2, Preds: []string{"ChipDRC"},
-		},
-	)
 	return models, nil
 }
 

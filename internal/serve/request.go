@@ -16,11 +16,11 @@ import (
 	"flowsched/internal/obs"
 )
 
-// DefaultRequestSpans bounds each request's private tracer. A cold
+// defaultRequestSpans bounds each request's private tracer. A cold
 // 1M-trial /risk render emits on the order of 70 spans (root + monte
 // root + 64 shards); a deep what-if sweep a few hundred — 4096 leaves
 // generous headroom without letting one request hold megabytes.
-const DefaultRequestSpans = 4096
+const defaultRequestSpans = 4096
 
 // LatencyBuckets suits the serving path's real latency spread, which
 // BENCH_serve.json documents: microsecond-scale memo and fingerprint

@@ -382,7 +382,7 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 		}
 
 		seq := s.reqSeq.Add(1)
-		ri := &reqInfo{tracer: obs.NewTracer(DefaultRequestSpans)}
+		ri := &reqInfo{tracer: obs.NewTracer(defaultRequestSpans)}
 		if id, ok := obs.ParseTraceparent(r.Header.Get("traceparent")); ok {
 			ri.traceID = id
 		} else {

@@ -83,7 +83,7 @@ func scanSpans(t *testing.T, dir string) []frameSpan {
 }
 
 // copyDir clones a project directory (manifest + segments + checkpoint).
-func copyDir(t *testing.T, src string) string {
+func copyDir(t testing.TB, src string) string {
 	t.Helper()
 	dst := t.TempDir()
 	ents, err := os.ReadDir(src)
