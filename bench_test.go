@@ -433,17 +433,18 @@ func BenchmarkAblation_WhatIfRiskSweep(b *testing.B) {
 // surface (paper §IV.C): a fresh view of a project after 24 designer
 // iterations with 24 milestones set, rendered as the Gantt chart, the
 // milestone report and the dashboard. All three rest on working-time
-// arithmetic over the plan's span.
+// arithmetic over the plan's span. The project is in memory, where
+// every entry keeps its decoded payload, and durable (Open, no fsync),
+// where only each container's latest entry does, as in a served tenant.
 func BenchmarkAblation_PMViews(b *testing.B) {
-	p := designerProject(b, 24)
-	cal := p.Calendar()
-	classes := []string{"drcreport", "lvsreport", "timingreport", "simreport"}
-	for i := 0; i < 24; i++ {
-		target := cal.AddWork(p.Now(), cal.Workdays(i%10+1))
-		if err := p.SetMilestone(fmt.Sprintf("m%d", i), classes[i%len(classes)], target); err != nil {
-			b.Fatal(err)
-		}
-	}
+	b.Run("memory", func(b *testing.B) { benchPMViews(b, designerProject(b, 24)) })
+	b.Run("durable", func(b *testing.B) { benchPMViews(b, durableDesigner(b, 24)) })
+}
+
+// benchPMViews sets BenchmarkAblation_PMViews's 24 milestones on p and
+// times the three renders on a fresh view.
+func benchPMViews(b *testing.B, p *Project) {
+	addMilestones(b, p, "m", 24)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -45,7 +45,7 @@ func (m *Manager) checkConstraints(cs []Constraint, activity string, output []by
 			continue
 		}
 		if err := c.Check(output); err != nil {
-			m.emit(EvConstraint, activity, at, "%s: %v", c.Name, err)
+			m.emit(EvConstraint, activity, at, fmt.Sprintf("%s: %v", c.Name, err))
 			return fmt.Errorf("engine: constraint %s: %w", c.Name, err)
 		}
 	}

@@ -341,13 +341,46 @@ func (m *Manager) RestoreEvents(evs []Event) {
 	m.ev.mu.Unlock()
 }
 
-func (m *Manager) emit(kind EventKind, activity string, at time.Time, format string, args ...any) {
-	m.ev.append(Event{
-		Kind: kind, Activity: activity, At: at, Detail: fmt.Sprintf(format, args...),
-	})
+// emit appends an event with its finished detail string.
+func (m *Manager) emit(kind EventKind, activity string, at time.Time, detail string) {
+	m.ev.append(Event{Kind: kind, Activity: activity, At: at, Detail: detail})
 	if m.reg != nil {
 		m.eventCounter(kind).Inc()
 	}
+}
+
+// The details of the events every run iteration emits are built
+// without fmt, each equal to the fmt.Sprintf in its comment; rarer
+// events format their own.
+
+// runStartedDetail is "run %s (iteration %d)".
+func runStartedDetail(runID string, iter int) string {
+	return "run " + runID + " (iteration " + strconv.Itoa(iter) + ")"
+}
+
+// entityDetail is "%s (%s)" of an entity ID and its design ref.
+func entityDetail(entityID string, ref design.Ref) string {
+	return entityID + " (" + ref.String() + ")"
+}
+
+// runFinishedDetail is "run %s ok, goalMet=%v".
+func runFinishedDetail(runID string, goalMet bool) string {
+	return "run " + runID + " ok, goalMet=" + strconv.FormatBool(goalMet)
+}
+
+// taskStartedDetail is "actual start recorded as %s" of the start in
+// "2006-01-02 15:04" form.
+func taskStartedDetail(start time.Time) string {
+	return "actual start recorded as " + start.Format("2006-01-02 15:04")
+}
+
+// linkedDetail is "linked %s".
+func linkedDetail(entityID string) string { return "linked " + entityID }
+
+// slipDetail is "project finish slipped %s -> %s" of the two finishes
+// in "2006-01-02" form.
+func slipDetail(before, projected time.Time) string {
+	return "project finish slipped " + before.Format("2006-01-02") + " -> " + projected.Format("2006-01-02")
 }
 
 // eventCounter returns the cached engine_events_total{kind=...} series
@@ -404,7 +437,7 @@ func (m *Manager) Import(class string, data []byte) (*store.Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.emit(EvEntityCreated, "", now, "imported %s as %s", ref, e.ID)
+	m.emit(EvEntityCreated, "", now, fmt.Sprintf("imported %s as %s", ref, e.ID))
 	return e, nil
 }
 
@@ -421,8 +454,8 @@ func (m *Manager) Plan(tree *flow.Tree, est sched.Estimator, opt sched.PlanOptio
 	}
 	sp.SetDetail("plan v" + strconv.Itoa(res.Plan.Version))
 	sp.End(res.Plan.Finish)
-	m.emit(EvPlanCreated, "", m.Clock.Now(), "plan v%d: finish %s",
-		res.Plan.Version, res.Plan.Finish.Format("2006-01-02 15:04"))
+	m.emit(EvPlanCreated, "", m.Clock.Now(), fmt.Sprintf("plan v%d: finish %s",
+		res.Plan.Version, res.Plan.Finish.Format("2006-01-02 15:04")))
 	return res, nil
 }
 
@@ -640,8 +673,7 @@ func (m *Manager) execute(tree *flow.Tree, opt ExecOptions, skip map[string]bool
 		psp.End(m.Clock.Now())
 		if projected.After(before) {
 			m.hSlip.Observe(projected.Sub(before).Seconds())
-			m.emit(EvSlip, "", m.Clock.Now(), "project finish slipped %s -> %s",
-				before.Format("2006-01-02"), projected.Format("2006-01-02"))
+			m.emit(EvSlip, "", m.Clock.Now(), slipDetail(before, projected))
 		}
 	}
 	return res, nil
@@ -715,7 +747,7 @@ func (m *Manager) blockActivity(act, cause string, blocked map[string]string,
 	blocked[act] = cause
 	res.Blocked = append(res.Blocked, act)
 	now := m.Clock.Now()
-	m.emit(EvBlocked, act, now, "%s", cause)
+	m.emit(EvBlocked, act, now, cause)
 	if opt.Plan != nil {
 		// MarkBlocked fails only for already-complete activities, which
 		// cannot be in the blocked set.
@@ -764,7 +796,7 @@ func (m *Manager) runActivity(tree *flow.Tree, act string, startAt time.Time,
 		if err != nil {
 			return nil, err
 		}
-		m.emit(EvRunStarted, act, start, "run %s (iteration %d)", runEntry.ID, iter)
+		m.emit(EvRunStarted, act, start, runStartedDetail(runEntry.ID, iter))
 
 		rsp := m.tr.Start(asp, "engine.run", start)
 		rsp.SetDetail(runEntry.ID + " iter=" + strconv.Itoa(iter))
@@ -776,7 +808,7 @@ func (m *Manager) runActivity(tree *flow.Tree, act string, startAt time.Time,
 				runEntry.ID, rec.RunDeadline, result.Work)
 			result.Work = rec.RunDeadline
 			m.emit(EvRunTimeout, act, m.Calendar.AddWork(start, rec.RunDeadline),
-				"run %s aborted at deadline %v", runEntry.ID, rec.RunDeadline)
+				fmt.Sprintf("run %s aborted at deadline %v", runEntry.ID, rec.RunDeadline))
 		}
 		finish := m.Calendar.AddWork(start, result.Work)
 		now = finish
@@ -788,7 +820,7 @@ func (m *Manager) runActivity(tree *flow.Tree, act string, startAt time.Time,
 			}
 			out.Failures++
 			failStreak++
-			m.emit(EvRunFailed, act, finish, "%v", runErr)
+			m.emit(EvRunFailed, act, finish, fmt.Sprintf("%v", runErr))
 			if failStreak >= opt.MaxFailures {
 				out.Finished = now
 				return out, &ActivityFailedError{
@@ -810,10 +842,10 @@ func (m *Manager) runActivity(tree *flow.Tree, act string, startAt time.Time,
 				m.hBackoff.Observe(wait.Seconds())
 				now = retryAt
 			}
-			m.emit(EvRunRetry, act, now, "retry %d after %s backoff", failStreak, wait.Round(time.Minute))
+			m.emit(EvRunRetry, act, now, fmt.Sprintf("retry %d after %s backoff", failStreak, wait.Round(time.Minute)))
 			if rec.Failover {
 				if alt, rotated := m.Tools.Rotate(act); rotated {
-					m.emit(EvFailover, act, now, "failover %s -> %s", tool.Instance(), alt.Instance())
+					m.emit(EvFailover, act, now, fmt.Sprintf("failover %s -> %s", tool.Instance(), alt.Instance()))
 				}
 			}
 			continue
@@ -832,16 +864,15 @@ func (m *Manager) runActivity(tree *flow.Tree, act string, startAt time.Time,
 		}
 		out.Iterations = iter
 		out.FinalEntity = entity
-		m.emit(EvEntityCreated, act, finish, "%s (%s)", entity.ID, ref)
-		m.emit(EvRunFinished, act, finish, "run %s ok, goalMet=%v", runEntry.ID, result.GoalMet)
+		m.emit(EvEntityCreated, act, finish, entityDetail(entity.ID, ref))
+		m.emit(EvRunFinished, act, finish, runFinishedDetail(runEntry.ID, result.GoalMet))
 
 		if opt.Plan != nil && out.Iterations == iter && entityOf[rule.Output] == nil {
 			// The first data instance sets the actual start date (§IV.C);
 			// the recorded date is the producing run's start, while the
 			// event itself happens when the instance is created.
 			if err := m.Sched.MarkStarted(opt.Plan, act, out.Started); err == nil {
-				m.emit(EvTaskStarted, act, finish, "actual start recorded as %s",
-					out.Started.Format("2006-01-02 15:04"))
+				m.emit(EvTaskStarted, act, finish, taskStartedDetail(out.Started))
 			}
 		}
 		bytesOf[rule.Output] = result.Output
@@ -853,7 +884,7 @@ func (m *Manager) runActivity(tree *flow.Tree, act string, startAt time.Time,
 			// accepting corrupt output. The version stays filed for the
 			// post-mortem, but the goals count as unmet.
 			if verr := rec.Verify(act, result.Output); verr != nil {
-				m.emit(EvVerifyFailed, act, finish, "%s rejected: %v", entity.ID, verr)
+				m.emit(EvVerifyFailed, act, finish, fmt.Sprintf("%s rejected: %v", entity.ID, verr))
 				goalMet = false
 			}
 		}
@@ -881,7 +912,7 @@ func (m *Manager) runActivity(tree *flow.Tree, act string, startAt time.Time,
 		if err := m.Sched.Complete(opt.Plan, act, out.FinalEntity.ID, out.Finished); err != nil {
 			return nil, err
 		}
-		m.emit(EvTaskComplete, act, out.Finished, "linked %s", out.FinalEntity.ID)
+		m.emit(EvTaskComplete, act, out.Finished, linkedDetail(out.FinalEntity.ID))
 	}
 	return out, nil
 }
@@ -893,6 +924,6 @@ func (m *Manager) CompleteActivity(p *sched.Plan, activity, entityID string) err
 	if err := m.Sched.Complete(p, activity, entityID, m.Clock.Now()); err != nil {
 		return err
 	}
-	m.emit(EvTaskComplete, activity, m.Clock.Now(), "linked %s", entityID)
+	m.emit(EvTaskComplete, activity, m.Clock.Now(), linkedDetail(entityID))
 	return nil
 }

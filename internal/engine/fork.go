@@ -1,10 +1,6 @@
 package engine
 
 import (
-	"fmt"
-
-	"flowsched/internal/meta"
-	"flowsched/internal/sched"
 	"flowsched/internal/store"
 	"flowsched/internal/vclock"
 )
@@ -32,19 +28,15 @@ func (m *Manager) Fork() (*Manager, error) { return m.ForkAtView(nil) }
 // forks the current state (plain Fork). The view pins the task database
 // only: the child's event stream and clock are the parent's as of the
 // ForkAtView call, not as of v.
+//
+// The child's spaces are the parent's rebound to the forked database:
+// the parent validated the schema and created every space container
+// when it was made, and the fork holds them all.
 func (m *Manager) ForkAtView(v *store.View) (*Manager, error) {
 	db := m.DB.ForkAt(v)
-	exec, err := meta.NewSpace(db, m.Schema)
-	if err != nil {
-		return nil, fmt.Errorf("engine: fork: %w", err)
-	}
-	sc, err := sched.NewSpace(db, m.Schema, m.Calendar)
-	if err != nil {
-		return nil, fmt.Errorf("engine: fork: %w", err)
-	}
 	return &Manager{
 		Schema: m.Schema, Graph: m.Graph, DB: db, Data: m.Data.Fork(),
-		Exec: exec, Sched: sc, Tools: m.Tools.Clone(),
+		Exec: m.Exec.WithDB(db), Sched: m.Sched.WithDB(db), Tools: m.Tools.Clone(),
 		Clock: vclock.NewAt(m.Clock.Now()), Calendar: m.Calendar,
 		Designer: m.Designer,
 		ev:       m.ev.fork(),

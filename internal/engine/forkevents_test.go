@@ -11,7 +11,7 @@ import (
 
 // note appends a marker event straight to m's stream.
 func note(m *Manager, detail string) {
-	m.emit(EvPlanCreated, "", t0, "%s", detail)
+	m.emit(EvPlanCreated, "", t0, detail)
 }
 
 // details lists the Detail of every event in m's stream.

@@ -87,6 +87,12 @@ func (s *Space) AtView(v *store.View) *Space {
 	return &Space{Schema: s.Schema, rd: v}
 }
 
+// WithDB returns a copy of the space bound to db for reads and writes,
+// without validating the schema or creating containers again: db must
+// already hold the space's containers, as a fork of the space's
+// database does.
+func (s *Space) WithDB(db *store.DB) *Space { return &Space{DB: db, Schema: s.Schema} }
+
 // writable returns the live DB, or an error for a view-bound space.
 func (s *Space) writable() (*store.DB, error) {
 	if s.DB == nil {

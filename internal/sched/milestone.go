@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -72,36 +73,87 @@ func (s *Space) SetMilestone(p *Plan, name, class string, target time.Time) (*st
 // (false for a view-bound space, where refreshes are computed in memory).
 func (s *Space) milestonesWritable() bool { return s.DB != nil }
 
+// milestoneSet is the milestone container decoded once per change
+// rather than once per read. The container is a set — every milestone of
+// every plan version, each read on every render — while the store keeps
+// decoded values for version chains, whose latest entry is the one read
+// again: in a durable project it keeps one value per container, so
+// every other milestone would be parsed from JSON on each read.
+//
+// A Space and its AtView copies share one slot holding the latest set.
+// A set is valid for a container whose entries are the very *store.Entry
+// pointers it was decoded from: entries are immutable and a changed one
+// is replaced, so pointer identity is sound across versions, views and
+// forks, where a key by store version would miss after every write. A
+// set is never modified once published.
+type milestoneSet struct {
+	entries []*store.Entry // the container's entries, in version order
+	ms      []Milestone    // ms[i] is the payload of entries[i]
+	// byTarget orders the indices by target date, ties in version order.
+	byTarget []int
+}
+
+// decodedMilestones returns the set decoded from the container's
+// entries, reusing the memo's when its entries are the same, and the
+// decoded milestones of any entry it shares with it.
+func (s *Space) decodedMilestones(c *store.Container) (*milestoneSet, error) {
+	var old *milestoneSet
+	if s.ms != nil {
+		old = s.ms.Load()
+	}
+	if old != nil && slices.Equal(old.entries, c.Entries) {
+		return old, nil
+	}
+	set := &milestoneSet{
+		entries:  slices.Clone(c.Entries),
+		ms:       make([]Milestone, len(c.Entries)),
+		byTarget: make([]int, len(c.Entries)),
+	}
+	for i, e := range set.entries {
+		set.byTarget[i] = i
+		if old != nil && i < len(old.entries) && old.entries[i] == e {
+			set.ms[i] = old.ms[i]
+		} else if err := e.Decode(&set.ms[i]); err != nil {
+			return nil, err
+		}
+	}
+	sort.SliceStable(set.byTarget, func(i, j int) bool {
+		return set.ms[set.byTarget[i]].Target.Before(set.ms[set.byTarget[j]].Target)
+	})
+	if s.ms != nil {
+		s.ms.Store(set)
+	}
+	return set, nil
+}
+
 // Milestones returns the milestone instances for a plan version, sorted
-// by target date.
+// by target date (ties in the order they were set). The milestones are
+// the caller's to modify.
 func (s *Space) Milestones(p *Plan) ([]*store.Entry, []Milestone, error) {
 	c := s.Reader().Container(MilestoneContainer)
 	if c == nil {
 		return nil, nil, nil // none set
 	}
-	// Sort entries and payloads as pairs, so entries[i] stays the entry
-	// of ms[i].
-	type pair struct {
-		e *store.Entry
-		m Milestone
+	set, err := s.decodedMilestones(c)
+	if err != nil {
+		return nil, nil, err
 	}
-	var pairs []pair
-	for _, e := range c.Entries {
-		var m Milestone
-		if err := e.Decode(&m); err != nil {
-			return nil, nil, err
+	n := 0
+	for _, m := range set.ms {
+		if m.PlanVersion == p.Version {
+			n++
 		}
-		if m.PlanVersion != p.Version {
-			continue
-		}
-		pairs = append(pairs, pair{e, m})
 	}
-	sort.SliceStable(pairs, func(i, j int) bool { return pairs[i].m.Target.Before(pairs[j].m.Target) })
-	var entries []*store.Entry
-	var ms []Milestone
-	for _, pr := range pairs {
-		entries = append(entries, pr.e)
-		ms = append(ms, pr.m)
+	if n == 0 {
+		return nil, nil, nil
+	}
+	entries := make([]*store.Entry, 0, n)
+	ms := make([]Milestone, 0, n)
+	for _, i := range set.byTarget {
+		if set.ms[i].PlanVersion == p.Version {
+			entries = append(entries, set.entries[i])
+			ms = append(ms, set.ms[i])
+		}
 	}
 	return entries, ms, nil
 }
@@ -112,6 +164,11 @@ func (s *Space) Milestones(p *Plan) ([]*store.Entry, []Milestone, error) {
 // refreshed milestones. On a view-bound space the achievement is computed
 // in memory only — reporting stays correct, nothing is persisted.
 func (s *Space) RefreshMilestones(p *Plan) ([]Milestone, error) {
+	return s.refreshMilestones(p, new(Instance))
+}
+
+// refreshMilestones is RefreshMilestones decoding producers into *in.
+func (s *Space) refreshMilestones(p *Plan, in *Instance) ([]Milestone, error) {
 	entries, ms, err := s.Milestones(p)
 	if err != nil {
 		return nil, err
@@ -124,8 +181,7 @@ func (s *Space) RefreshMilestones(p *Plan) ([]Milestone, error) {
 		if rule == nil {
 			continue
 		}
-		_, in, err := s.Instance(p, rule.Activity)
-		if err != nil {
+		if _, err := s.decodeInstance(p, rule.Activity, in); err != nil {
 			return nil, err
 		}
 		if in.Done {
@@ -153,11 +209,15 @@ type MilestoneStatus struct {
 // unachieved milestone the producing activity's current planned finish is
 // the projection.
 func (s *Space) MilestoneReport(p *Plan) ([]MilestoneStatus, error) {
-	ms, err := s.RefreshMilestones(p)
+	in := new(Instance)
+	ms, err := s.refreshMilestones(p, in)
 	if err != nil {
 		return nil, err
 	}
 	var out []MilestoneStatus
+	if len(ms) > 0 {
+		out = make([]MilestoneStatus, 0, len(ms))
+	}
 	for _, m := range ms {
 		row := MilestoneStatus{Milestone: m}
 		var ref time.Time
@@ -165,8 +225,7 @@ func (s *Space) MilestoneReport(p *Plan) ([]MilestoneStatus, error) {
 			ref = m.AchievedAt
 		} else {
 			rule := s.Schema.Producer(m.Class)
-			_, in, err := s.Instance(p, rule.Activity)
-			if err != nil {
+			if _, err := s.decodeInstance(p, rule.Activity, in); err != nil {
 				return nil, err
 			}
 			ref = in.PlannedFinish

@@ -22,6 +22,8 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"strconv"
+	"sync/atomic"
 	"time"
 
 	"flowsched/internal/flow"
@@ -122,6 +124,9 @@ type Space struct {
 
 	// rd overrides the read source when view-bound; nil means read the DB.
 	rd store.Reader
+	// ms holds the decoded milestone container, shared with the space's
+	// AtView copies (see milestoneSet); nil decodes on every read.
+	ms *atomic.Pointer[milestoneSet]
 }
 
 // Reader returns the space's read source: the bound snapshot for a
@@ -137,7 +142,20 @@ func (s *Space) Reader() store.Reader {
 // against the snapshot v. Write methods (Plan, MarkStarted, Complete,
 // Propagate, SetMilestone, …) return an error on the returned space.
 func (s *Space) AtView(v *store.View) *Space {
-	return &Space{Schema: s.Schema, Calendar: s.Calendar, rd: v}
+	return &Space{Schema: s.Schema, Calendar: s.Calendar, rd: v, ms: s.ms}
+}
+
+// WithDB returns a copy of the space bound to db for reads and writes,
+// without validating the schema or creating containers again: db must
+// already hold the space's containers, as a fork of the space's
+// database does. The copy starts from the milestones the space has
+// decoded and keeps its own from then on.
+func (s *Space) WithDB(db *store.DB) *Space {
+	ms := new(atomic.Pointer[milestoneSet])
+	if s.ms != nil {
+		ms.Store(s.ms.Load())
+	}
+	return &Space{DB: db, Schema: s.Schema, Calendar: s.Calendar, ms: ms}
 }
 
 // writable returns the live DB, or an error for a view-bound space.
@@ -166,7 +184,7 @@ func NewSpace(db *store.DB, sch *schema.Schema, cal *vclock.Calendar) (*Space, e
 			return nil, err
 		}
 	}
-	return &Space{DB: db, Schema: sch, Calendar: cal}, nil
+	return &Space{DB: db, Schema: sch, Calendar: cal, ms: new(atomic.Pointer[milestoneSet])}, nil
 }
 
 // PlanOptions tunes a planning pass.
@@ -301,7 +319,7 @@ func (s *Space) CurrentPlan() (*store.Entry, *Plan, error) {
 
 // PlanByVersion returns the plan with the given version.
 func (s *Space) PlanByVersion(version int) (*store.Entry, *Plan, error) {
-	e := s.Reader().Get(fmt.Sprintf("%s/%d", PlanContainer, version))
+	e := s.Reader().Get(PlanContainer + "/" + strconv.Itoa(version))
 	if e == nil {
 		return nil, nil, fmt.Errorf("sched: no plan version %d", version)
 	}
@@ -314,32 +332,41 @@ func (s *Space) PlanByVersion(version int) (*store.Entry, *Plan, error) {
 
 // Instance returns the schedule instance of an activity under a plan.
 func (s *Space) Instance(p *Plan, activity string) (*store.Entry, *Instance, error) {
+	in := new(Instance)
+	e, err := s.decodeInstance(p, activity, in)
+	if err != nil {
+		return nil, nil, err
+	}
+	return e, in, nil
+}
+
+// decodeInstance is Instance decoding into *in, so that a pass over
+// many instances can reuse one.
+func (s *Space) decodeInstance(p *Plan, activity string, in *Instance) (*store.Entry, error) {
 	id, ok := p.Instances[activity]
 	if !ok {
-		return nil, nil, fmt.Errorf("sched: activity %q not in plan version %d", activity, p.Version)
+		return nil, fmt.Errorf("sched: activity %q not in plan version %d", activity, p.Version)
 	}
 	e := s.Reader().Get(id)
 	if e == nil {
-		return nil, nil, fmt.Errorf("sched: dangling instance %q", id)
+		return nil, fmt.Errorf("sched: dangling instance %q", id)
 	}
-	var in Instance
-	if err := e.Decode(&in); err != nil {
-		return nil, nil, err
+	if err := e.Decode(in); err != nil {
+		return nil, err
 	}
-	return e, &in, nil
+	return e, nil
 }
 
 // Instances returns all schedule instances of a plan in post order.
 func (s *Space) Instances(p *Plan) ([]*store.Entry, []Instance, error) {
-	entries := make([]*store.Entry, 0, len(p.Activities))
-	insts := make([]Instance, 0, len(p.Activities))
-	for _, act := range p.Activities {
-		e, in, err := s.Instance(p, act)
+	entries := make([]*store.Entry, len(p.Activities))
+	insts := make([]Instance, len(p.Activities))
+	for i, act := range p.Activities {
+		e, err := s.decodeInstance(p, act, &insts[i])
 		if err != nil {
 			return nil, nil, err
 		}
-		entries = append(entries, e)
-		insts = append(insts, *in)
+		entries[i] = e
 	}
 	return entries, insts, nil
 }

@@ -121,8 +121,9 @@ func (s *Space) Propagate(p *Plan, now time.Time) (time.Time, error) {
 	resFree := make(map[string]time.Time)
 	inPlan := planSet(p)
 	projected := p.Start
+	in := new(Instance) // SetPayload keeps a copy of it
 	for _, act := range p.Activities {
-		e, in, err := s.Instance(p, act)
+		e, err := s.decodeInstance(p, act, in)
 		if err != nil {
 			return time.Time{}, err
 		}
@@ -290,9 +291,9 @@ type ActivityStatus struct {
 // after Propagate) with `now` pressure applied by the caller beforehand.
 func (s *Space) Status(p *Plan, now time.Time) ([]ActivityStatus, error) {
 	var out []ActivityStatus
+	in := new(Instance)
 	for _, act := range p.Activities {
-		_, in, err := s.Instance(p, act)
-		if err != nil {
+		if _, err := s.decodeInstance(p, act, in); err != nil {
 			return nil, err
 		}
 		st := ActivityStatus{

@@ -380,7 +380,7 @@ func (db *DB) Put(container string, created time.Time, payload any, deps ...stri
 		}
 	}
 	e := &Entry{
-		ID:        fmt.Sprintf("%s/%d", container, len(c.Entries)+1),
+		ID:        entryID(container, len(c.Entries)+1),
 		Container: container,
 		Version:   len(c.Entries) + 1,
 		Created:   created,
@@ -547,6 +547,12 @@ func (db *DB) Linked(a, b string) bool {
 // computed on a Snapshot, so a concurrent writer cannot skew the counts.
 func (db *DB) Stats() map[Space]struct{ Containers, Instances int } {
 	return db.Snapshot().Stats()
+}
+
+// entryID returns the ID of a container's version: "container/version",
+// the form ParseID splits.
+func entryID(container string, version int) string {
+	return container + "/" + strconv.Itoa(version)
 }
 
 // ParseID splits an entry ID into container name and version.

@@ -22,6 +22,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -172,8 +173,30 @@ func (t *SimTool) synthesize(inputs map[string][]byte, iteration int, rng *rand.
 	for _, k := range keys {
 		h.Write(inputs[k])
 	}
-	return []byte(fmt.Sprintf("# produced by %s (class %s)\n# iteration %d\n# input digest %016x\n# quality %.4f\n",
-		t.instance, t.class, iteration, h.Sum64(), rng.Float64()))
+	return artifact(t.instance, t.class, iteration, h.Sum64(), rng.Float64())
+}
+
+// artifact renders the text synthesize produces; for a quality in
+// [0, 1) it writes what fmt's "# produced by %s (class %s)\n# iteration
+// %d\n# input digest %016x\n# quality %.4f\n" does, byte for byte.
+func artifact(instance, class string, iteration int, digest uint64, quality float64) []byte {
+	b := make([]byte, 0, 112+len(instance)+len(class))
+	b = append(b, "# produced by "...)
+	b = append(b, instance...)
+	b = append(b, " (class "...)
+	b = append(b, class...)
+	b = append(b, ")\n# iteration "...)
+	b = strconv.AppendInt(b, int64(iteration), 10)
+	b = append(b, "\n# input digest "...)
+	var hex [16]byte
+	h := strconv.AppendUint(hex[:0], digest, 16)
+	for i := len(h); i < 16; i++ {
+		b = append(b, '0')
+	}
+	b = append(b, h...)
+	b = append(b, "\n# quality "...)
+	b = strconv.AppendFloat(b, quality, 'f', 4, 64)
+	return append(b, '\n')
 }
 
 // Registry maps activities to bound tool instances for an execution

@@ -312,11 +312,32 @@ func floorMod(a, b int64) int64 { return a - floorDiv(a, b)*b }
 // reference the closed forms above equal, and the path for spans in
 // which a location's UTC offset changes.
 
-// dayWindow returns the working window for the date containing t.
+// dayWindow returns the working window for the date containing t: from
+// the instant its wall clock reads dayStart to the one it reads dayEnd,
+// so that on a day with a clock change the window keeps its wall-clock
+// hours, and a window ending at 24h ends at the next day's start.
 func (c *Calendar) dayWindow(t time.Time) (start, end time.Time) {
+	return wallClock(t, c.dayStart), wallClock(t, c.dayEnd)
+}
+
+// wallClock returns the first instant at which the wall clock of t's
+// location reads off past the midnight of t's civil day (24h is the next
+// day's midnight). A reading skipped by a clock change is reached at the
+// change itself.
+func wallClock(t time.Time, off time.Duration) time.Time {
 	y, m, d := t.Date()
-	midnight := time.Date(y, m, d, 0, 0, 0, 0, t.Location())
-	return midnight.Add(c.dayStart), midnight.Add(c.dayEnd)
+	w := time.Date(y, m, d, 0, 0, 0, int(off), t.Location())
+	want := time.Date(y, m, d, 0, 0, 0, int(off), time.UTC).Unix()
+	_, zoff := w.Zone()
+	// time.Date places a skipped reading on one side of the gap or the
+	// other; either way the gap's edge is the change.
+	switch got := w.Unix() + int64(zoff); {
+	case got < want:
+		_, w = w.ZoneBounds()
+	case got > want:
+		w, _ = w.ZoneBounds()
+	}
+	return w
 }
 
 // nextMidnight returns the first instant of the civil day after t's.

@@ -121,26 +121,40 @@ func checkCalendar(t testing.TB, cal *Calendar, a, b time.Time, work time.Durati
 }
 
 // parentWalk is the day walk as it stood before it stepped by civil
-// midnights. It stepped to the next day by adding 24 hours to the
-// day's midnight: on a 25-hour day that stays inside the day, so it
-// panicked, and after a 23-hour day it lands an hour into the next
-// one. offMidnight records the second.
+// midnights and kept the working window on the wall clock. It stepped
+// to the next day by adding 24 hours to the day's midnight: on a
+// 25-hour day that stays inside the day, so it panicked, and after a
+// 23-hour day it lands an hour into the next one. It placed the window
+// at elapsed offsets from midnight, an hour off the wall clock on such
+// days. differs records the last two.
 type parentWalk struct {
-	c           *Calendar
-	offMidnight bool
+	c       *Calendar
+	differs bool
 }
 
 // run calls fn and reports its result, and whether it returned without
-// panicking and without leaving a civil midnight.
+// panicking, without leaving a civil midnight and without reading a
+// window that differs from the calendar's.
 func (w *parentWalk) run(fn func() any) (v any, ok bool) {
-	w.offMidnight = false
+	w.differs = false
 	defer func() {
 		if recover() != nil {
 			v, ok = nil, false
 		}
 	}()
 	v = fn()
-	return v, !w.offMidnight
+	return v, !w.differs
+}
+
+// dayWindow is the window as the parent walk placed it.
+func (w *parentWalk) dayWindow(t time.Time) (start, end time.Time) {
+	y, m, d := t.Date()
+	midnight := time.Date(y, m, d, 0, 0, 0, 0, t.Location())
+	start, end = midnight.Add(w.c.dayStart), midnight.Add(w.c.dayEnd)
+	if ws, we := w.c.dayWindow(t); !ws.Equal(start) || !we.Equal(end) {
+		w.differs = true
+	}
+	return start, end
 }
 
 func (w *parentWalk) nextWorkInstant(t time.Time) time.Time {
@@ -148,7 +162,7 @@ func (w *parentWalk) nextWorkInstant(t time.Time) time.Time {
 		if i > 366*8 {
 			panic("vclock: no working day found within 8 years")
 		}
-		ws, we := w.c.dayWindow(t)
+		ws, we := w.dayWindow(t)
 		if w.c.IsWorkday(t) {
 			if t.Before(ws) {
 				return ws
@@ -160,7 +174,7 @@ func (w *parentWalk) nextWorkInstant(t time.Time) time.Time {
 		y, m, d := t.Date()
 		next := time.Date(y, m, d, 0, 0, 0, 0, t.Location()).Add(24 * time.Hour)
 		if !next.Equal(nextMidnight(t)) {
-			w.offMidnight = true
+			w.differs = true
 		}
 		t = next
 	}
@@ -169,7 +183,7 @@ func (w *parentWalk) nextWorkInstant(t time.Time) time.Time {
 func (w *parentWalk) addWork(t time.Time, work time.Duration) time.Time {
 	t = w.nextWorkInstant(t)
 	for work > 0 {
-		_, we := w.c.dayWindow(t)
+		_, we := w.dayWindow(t)
 		avail := we.Sub(t)
 		if avail >= work {
 			return t.Add(work)
@@ -187,7 +201,7 @@ func (w *parentWalk) workBetween(a, b time.Time) time.Duration {
 	var total time.Duration
 	t := w.nextWorkInstant(a)
 	for t.Before(b) {
-		_, we := w.c.dayWindow(t)
+		_, we := w.dayWindow(t)
 		end := we
 		if b.Before(we) {
 			end = b
@@ -248,11 +262,49 @@ func TestDSTFallBackDoesNotPanic(t *testing.T) {
 	if got := Standard().WorkBetween(fri, want); got != 16*time.Hour {
 		t.Fatalf("WorkBetween over fall-back = %v, want 16h", got)
 	}
-	// The 24-hour window of the 25-hour day ends at 23:00 local.
+	// The 25-hour day is worked whole: on a continuous calendar working
+	// time equals the 49 hours elapsed.
 	sat := time.Date(2026, time.October, 31, 0, 0, 0, 0, ny)
 	mon := time.Date(2026, time.November, 2, 0, 0, 0, 0, ny)
-	if got := Continuous().WorkBetween(sat, mon); got != 48*time.Hour {
-		t.Fatalf("Continuous WorkBetween over fall-back = %v, want 48h", got)
+	if got := Continuous().WorkBetween(sat, mon); got != 49*time.Hour {
+		t.Fatalf("Continuous WorkBetween over fall-back = %v, want 49h", got)
+	}
+	if got := Continuous().AddWork(sat, 49*time.Hour); got != mon {
+		t.Fatalf("Continuous AddWork(49h) over fall-back = %v, want %v", got, mon)
+	}
+}
+
+// TestDSTWindowKeepsWallClock: on both clock-change days a seven-day
+// 09:00–17:00 calendar works from 09:00 to 17:00 on the wall clock, not
+// from nine elapsed hours after midnight, so each day holds 8h of work.
+func TestDSTWindowKeepsWallClock(t *testing.T) {
+	ny := mustLocation(t, "America/New_York")
+	cal, err := NewCalendar([]time.Weekday{
+		time.Sunday, time.Monday, time.Tuesday, time.Wednesday,
+		time.Thursday, time.Friday, time.Saturday,
+	}, 9*time.Hour, 17*time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, day := range []time.Time{
+		time.Date(2026, time.March, 8, 0, 0, 0, 0, ny),    // 23 hours
+		time.Date(2026, time.November, 1, 0, 0, 0, 0, ny), // 25 hours
+	} {
+		y, m, d := day.Date()
+		nine := time.Date(y, m, d, 9, 0, 0, 0, ny)
+		five := time.Date(y, m, d, 17, 0, 0, 0, ny)
+		if got := cal.NextWorkInstant(day); got != nine {
+			t.Errorf("%s: window opens at %v, want %v", day.Format("2006-01-02"), got, nine)
+		}
+		if got := cal.AddWork(nine, 8*time.Hour); got != five {
+			t.Errorf("%s: 8h from 09:00 ends at %v, want %v", day.Format("2006-01-02"), got, five)
+		}
+		if got := cal.WorkBetween(day, day.AddDate(0, 0, 1)); got != 8*time.Hour {
+			t.Errorf("%s: the day holds %v of work, want 8h", day.Format("2006-01-02"), got)
+		}
+		if got := cal.AddWork(five, time.Minute); got != nine.AddDate(0, 0, 1).Add(time.Minute) {
+			t.Errorf("%s: work after 17:00 resumes at %v", day.Format("2006-01-02"), got)
+		}
 	}
 }
 

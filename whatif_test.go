@@ -235,3 +235,27 @@ func TestWhatIfFingerprintContract(t *testing.T) {
 		t.Fatal("custom estimators must refuse a fingerprint")
 	}
 }
+
+// TestWhatIfSweepAllocs bounds the allocations of
+// BenchmarkAblation_WhatIfSweep's sweep. A fork reuses its parent's
+// validated schedule and execution spaces, and the activity loop builds
+// event details, entry IDs, design refs and simulated tool output
+// without fmt; together they took the sweep from 10,860 allocations to
+// about 8,400 (Go 1.24). The bound is 15% under the former count.
+func TestWhatIfSweepAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the designer loop")
+	}
+	p := designerProject(t, 10)
+	targets := []string{"drcreport", "lvsreport", "timingreport", "simreport"}
+	edits := asicSweepEdits()
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := p.Scenarios(targets, edits, ScenarioOptions{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const bound = 10860 * 85 / 100
+	if allocs > bound {
+		t.Fatalf("what-if sweep: %.0f allocs, want at most %d", allocs, bound)
+	}
+}
