@@ -162,12 +162,3 @@ func (m *Memo) Stats() MemoStats {
 		Rejects:   m.rejects,
 	}
 }
-
-// Reset drops every cached stream but keeps the lifetime counters.
-func (m *Memo) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.ll.Init()
-	m.entries = make(map[memoKey]*list.Element)
-	m.bytes = 0
-}

@@ -86,8 +86,6 @@ type Config struct {
 	// contract (see Sketch); percentiles carry a bounded relative
 	// error instead of being exact.
 	Sketch bool
-	// SketchBuckets overrides the sketch resolution (default 4096).
-	SketchBuckets int
 	// Obs, when non-nil, records a simulation span, trial counters,
 	// and — for runs whose shards are big enough to amortize the clock
 	// stamps — per-shard spans and timings. Instrumentation never
@@ -214,6 +212,24 @@ const numShards = 64
 // cost more than the 5% overhead budget it is meant to police. From
 // this size up the cost amortizes to well under 1%.
 const shardObsMinTrials = 256
+
+// window is how many trials of its block a shard advances every
+// activity by at a time. An activity whose stream the memo neither
+// serves nor keeps samples into a window-sized scratch column reused
+// across windows, so a memo-less run's memory stays bounded whatever
+// the trial count (sketch mode's constant-memory contract,
+// TestSketchMemoLessRunIsConstantMemory), while a cached activity
+// costs nothing in the trial loop. Each activity's stream is consumed
+// in trial order whatever the window, so results do not depend on it.
+const window = 256
+
+// column is one activity's state within a shard: win views its finish
+// times for the current window, and r is its RNG stream, carried
+// across windows.
+type column struct {
+	win []time.Duration
+	r   rng
+}
 
 // shardLabels precomputes the span annotations so the instrumented
 // shard loop does no string formatting.
@@ -384,7 +400,7 @@ func simulate(acts []ActivityModel, cfg Config, order []int,
 	var proto *Sketch
 	if cfg.Sketch {
 		lo, hi := sketchBounds(acts, comp)
-		proto = newSketch(lo, hi, cfg.SketchBuckets)
+		proto = newSketch(lo, hi, defaultSketchBuckets)
 		res.Sketch = proto
 	} else {
 		res.Durations = make([]time.Duration, cfg.Trials)
@@ -428,8 +444,8 @@ func simulate(acts []ActivityModel, cfg Config, order []int,
 	// Sinks: activities nothing in the model depends on. Every successor
 	// strictly outlives its predecessors (work is always positive), so a
 	// trial's project finish — and the first activity attaining it in
-	// topo order — is found by scanning sinks alone. Both kernels below
-	// exploit this; the results are bit-identical to a scan of every
+	// topo order — is found by scanning sinks alone. The kernel below
+	// exploits this; the results are bit-identical to a scan of every
 	// activity.
 	hasSucc := make([]bool, n)
 	for i := range comp {
@@ -443,22 +459,11 @@ func simulate(acts []ActivityModel, cfg Config, order []int,
 			sinks = append(sinks, int32(i))
 		}
 	}
-	// Memo-less runs keep finishes in a scalar scratch reused across
-	// trials, so their memory stays bounded no matter the trial count
-	// (sketch mode's constant-memory contract; the column kernel is no
-	// faster cold and would hold every activity × trial finish —
-	// TestSketchMemoLessRunIsConstantMemory). Runs that read or fill
-	// trial-stream arrays switch to a column kernel where a cached
-	// activity costs nothing in the trial loop. Both consume each
-	// activity's RNG stream in the same order, so they produce identical
-	// results — the incremental property tests pin warm-column against
-	// cold-scalar runs.
-	columns := reused > 0 || fresh != nil
 
 	// Cooperative cancellation: one cheap shared flag, refreshed by a
-	// non-blocking poll of the context at shard starts and every 1024
-	// trials. The checks read no RNG state, preserving bit-identity for
-	// uncancelled runs.
+	// non-blocking poll of the context at shard and window starts. The
+	// checks read no RNG state, preserving bit-identity for uncancelled
+	// runs.
 	var canceled atomic.Bool
 	var ctxDone <-chan struct{}
 	if cfg.Ctx != nil {
@@ -492,8 +497,8 @@ func simulate(acts []ActivityModel, cfg Config, order []int,
 			sp = tr.Start(root, "monte.shard", cfg.VirtNow)
 			sp.SetDetail(shardLabels[s])
 		}
-		critCount := make([]int64, n)
-		iterTotal := make([]int64, n)
+		counts := make([]int64, 2*n)
+		critCount, iterTotal := counts[:n], counts[n:]
 		lo, hi := offsets[s], offsets[s+1]
 		block := hi - lo
 		var out []time.Duration
@@ -504,140 +509,49 @@ func simulate(acts []ActivityModel, cfg Config, order []int,
 		if cfg.Sketch {
 			sk = proto.emptyClone()
 		}
-		if columns {
-			// Column kernel: per-activity sampling passes over the
-			// shard's trial block. Cached activities contribute their
-			// memoized arrays directly; sampled activities read their
-			// preds' columns — the composition that makes warm runs
+		// Each activity's finish column is the memo's array for the
+		// whole block when the memo serves or keeps the activity's
+		// stream, else a window of scratch reused across windows.
+		w := min(window, block)
+		var scratch []time.Duration
+		if fresh == nil {
+			scratch = make([]time.Duration, (n-reused)*w)
+		}
+		cols := make([]column, n)
+		for i := range cols {
+			if cached[i] == nil {
+				cols[i].r = newActivityRNG(cfg.Seed, s, keys[i])
+			}
+		}
+		for t0 := 0; t0 < block; t0 += w {
+			if cancelCheck() {
+				return
+			}
+			t1 := min(t0+w, block)
+			free := scratch
+			for i := range cols {
+				switch {
+				case cached[i] != nil:
+					cols[i].win = cached[i][lo+t0 : lo+t1]
+				case fresh != nil:
+					cols[i].win = fresh[i][lo+t0 : lo+t1]
+				default:
+					cols[i].win, free = free[:t1-t0], free[w:]
+				}
+			}
+			// Sampled activities read their preds' columns, cached or
+			// fresh alike — the composition that makes warm runs
 			// bit-identical to cold ones.
-			fin := make([][]time.Duration, n)
-			for i := 0; i < n; i++ {
-				if cached[i] != nil {
-					fin[i] = cached[i][lo:hi]
-				}
-			}
 			for _, i := range order {
-				if cached[i] != nil {
-					continue
-				}
-				var dst []time.Duration
-				if fresh != nil && fresh[i] != nil {
-					dst = fresh[i][lo:hi]
-				} else {
-					dst = make([]time.Duration, block)
-				}
-				ca := &comp[i]
-				r := newActivityRNG(cfg.Seed, s, keys[i])
-				total := int64(0)
-				for t := 0; t < block; t++ {
-					if t&1023 == 0 && cancelCheck() {
-						return
-					}
-					var start time.Duration
-					for _, pi := range ca.preds {
-						if f := fin[pi][t]; f > start {
-							start = f
-						}
-					}
-					iters := ca.sampleIterations(&r)
-					total += int64(iters)
-					var work time.Duration
-					for k := 0; k < iters; k++ {
-						work += ca.sampleWork(&r)
-					}
-					dst[t] = start + work
-				}
-				iterTotal[i] = total
-				fin[i] = dst
-			}
-			for t := 0; t < block; t++ {
-				if t&1023 == 0 && cancelCheck() {
-					return
-				}
-				var pf time.Duration
-				last := int32(-1)
-				for _, si := range sinks {
-					if f := fin[si][t]; f > pf {
-						pf = f
-						last = si
-					}
-				}
-				if sk != nil {
-					sk.observe(pf)
-				} else {
-					out[t] = pf
-				}
-				// Walk the sampled critical chain backwards, resolving
-				// each step's longest-chain predecessor (first strict
-				// maximum over the finish columns) lazily. Criticality is
-				// recomputed every run — cached or fresh — because the
-				// critical chain crosses subtree boundaries; the walk
-				// involves no RNG, so cached subtrees compose exactly.
-				for i := last; i >= 0; {
-					critCount[i]++
-					next := int32(-1)
-					var best time.Duration
-					for _, pi := range comp[i].preds {
-						if f := fin[pi][t]; f > best {
-							best = f
-							next = pi
-						}
-					}
-					i = next
+				if cached[i] == nil {
+					iterTotal[i] += comp[i].sample(cols, i)
 				}
 			}
-		} else {
-			finish := make([]time.Duration, n)
-			rngs := make([]rng, n)
-			for i := 0; i < n; i++ {
-				rngs[i] = newActivityRNG(cfg.Seed, s, keys[i])
+			var outw []time.Duration
+			if out != nil {
+				outw = out[t0:t1]
 			}
-			for t := 0; t < block; t++ {
-				if t&1023 == 0 && cancelCheck() {
-					return
-				}
-				var projectFinish time.Duration
-				last := int32(-1)
-				for _, i := range order {
-					ca := &comp[i]
-					var start time.Duration
-					for _, pi := range ca.preds {
-						if finish[pi] > start {
-							start = finish[pi]
-						}
-					}
-					r := &rngs[i]
-					iters := ca.sampleIterations(r)
-					iterTotal[i] += int64(iters)
-					var work time.Duration
-					for k := 0; k < iters; k++ {
-						work += ca.sampleWork(r)
-					}
-					fin := start + work
-					finish[i] = fin
-					if fin > projectFinish {
-						projectFinish = fin
-						last = int32(i)
-					}
-				}
-				if sk != nil {
-					sk.observe(projectFinish)
-				} else {
-					out[t] = projectFinish
-				}
-				for i := last; i >= 0; {
-					critCount[i]++
-					next := int32(-1)
-					var best time.Duration
-					for _, pi := range comp[i].preds {
-						if finish[pi] > best {
-							best = finish[pi]
-							next = pi
-						}
-					}
-					i = next
-				}
-			}
+			finishWindow(comp, sinks, cols, t1-t0, outw, sk, critCount)
 		}
 		mTrials.Add(int64(block))
 		critCounts[s] = critCount
@@ -677,6 +591,70 @@ func simulate(acts []ActivityModel, cfg Config, order []int,
 	res.SampledActivityTrials = int64(n-reused) * int64(cfg.Trials)
 	res.ReusedActivityTrials = int64(reused) * int64(cfg.Trials)
 	return &simResult{Result: res, iterTotals: iterTot}, nil
+}
+
+// sample draws activity i's finish times for the current window into
+// its column, one trial after another from its stream and its preds'
+// columns, and returns the iterations it drew.
+func (ca *compiled) sample(cols []column, i int) int64 {
+	dst, r := cols[i].win, cols[i].r
+	total := int64(0)
+	for t := range dst {
+		var start time.Duration
+		for _, pi := range ca.preds {
+			if f := cols[pi].win[t]; f > start {
+				start = f
+			}
+		}
+		iters := ca.sampleIterations(&r)
+		total += int64(iters)
+		var work time.Duration
+		for k := 0; k < iters; k++ {
+			work += ca.sampleWork(&r)
+		}
+		dst[t] = start + work
+	}
+	cols[i].r = r
+	return total
+}
+
+// finishWindow takes each of the window's trials from the finish
+// columns to its project finish, recorded into out or, when out is nil,
+// into sk, and counts its critical chain into crit.
+func finishWindow(comp []compiled, sinks []int32, cols []column, trials int, out []time.Duration, sk *Sketch, crit []int64) {
+	for t := 0; t < trials; t++ {
+		var pf time.Duration
+		last := int32(-1)
+		for _, si := range sinks {
+			if f := cols[si].win[t]; f > pf {
+				pf = f
+				last = si
+			}
+		}
+		if out != nil {
+			out[t] = pf
+		} else {
+			sk.observe(pf)
+		}
+		// Walk the sampled critical chain backwards, resolving each
+		// step's longest-chain predecessor (first strict maximum over
+		// the finish columns) lazily. Criticality is recomputed every
+		// run — cached or fresh — because the critical chain crosses
+		// subtree boundaries; the walk involves no RNG, so cached
+		// subtrees compose exactly.
+		for i := last; i >= 0; {
+			crit[i]++
+			next := int32(-1)
+			var best time.Duration
+			for _, pi := range comp[i].preds {
+				if f := cols[pi].win[t]; f > best {
+					best = f
+					next = pi
+				}
+			}
+			i = next
+		}
+	}
 }
 
 // topo orders activity indices producers-first, detecting cycles and

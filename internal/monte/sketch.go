@@ -16,7 +16,8 @@ import (
 // error instead of exactness; see the versioned contract below.
 //
 // Determinism contract, version 1 (SketchVersion):
-//   - Bucket boundaries are a pure function of (model, SketchBuckets):
+//   - Bucket boundaries are a pure function of the model and the bucket
+//     count K (defaultSketchBuckets):
 //     K log-spaced edges between lo = max over activities of Min (a
 //     valid lower bound on any project span) and hi = Σ over activities
 //     of iterationCap×Max (a valid upper bound).

@@ -122,10 +122,10 @@ func TestSketchWorkerDeterminism(t *testing.T) {
 // TestSketchMemoLessRunIsConstantMemory pins sketch mode's
 // constant-memory contract on the memo-less path: a million-trial run
 // must allocate a bounded amount independent of the trial count. The
-// scalar kernel keeps one trial's finishes in a scratch reused across
-// trials and allocates about 2 MB here; the column kernel would hold
-// every activity's finish for every trial of a shard (about 52 MB), so
-// routing memo-less runs through it fails this bound.
+// kernel keeps a memo-less run's finishes in a 256-trial window of
+// scratch reused across windows and allocates about 3 MB here; columns
+// holding every activity's finish for every trial of a shard (about
+// 52 MB) would fail this bound.
 func TestSketchMemoLessRunIsConstantMemory(t *testing.T) {
 	const bound = 16 << 20
 	var before, after runtime.MemStats

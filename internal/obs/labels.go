@@ -25,94 +25,77 @@ const OverflowValue = "other"
 // and the interned key is never exposed.
 const labelSep = "\x1f"
 
-// labelSet is the shared label machinery behind CounterVec, GaugeVec
-// and HistogramVec: sorted-key interning, a hard series bound, and the
-// reserved overflow series.
-type labelSet struct {
-	name string
-	keys []string // sorted label keys
-	perm []int    // perm[i] = position in caller order of sorted key i
-	max  int
+// family describes one metric family once: its name, kind, label keys,
+// series bound and histogram buckets. It interns label values into
+// series keys and decides which new combinations become real series.
+type family struct {
+	name    string
+	kind    string    // "counter", "gauge" or "histogram"
+	plain   bool      // a plain metric: one unlabeled series, made with the family
+	keys    []string  // sorted label keys
+	perm    []int     // perm[i] = position in caller order of sorted key i
+	max     int       // series bound, the overflow series included
+	buckets []float64 // ascending histogram bucket bounds, shared by every series
 
-	mu       sync.RWMutex
-	index    map[string][]string // interned key -> values (sorted-key order)
-	overflow bool                // the overflow series has been minted
-	dropped  int64               // distinct label combinations routed to overflow
-}
-
-func newLabelSet(name string, max int, keys []string) *labelSet {
-	if max <= 0 {
-		max = DefaultMaxSeries
-	}
-	ls := &labelSet{name: name, max: max, index: make(map[string][]string)}
-	type kp struct {
-		k string
-		i int
-	}
-	kps := make([]kp, len(keys))
-	for i, k := range keys {
-		kps[i] = kp{k, i}
-	}
-	sort.Slice(kps, func(i, j int) bool { return kps[i].k < kps[j].k })
-	ls.keys = make([]string, len(kps))
-	ls.perm = make([]int, len(kps))
-	for i, p := range kps {
-		ls.keys[i] = p.k
-		ls.perm[i] = p.i
-	}
-	return ls
+	// Guarded by the owning Vec's mu.
+	overflow bool  // the overflow series has been minted
+	dropped  int64 // distinct label combinations routed to overflow
 }
 
 // intern maps caller-order values to the canonical sorted-key interned
 // string, or "", false on arity mismatch.
-func (ls *labelSet) intern(values []string) (string, bool) {
-	if len(values) != len(ls.keys) {
+func (f *family) intern(values []string) (string, bool) {
+	if len(values) != len(f.keys) {
 		return "", false
 	}
 	sorted := make([]string, len(values))
 	overflow := false
-	for i, p := range ls.perm {
+	for i, p := range f.perm {
 		sorted[i] = values[p]
 		if values[p] == OverflowValue {
 			overflow = true
 		}
 	}
 	if overflow {
-		return ls.overflowKey(), true
+		return f.overflowKey(), true
 	}
 	return strings.Join(sorted, labelSep), true
 }
 
-func (ls *labelSet) overflowKey() string {
-	vals := make([]string, len(ls.keys))
+func (f *family) overflowKey() string {
+	vals := make([]string, len(f.keys))
 	for i := range vals {
 		vals[i] = OverflowValue
 	}
 	return strings.Join(vals, labelSep)
 }
 
-// admit decides, under ls.mu, whether a new interned key may become a
-// real series (true) or must be the overflow series (false). The
-// overflow series itself occupies one of the max slots, reserved up
-// front so it is always available.
-func (ls *labelSet) admit(key string) bool {
-	if key == ls.overflowKey() {
-		ls.overflow = true
+// admit decides, given the live series count, whether a new interned
+// key may become a real series (true) or must be the overflow series
+// (false). The overflow series itself occupies one of the max slots,
+// reserved up front so it is always available.
+func (f *family) admit(key string, live int) bool {
+	if key == f.overflowKey() {
+		f.overflow = true
 		return true
 	}
-	if len(ls.index) < ls.max-1 || (ls.overflow && len(ls.index) < ls.max) {
+	if live < f.max-1 || (f.overflow && live < f.max) {
 		return true
 	}
-	ls.dropped++
-	ls.overflow = true
+	f.dropped++
+	f.overflow = true
 	return false
 }
 
-// labels reconstructs the key->value map for an interned key.
-func (ls *labelSet) labels(key string) map[string]string {
+// labels reconstructs the key->value map for an interned key; nil for
+// a family without label keys.
+func (f *family) labels(key string) map[string]string {
+	if len(f.keys) == 0 {
+		return nil
+	}
 	vals := strings.Split(key, labelSep)
-	m := make(map[string]string, len(ls.keys))
-	for i, k := range ls.keys {
+	m := make(map[string]string, len(f.keys))
+	for i, k := range f.keys {
 		if i < len(vals) {
 			m[k] = vals[i]
 		}
@@ -120,20 +103,61 @@ func (ls *labelSet) labels(key string) map[string]string {
 	return m
 }
 
-// CounterVec is a family of counters sharing a name and a label-key
-// set, one Counter per distinct label-value combination. The family
-// holds at most MaxSeries live series; further combinations share the
-// reserved OverflowValue series. All methods are nil-safe.
-type CounterVec struct {
-	ls     *labelSet
-	mu     sync.RWMutex
-	series map[string]*Counter
+// lintName names the family's kind the way Lint reports it.
+func (f *family) lintName() string {
+	if f.plain {
+		return f.kind
+	}
+	return f.kind + " vec"
 }
 
-// With returns the counter for the given label values, in the key
-// order the family was declared with. A nil receiver or a value count
-// that does not match the declared keys yields a nil (no-op) counter.
-func (v *CounterVec) With(values ...string) *Counter {
+// Vec is one metric family: a Counter, Gauge or Histogram per distinct
+// label-value combination, all sharing the family's description. A
+// labeled family holds at most its bound of live series; further
+// combinations share the reserved OverflowValue series. A plain metric
+// (Registry.Counter, Gauge, Histogram) is a family with no label keys
+// whose single series is made with it. All methods are nil-safe.
+type Vec[M Counter | Gauge | Histogram] struct {
+	ls  *family // the family's description
+	one *M      // the plain metric's series; nil for a labeled family
+
+	mu     sync.RWMutex
+	series map[string]*M
+}
+
+// CounterVec is a family of counters.
+type CounterVec = Vec[Counter]
+
+// GaugeVec is a family of gauges.
+type GaugeVec = Vec[Gauge]
+
+// HistogramVec is a family of histograms; every series shares the
+// family's bucket bounds.
+type HistogramVec = Vec[Histogram]
+
+// anyVec is what the registry needs of a Vec, whatever its series
+// type.
+type anyVec interface {
+	desc() *family
+	appendSnapshot(out []MetricSnapshot) []MetricSnapshot
+	Len() int
+}
+
+func (v *Vec[M]) desc() *family { return v.ls }
+
+// newSeries makes one series of the family.
+func (v *Vec[M]) newSeries() *M {
+	m := new(M)
+	if h, ok := any(m).(*Histogram); ok {
+		h.init(v.ls.buckets)
+	}
+	return m
+}
+
+// With returns the series for the given label values, in the key order
+// the family was declared with. A nil receiver or a value count that
+// does not match the declared keys yields a nil (no-op) series.
+func (v *Vec[M]) With(values ...string) *M {
 	if v == nil {
 		return nil
 	}
@@ -142,39 +166,29 @@ func (v *CounterVec) With(values ...string) *Counter {
 		return nil
 	}
 	v.mu.RLock()
-	c := v.series[key]
+	m := v.series[key]
 	v.mu.RUnlock()
-	if c != nil {
-		return c
+	if m != nil {
+		return m
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if c = v.series[key]; c != nil {
-		return c
+	if m = v.series[key]; m != nil {
+		return m
 	}
-	if !v.ls.admit(key) {
+	if !v.ls.admit(key, len(v.series)) {
 		key = v.ls.overflowKey()
-		if c = v.series[key]; c != nil {
-			return c
+		if m = v.series[key]; m != nil {
+			return m
 		}
 	}
-	c = &Counter{}
-	v.series[key] = c
-	v.ls.index[key] = nil
-	return c
+	m = v.newSeries()
+	v.series[key] = m
+	return m
 }
 
-// Name reports the family name.
-func (v *CounterVec) Name() string { return v.ls.name }
-
-// Keys reports the sorted label keys.
-func (v *CounterVec) Keys() []string { return append([]string(nil), v.ls.keys...) }
-
-// MaxSeries reports the family's hard series bound.
-func (v *CounterVec) MaxSeries() int { return v.ls.max }
-
 // Len reports the live series count (the overflow series included).
-func (v *CounterVec) Len() int {
+func (v *Vec[M]) Len() int {
 	if v == nil {
 		return 0
 	}
@@ -186,7 +200,7 @@ func (v *CounterVec) Len() int {
 // Overflowed reports whether any label combination has been routed to
 // the reserved overflow series, and how many distinct combinations
 // were.
-func (v *CounterVec) Overflowed() (bool, int64) {
+func (v *Vec[M]) Overflowed() (bool, int64) {
 	if v == nil {
 		return false, 0
 	}
@@ -195,248 +209,144 @@ func (v *CounterVec) Overflowed() (bool, int64) {
 	return v.ls.dropped > 0, v.ls.dropped
 }
 
-// GaugeVec is a family of gauges; see CounterVec for the label and
-// cardinality semantics.
-type GaugeVec struct {
-	ls     *labelSet
-	mu     sync.RWMutex
-	series map[string]*Gauge
-}
-
-// With returns the gauge for the given label values (nil on arity
-// mismatch or nil receiver).
-func (v *GaugeVec) With(values ...string) *Gauge {
+// plain returns the plain metric's series (nil from a nil family).
+func (v *Vec[M]) plain() *M {
 	if v == nil {
 		return nil
 	}
-	key, ok := v.ls.intern(values)
-	if !ok {
-		return nil
-	}
-	v.mu.RLock()
-	g := v.series[key]
-	v.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if g = v.series[key]; g != nil {
-		return g
-	}
-	if !v.ls.admit(key) {
-		key = v.ls.overflowKey()
-		if g = v.series[key]; g != nil {
-			return g
-		}
-	}
-	g = &Gauge{}
-	v.series[key] = g
-	v.ls.index[key] = nil
-	return g
+	return v.one
 }
 
-// Name reports the family name.
-func (v *GaugeVec) Name() string { return v.ls.name }
-
-// Keys reports the sorted label keys.
-func (v *GaugeVec) Keys() []string { return append([]string(nil), v.ls.keys...) }
-
-// MaxSeries reports the family's hard series bound.
-func (v *GaugeVec) MaxSeries() int { return v.ls.max }
-
-// Len reports the live series count.
-func (v *GaugeVec) Len() int {
-	if v == nil {
-		return 0
-	}
+// appendSnapshot appends every series as a MetricSnapshot.
+func (v *Vec[M]) appendSnapshot(out []MetricSnapshot) []MetricSnapshot {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	return len(v.series)
+	for key, m := range v.series {
+		s := MetricSnapshot{Name: v.ls.name, Kind: v.ls.kind, Labels: v.ls.labels(key)}
+		switch m := any(m).(type) {
+		case *Counter:
+			s.Value = float64(m.Value())
+		case *Gauge:
+			s.Value = float64(m.Value())
+		case *Histogram:
+			s.Value, s.Count, s.Buckets = m.Sum(), m.Count(), m.buckets()
+		}
+		out = append(out, s)
+	}
+	return out
 }
 
-// HistogramVec is a family of histograms; see CounterVec for the
-// label and cardinality semantics. Every series shares the family's
-// bucket bounds.
-type HistogramVec struct {
-	ls      *labelSet
-	buckets []float64
-	mu      sync.RWMutex
-	series  map[string]*Histogram
-}
-
-// With returns the histogram for the given label values (nil on arity
-// mismatch or nil receiver).
-func (v *HistogramVec) With(values ...string) *Histogram {
-	if v == nil {
+// register returns the family registered under name, creating it from
+// the given description on first use. The first registration wins:
+// later callers asking for the same kind get the existing family
+// regardless of the keys, bound or buckets they pass. A caller asking
+// for another kind, or for a plain metric where a labeled family holds
+// the name (or the reverse), gets a detached family: it works, but it
+// is never exposed, and Lint reports the collision.
+func register[M Counter | Gauge | Histogram](r *Registry, name string, plain bool, maxSeries int, buckets []float64, keys []string) *Vec[M] {
+	if r == nil {
 		return nil
 	}
-	key, ok := v.ls.intern(values)
-	if !ok {
-		return nil
+	r.mu.RLock()
+	v, ok := r.families[name].(*Vec[M])
+	r.mu.RUnlock()
+	if ok && v.ls.plain == plain {
+		return v
 	}
-	v.mu.RLock()
-	h := v.series[key]
-	v.mu.RUnlock()
-	if h != nil {
-		return h
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	f, taken := r.families[name]
+	if v, ok := f.(*Vec[M]); ok && v.ls.plain == plain {
+		return v
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if h = v.series[key]; h != nil {
-		return h
-	}
-	if !v.ls.admit(key) {
-		key = v.ls.overflowKey()
-		if h = v.series[key]; h != nil {
-			return h
+	for _, d := range r.detached {
+		if v, ok := d.(*Vec[M]); ok && v.ls.name == name && v.ls.plain == plain {
+			return v
 		}
 	}
-	h = newHistogram(v.buckets)
-	v.series[key] = h
-	v.ls.index[key] = nil
-	return h
+	v = newVec[M](name, plain, maxSeries, buckets, keys)
+	if taken {
+		r.detached = append(r.detached, v)
+	} else {
+		r.families[name] = v
+	}
+	return v
 }
 
-// Name reports the family name.
-func (v *HistogramVec) Name() string { return v.ls.name }
-
-// Keys reports the sorted label keys.
-func (v *HistogramVec) Keys() []string { return append([]string(nil), v.ls.keys...) }
-
-// MaxSeries reports the family's hard series bound.
-func (v *HistogramVec) MaxSeries() int { return v.ls.max }
-
-// Len reports the live series count.
-func (v *HistogramVec) Len() int {
-	if v == nil {
-		return 0
+// newVec builds a family from its description; a plain family gets
+// its single series now.
+func newVec[M Counter | Gauge | Histogram](name string, plain bool, maxSeries int, buckets []float64, keys []string) *Vec[M] {
+	if maxSeries <= 0 {
+		maxSeries = DefaultMaxSeries
 	}
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return len(v.series)
+	f := &family{name: name, plain: plain, max: maxSeries}
+	switch any((*M)(nil)).(type) {
+	case *Counter:
+		f.kind = "counter"
+	case *Gauge:
+		f.kind = "gauge"
+	case *Histogram:
+		f.kind = "histogram"
+		if buckets == nil {
+			buckets = DefBuckets
+		}
+		f.buckets = append([]float64(nil), buckets...)
+		sort.Float64s(f.buckets)
+	}
+	type kp struct {
+		k string
+		i int
+	}
+	kps := make([]kp, len(keys))
+	for i, k := range keys {
+		kps[i] = kp{k, i}
+	}
+	sort.Slice(kps, func(i, j int) bool { return kps[i].k < kps[j].k })
+	f.keys = make([]string, len(kps))
+	f.perm = make([]int, len(kps))
+	for i, p := range kps {
+		f.keys[i] = p.k
+		f.perm[i] = p.i
+	}
+	v := &Vec[M]{ls: f, series: make(map[string]*M)}
+	if plain {
+		v.one = v.newSeries()
+		v.series[""] = v.one
+	}
+	return v
 }
 
 // CounterVec returns (creating if needed) the named counter family
-// with the given label keys and the DefaultMaxSeries bound. The first
-// registration wins: later callers get the existing family regardless
-// of the keys or bound they pass.
+// with the given label keys and the DefaultMaxSeries bound.
 func (r *Registry) CounterVec(name string, keys ...string) *CounterVec {
-	return r.BoundedCounterVec(name, 0, keys...)
+	return register[Counter](r, name, false, 0, nil, keys)
 }
 
 // BoundedCounterVec is CounterVec with an explicit series bound
 // (maxSeries <= 0 selects DefaultMaxSeries).
 func (r *Registry) BoundedCounterVec(name string, maxSeries int, keys ...string) *CounterVec {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	v := r.counterVecs[name]
-	r.mu.RUnlock()
-	if v != nil {
-		return v
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if v = r.counterVecs[name]; v == nil {
-		v = &CounterVec{ls: newLabelSet(name, maxSeries, keys), series: make(map[string]*Counter)}
-		r.counterVecs[name] = v
-	}
-	return v
+	return register[Counter](r, name, false, maxSeries, nil, keys)
 }
 
 // GaugeVec returns (creating if needed) the named gauge family with
 // the given label keys and the DefaultMaxSeries bound.
 func (r *Registry) GaugeVec(name string, keys ...string) *GaugeVec {
-	return r.BoundedGaugeVec(name, 0, keys...)
+	return register[Gauge](r, name, false, 0, nil, keys)
 }
 
 // BoundedGaugeVec is GaugeVec with an explicit series bound.
 func (r *Registry) BoundedGaugeVec(name string, maxSeries int, keys ...string) *GaugeVec {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	v := r.gaugeVecs[name]
-	r.mu.RUnlock()
-	if v != nil {
-		return v
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if v = r.gaugeVecs[name]; v == nil {
-		v = &GaugeVec{ls: newLabelSet(name, maxSeries, keys), series: make(map[string]*Gauge)}
-		r.gaugeVecs[name] = v
-	}
-	return v
+	return register[Gauge](r, name, false, maxSeries, nil, keys)
 }
 
 // HistogramVec returns (creating if needed) the named histogram family
 // with the given bucket bounds (nil selects DefBuckets), label keys,
 // and the DefaultMaxSeries bound.
 func (r *Registry) HistogramVec(name string, buckets []float64, keys ...string) *HistogramVec {
-	return r.BoundedHistogramVec(name, 0, buckets, keys...)
+	return register[Histogram](r, name, false, 0, buckets, keys)
 }
 
 // BoundedHistogramVec is HistogramVec with an explicit series bound.
 func (r *Registry) BoundedHistogramVec(name string, maxSeries int, buckets []float64, keys ...string) *HistogramVec {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	v := r.histogramVecs[name]
-	r.mu.RUnlock()
-	if v != nil {
-		return v
-	}
-	if buckets == nil {
-		buckets = DefBuckets
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if v = r.histogramVecs[name]; v == nil {
-		v = &HistogramVec{
-			ls:      newLabelSet(name, maxSeries, keys),
-			buckets: append([]float64(nil), buckets...),
-			series:  make(map[string]*Histogram),
-		}
-		r.histogramVecs[name] = v
-	}
-	return v
-}
-
-// snapshotVecs appends every vec series as a labeled MetricSnapshot.
-// Called with r.mu held (read).
-func (r *Registry) snapshotVecs(out []MetricSnapshot) []MetricSnapshot {
-	for name, v := range r.counterVecs {
-		v.mu.RLock()
-		for key, c := range v.series {
-			out = append(out, MetricSnapshot{
-				Name: name, Kind: "counter", Labels: v.ls.labels(key), Value: float64(c.Value()),
-			})
-		}
-		v.mu.RUnlock()
-	}
-	for name, v := range r.gaugeVecs {
-		v.mu.RLock()
-		for key, g := range v.series {
-			out = append(out, MetricSnapshot{
-				Name: name, Kind: "gauge", Labels: v.ls.labels(key), Value: float64(g.Value()),
-			})
-		}
-		v.mu.RUnlock()
-	}
-	for name, v := range r.histogramVecs {
-		v.mu.RLock()
-		for key, h := range v.series {
-			s := MetricSnapshot{
-				Name: name, Kind: "histogram", Labels: v.ls.labels(key),
-				Value: h.Sum(), Count: h.Count(), Buckets: h.buckets(),
-			}
-			out = append(out, s)
-		}
-		v.mu.RUnlock()
-	}
-	return out
+	return register[Histogram](r, name, false, maxSeries, buckets, keys)
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -16,7 +17,7 @@ var metricNameRE = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
 // measures.
 var histogramUnitSuffixes = []string{"_seconds", "_bytes"}
 
-// Lint walks every registered metric and labeled family and reports
+// Lint walks every registered family, plain or labeled, and reports
 // convention violations: malformed (non-snake-case) metric or label
 // names, counters missing the _total suffix, histograms missing a
 // unit suffix, a name registered under more than one kind, and any
@@ -31,95 +32,42 @@ func (r *Registry) Lint() []error {
 	addf := func(format string, args ...any) {
 		errs = append(errs, fmt.Errorf(format, args...))
 	}
-	checkName := func(name, kind string) {
-		if !metricNameRE.MatchString(name) {
-			addf("obs: %s %q is not snake_case", kind, name)
-		}
-	}
-	checkCounterName := func(name string) {
-		checkName(name, "counter")
-		if !strings.HasSuffix(name, "_total") {
-			addf("obs: counter %q missing _total suffix", name)
-		}
-	}
-	checkHistogramName := func(name string) {
-		checkName(name, "histogram")
-		for _, suf := range histogramUnitSuffixes {
-			if strings.HasSuffix(name, suf) {
-				return
-			}
-		}
-		addf("obs: histogram %q missing a unit suffix (%s)", name, strings.Join(histogramUnitSuffixes, ", "))
-	}
 
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-
-	// A family name must live under exactly one kind, or the exposition
-	// emits contradictory TYPE lines.
-	kinds := make(map[string][]string)
-	for name := range r.counters {
-		kinds[name] = append(kinds[name], "counter")
-	}
-	for name := range r.gauges {
-		kinds[name] = append(kinds[name], "gauge")
-	}
-	for name := range r.histograms {
-		kinds[name] = append(kinds[name], "histogram")
-	}
-	for name := range r.counterVecs {
-		kinds[name] = append(kinds[name], "counter vec")
-	}
-	for name := range r.gaugeVecs {
-		kinds[name] = append(kinds[name], "gauge vec")
-	}
-	for name := range r.histogramVecs {
-		kinds[name] = append(kinds[name], "histogram vec")
-	}
-	names := make([]string, 0, len(kinds))
-	for name := range kinds {
+	names := make([]string, 0, len(r.families))
+	for name := range r.families {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		if k := kinds[name]; len(k) > 1 {
-			addf("obs: %q registered as %s", name, strings.Join(k, " and "))
+		v := r.families[name]
+		f := v.desc()
+		// A name registered under a second kind got a detached family,
+		// which the exposition leaves out.
+		for _, d := range r.detached {
+			if d.desc().name == name {
+				addf("obs: %q registered as %s and %s", name, f.lintName(), d.desc().lintName())
+			}
 		}
-	}
-
-	for _, name := range names {
-		if _, ok := r.counters[name]; ok {
-			checkCounterName(name)
+		if !metricNameRE.MatchString(name) {
+			addf("obs: %s %q is not snake_case", f.kind, name)
 		}
-		if _, ok := r.gauges[name]; ok {
-			checkName(name, "gauge")
+		hasSuffix := func(suf string) bool { return strings.HasSuffix(name, suf) }
+		switch {
+		case f.kind == "counter" && !hasSuffix("_total"):
+			addf("obs: counter %q missing _total suffix", name)
+		case f.kind == "histogram" && !slices.ContainsFunc(histogramUnitSuffixes, hasSuffix):
+			addf("obs: histogram %q missing a unit suffix (%s)", name, strings.Join(histogramUnitSuffixes, ", "))
 		}
-		if _, ok := r.histograms[name]; ok {
-			checkHistogramName(name)
+		for _, k := range f.keys {
+			if !metricNameRE.MatchString(k) {
+				addf("obs: family %q label key %q is not snake_case", name, k)
+			}
 		}
-		if v, ok := r.counterVecs[name]; ok {
-			checkCounterName(name)
-			lintVec(addf, name, v.ls, v.Len())
-		}
-		if v, ok := r.gaugeVecs[name]; ok {
-			checkName(name, "gauge")
-			lintVec(addf, name, v.ls, v.Len())
-		}
-		if v, ok := r.histogramVecs[name]; ok {
-			checkHistogramName(name)
-			lintVec(addf, name, v.ls, v.Len())
+		if live := v.Len(); live > f.max {
+			addf("obs: family %q holds %d live series, over its bound of %d", name, live, f.max)
 		}
 	}
 	return errs
-}
-
-func lintVec(addf func(string, ...any), name string, ls *labelSet, live int) {
-	for _, k := range ls.keys {
-		if !metricNameRE.MatchString(k) {
-			addf("obs: family %q label key %q is not snake_case", name, k)
-		}
-	}
-	if live > ls.max {
-		addf("obs: family %q holds %d live series, over its bound of %d", name, live, ls.max)
-	}
 }

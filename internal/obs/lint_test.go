@@ -76,3 +76,33 @@ func TestLintCatchesKindCollision(t *testing.T) {
 		t.Fatalf("lint missed the kind collision:\n%s", msgs)
 	}
 }
+
+// TestKindCollisionDetachesTheSecondFamily: a name taken by one kind
+// and asked for as another gives the second caller a working handle
+// that the exposition leaves out, so no name carries two TYPE lines.
+func TestKindCollisionDetachesTheSecondFamily(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("thing_total").Add(2)
+	g := r.GaugeVec("thing_total", "k")
+	g.With("v").Set(7)
+	if got := g.With("v").Value(); got != 7 {
+		t.Fatalf("detached gauge = %d, want 7", got)
+	}
+	if r.GaugeVec("thing_total", "k") != g {
+		t.Fatal("a repeated clashing registration must return the same detached family")
+	}
+	if want := "# TYPE thing_total counter\nthing_total 2\n"; r.PromText() != want {
+		t.Fatalf("exposition = %q, want %q", r.PromText(), want)
+	}
+	blob, err := r.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(blob), "gauge") || strings.Count(string(blob), `"name"`) != 1 {
+		t.Fatalf("JSON exposes the detached family:\n%s", blob)
+	}
+	msgs := strings.Join(lintMessages(r), "\n")
+	if !strings.Contains(msgs, `"thing_total" registered as counter and gauge vec`) {
+		t.Fatalf("lint does not name both kinds:\n%s", msgs)
+	}
+}

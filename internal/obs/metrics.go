@@ -86,14 +86,12 @@ type Exemplar struct {
 	Value   float64 `json:"value"`
 }
 
-func newHistogram(buckets []float64) *Histogram {
-	bounds := append([]float64(nil), buckets...)
-	sort.Float64s(bounds)
-	return &Histogram{
-		bounds:    bounds,
-		counts:    make([]atomic.Int64, len(bounds)+1),
-		exemplars: make([]atomic.Pointer[Exemplar], len(bounds)+1),
-	}
+// init lays out an empty histogram over bounds, which must be
+// ascending and are shared, never written.
+func (h *Histogram) init(bounds []float64) {
+	h.bounds = bounds
+	h.counts = make([]atomic.Int64, len(bounds)+1)
+	h.exemplars = make([]atomic.Pointer[Exemplar], len(bounds)+1)
 }
 
 // DefBuckets covers both clocks: sub-millisecond wall compute up
@@ -178,65 +176,24 @@ func (h *Histogram) Sum() float64 {
 // should look a metric up once and cache the handle. All methods are
 // nil-safe, returning nil (no-op) handles from a nil registry.
 type Registry struct {
-	mu            sync.RWMutex
-	counters      map[string]*Counter
-	gauges        map[string]*Gauge
-	histograms    map[string]*Histogram
-	counterVecs   map[string]*CounterVec
-	gaugeVecs     map[string]*GaugeVec
-	histogramVecs map[string]*HistogramVec
+	mu       sync.RWMutex
+	families map[string]anyVec // every exposed family, plain or labeled
+	detached []anyVec          // families that lost their name to another kind; see register
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters:      make(map[string]*Counter),
-		gauges:        make(map[string]*Gauge),
-		histograms:    make(map[string]*Histogram),
-		counterVecs:   make(map[string]*CounterVec),
-		gaugeVecs:     make(map[string]*GaugeVec),
-		histogramVecs: make(map[string]*HistogramVec),
-	}
+	return &Registry{families: make(map[string]anyVec)}
 }
 
 // Counter returns (creating if needed) the named counter.
 func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	c := r.counters[name]
-	r.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c = r.counters[name]; c == nil {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	return register[Counter](r, name, true, 0, nil, nil).plain()
 }
 
 // Gauge returns (creating if needed) the named gauge.
 func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return register[Gauge](r, name, true, 0, nil, nil).plain()
 }
 
 // Histogram returns (creating if needed) the named histogram. buckets
@@ -244,25 +201,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 // DefBuckets. The first registration wins: later callers get the
 // existing histogram regardless of the buckets they pass.
 func (r *Registry) Histogram(name string, buckets []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	h := r.histograms[name]
-	r.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	if buckets == nil {
-		buckets = DefBuckets
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h = r.histograms[name]; h == nil {
-		h = newHistogram(buckets)
-		r.histograms[name] = h
-	}
-	return h
+	return register[Histogram](r, name, true, 0, buckets, nil).plain()
 }
 
 // Bucket is one cumulative histogram bucket in a snapshot.
@@ -355,20 +294,11 @@ func (r *Registry) Snapshot() []MetricSnapshot {
 		return nil
 	}
 	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]MetricSnapshot, 0, len(r.counters)+len(r.gauges)+len(r.histograms))
-	for name, c := range r.counters {
-		out = append(out, MetricSnapshot{Name: name, Kind: "counter", Value: float64(c.Value())})
+	out := make([]MetricSnapshot, 0, len(r.families))
+	for _, f := range r.families {
+		out = f.appendSnapshot(out)
 	}
-	for name, g := range r.gauges {
-		out = append(out, MetricSnapshot{Name: name, Kind: "gauge", Value: float64(g.Value())})
-	}
-	for name, h := range r.histograms {
-		out = append(out, MetricSnapshot{
-			Name: name, Kind: "histogram", Value: h.Sum(), Count: h.Count(), Buckets: h.buckets(),
-		})
-	}
-	out = r.snapshotVecs(out)
+	r.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Name != out[j].Name {
 			return out[i].Name < out[j].Name

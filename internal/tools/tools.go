@@ -123,32 +123,49 @@ func (t *SimTool) Class() string { return t.class }
 // Profile returns the tool's simulation parameters.
 func (t *SimTool) Profile() Profile { return t.profile }
 
-// rng returns the deterministic random source for one application: it
-// depends on the tool identity, the iteration, and the input content, so
-// re-running the same application reproduces the same result.
-func (t *SimTool) rng(inputs map[string][]byte, iteration int) rand.Source {
-	h := fnv.New64a()
-	var keys []string
+// inputHashes sorts the input classes once and feeds both FNV states:
+// seed covers every class name and content (the random source), digest
+// the contents alone (the output's input digest).
+func inputHashes(inputs map[string][]byte) (seed, digest uint64) {
+	keys := make([]string, 0, len(inputs))
 	for k := range inputs {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	hs, hd := fnv.New64a(), fnv.New64a()
 	for _, k := range keys {
-		h.Write([]byte(k))
-		h.Write([]byte{0})
-		h.Write(inputs[k])
-		h.Write([]byte{0})
+		hs.Write([]byte(k))
+		hs.Write([]byte{0})
+		hs.Write(inputs[k])
+		hs.Write([]byte{0})
+		hd.Write(inputs[k])
 	}
-	seed := t.seed ^ h.Sum64() ^ (uint64(iteration) * 0x9e3779b97f4a7c15)
-	return newLazySource(int64(seed))
+	return hs.Sum64(), hd.Sum64()
 }
 
-// Run implements Tool.
+// source returns the deterministic random source for one application:
+// it depends on the tool identity, the iteration, and the input
+// content (inputHashes' seed), so re-running the same application
+// reproduces the same result.
+func (t *SimTool) source(inputSeed uint64, iteration int) rand.Source {
+	return newLazySource(int64(t.seed ^ inputSeed ^ (uint64(iteration) * 0x9e3779b97f4a7c15)))
+}
+
+// rng is the random source Run draws from for these inputs.
+func (t *SimTool) rng(inputs map[string][]byte, iteration int) rand.Source {
+	seed, _ := inputHashes(inputs)
+	return t.source(seed, iteration)
+}
+
+// Run implements Tool. The output is a deterministic text artifact
+// whose content reflects the tool, iteration, and an input digest —
+// enough to give Level 4 distinct, traceable versions.
 func (t *SimTool) Run(inputs map[string][]byte, iteration int) (Result, error) {
 	if iteration < 1 {
 		return Result{}, fmt.Errorf("tools: iteration %d must be >= 1", iteration)
 	}
-	rng := rand.New(t.rng(inputs, iteration))
+	seed, digest := inputHashes(inputs)
+	rng := rand.New(t.source(seed, iteration))
 	spread := 1 + t.profile.Jitter*(2*rng.Float64()-1)
 	work := time.Duration(float64(t.profile.Base) * spread)
 	if rng.Float64() < t.profile.FailureRate {
@@ -156,27 +173,11 @@ func (t *SimTool) Run(inputs map[string][]byte, iteration int) (Result, error) {
 	}
 	goalMet := rng.Float64() < 1/t.profile.MeanIterations ||
 		float64(iteration) >= 2*t.profile.MeanIterations
-	out := t.synthesize(inputs, iteration, rng)
+	out := artifact(t.instance, t.class, iteration, digest, rng.Float64())
 	return Result{Output: out, Work: work, GoalMet: goalMet}, nil
 }
 
-// synthesize derives output design data from the inputs: a deterministic
-// text artifact whose content reflects the tool, iteration, and an input
-// digest — enough to give Level 4 distinct, traceable versions.
-func (t *SimTool) synthesize(inputs map[string][]byte, iteration int, rng *rand.Rand) []byte {
-	h := fnv.New64a()
-	var keys []string
-	for k := range inputs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		h.Write(inputs[k])
-	}
-	return artifact(t.instance, t.class, iteration, h.Sum64(), rng.Float64())
-}
-
-// artifact renders the text synthesize produces; for a quality in
+// artifact renders the text Run produces; for a quality in
 // [0, 1) it writes what fmt's "# produced by %s (class %s)\n# iteration
 // %d\n# input digest %016x\n# quality %.4f\n" does, byte for byte.
 func artifact(instance, class string, iteration int, digest uint64, quality float64) []byte {
