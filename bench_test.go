@@ -384,23 +384,28 @@ func BenchmarkAblation_SnapshotRestore(b *testing.B) {
 
 // BenchmarkAblation_WhatIfSweep measures a what-if sweep of the ASIC
 // flow: eight edited forks plus the baseline, each re-planned and
-// re-executed to sign-off, on a project that has been through ten
+// re-executed to sign-off, on a project that has been through 10 or 150
 // designer iterations. The forks write only to their own copy-on-write
-// stores, so allocations per sweep show what the forks' writes cost.
+// stores, so allocations per sweep show what the forks' writes cost, and
+// the 150-iteration case shows whether that cost grows with the history
+// the forks inherit.
 func BenchmarkAblation_WhatIfSweep(b *testing.B) {
-	p := designerProject(b, 10)
 	targets := []string{"drcreport", "lvsreport", "timingreport", "simreport"}
 	edits := asicSweepEdits()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := p.Scenarios(targets, edits, ScenarioOptions{Workers: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rep.Scenarios) != len(edits) {
-			b.Fatalf("%d scenarios, want %d", len(rep.Scenarios), len(edits))
-		}
+	for _, iterations := range []int{10, 150} {
+		p := designerProject(b, iterations)
+		b.Run(fmt.Sprintf("iterations=%d", iterations), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rep, err := p.Scenarios(targets, edits, ScenarioOptions{Workers: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(rep.Scenarios) != len(edits) {
+					b.Fatalf("%d scenarios, want %d", len(rep.Scenarios), len(edits))
+				}
+			}
+		})
 	}
 }
 

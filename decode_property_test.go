@@ -41,7 +41,7 @@ func checkDecodes(t *testing.T, db store.Reader) map[string]int {
 	t.Helper()
 	seen := map[string]int{}
 	for _, c := range db.Containers() {
-		for _, e := range c.Entries {
+		for _, e := range c.Entries() {
 			if len(e.Payload()) == 0 {
 				continue
 			}
@@ -135,11 +135,11 @@ func checkLazyBytes(t *testing.T, lazy, eager *Project, seed int64) {
 	checkDecodes(t, lazy.mgr.DB)
 	for _, c := range eager.mgr.DB.Containers() {
 		lc := lazy.mgr.DB.Container(c.Name)
-		if lc == nil || len(lc.Entries) != len(c.Entries) {
+		if lc == nil || lc.Len() != c.Len() {
 			t.Fatalf("container %s differs between the twins", c.Name)
 		}
-		for i, e := range c.Entries {
-			if got, want := lc.Entries[i].Payload(), e.Payload(); string(got) != string(want) {
+		for i, e := range c.Entries() {
+			if got, want := lc.At(i).Payload(), e.Payload(); string(got) != string(want) {
 				t.Fatalf("%s: lazy bytes %s, marshalled at write %s", e.ID, got, want)
 			}
 		}

@@ -166,10 +166,9 @@ type Options struct {
 
 // Project is a design process under integrated flow + schedule management.
 type Project struct {
-	mgr    *engine.Manager
-	plan   *Plan       // current tracked plan, nil before first Plan
-	obs    *obs.Obs    // nil unless Options.Obs.Enabled
-	faults *fault.Plan // nil unless InjectFaults
+	mgr  *engine.Manager // mgr.Faults is nil unless InjectFaults
+	plan *Plan           // current tracked plan, nil before first Plan
+	obs  *obs.Obs        // nil unless Options.Obs.Enabled
 	// riskMemo caches per-subtree Monte-Carlo trial streams across the
 	// project's risk analyses (and, shared by pointer, its forks' — the
 	// memo keys on subtree content, so reuse across forks is sound).
@@ -293,8 +292,8 @@ func (p *Project) UseSimulatedTools() error { return p.mgr.BindDefaults() }
 // bindings including failover alternates. With faults injected, the new
 // binding is wrapped into the fault plan.
 func (p *Project) BindTool(activity string, t Tool) error {
-	if p.faults != nil {
-		t = p.faults.Wrap(activity, t, p.mgr.Clock.Now)
+	if p.mgr.Faults != nil {
+		t = p.mgr.Faults.Wrap(activity, t, p.mgr.Clock.Now)
 	}
 	return p.mgr.BindTool(activity, t)
 }
@@ -307,8 +306,8 @@ func (p *Project) AddAlternateTool(activity string, t Tool) error {
 	if p.mgr.Schema.RuleByActivity(activity) == nil {
 		return fmt.Errorf("flowsched: unknown activity %q", activity)
 	}
-	if p.faults != nil {
-		t = p.faults.Wrap(activity, t, p.mgr.Clock.Now)
+	if p.mgr.Faults != nil {
+		t = p.mgr.Faults.Wrap(activity, t, p.mgr.Clock.Now)
 	}
 	return p.mgr.Tools.AddAlternate(activity, t)
 }
@@ -330,7 +329,7 @@ func (p *Project) InjectFaults(cfg FaultConfig) error {
 	if err := fp.WrapRegistry(p.mgr.Tools, p.mgr.Clock.Now); err != nil {
 		return err
 	}
-	p.faults = fp
+	p.mgr.Faults = fp
 	return nil
 }
 
@@ -338,18 +337,18 @@ func (p *Project) InjectFaults(cfg FaultConfig) error {
 // pass-throughs — the replay log of the armed fault plan. Nil without
 // InjectFaults.
 func (p *Project) FaultHistory() []FaultInjection {
-	if p.faults == nil {
+	if p.mgr.Faults == nil {
 		return nil
 	}
-	return p.faults.History()
+	return p.mgr.Faults.History()
 }
 
 // FaultsInjected counts the non-pass-through fault decisions so far.
 func (p *Project) FaultsInjected() int {
-	if p.faults == nil {
+	if p.mgr.Faults == nil {
 		return 0
 	}
-	return p.faults.Injected()
+	return p.mgr.Faults.Injected()
 }
 
 // ExtractTree extracts the task tree covering the target data classes.
@@ -462,7 +461,7 @@ type RunOptions struct {
 // rebound).
 func (p *Project) RunWith(targets []string, opt RunOptions) (*ExecResult, error) {
 	rec := opt.Recovery
-	if p.faults != nil && rec.Verify == nil {
+	if p.mgr.Faults != nil && rec.Verify == nil {
 		rec.Verify = fault.Check
 	}
 	return p.execute(targets, engine.ExecOptions{
@@ -688,7 +687,9 @@ func ParseScenarioEdit(spec string) (ScenarioEdit, error) { return scenario.Pars
 // Fork branches an independent copy of the project at its current state.
 // The task database is forked copy-on-write (O(containers), no per-entry
 // copying), the design store shares its immutable objects, the event
-// stream is shared rather than copied, tool bindings are cloned, and the
+// stream is shared rather than copied, tool bindings are cloned, an
+// armed fault plan continues in the fork from a copy of its state (the
+// fork's faults never show in the parent's FaultHistory), and the
 // virtual clock continues from the parent's now.
 // Parent and fork never observe each other's subsequent changes — plan,
 // execute, and measure in the fork freely, then discard it. The fork is

@@ -48,12 +48,16 @@ const imageVersion = 2
 // encodeImage encodes the project's image, with the schema and designer
 // when they are not empty (a session).
 func (p *Project) encodeImage(schemaSrc, designer string) ([]byte, error) {
-	st, data, evs := p.mgr.DB.State(), p.mgr.Data.Chains(), p.mgr.Events()
+	// The store is read through a view and the events through the log's
+	// own array, both shared rather than copied.
+	v, data, evs := p.mgr.DB.Snapshot(), p.mgr.Data.Chains(), p.mgr.SharedEvents()
+	containers := v.Containers()
 	// Reserve about what the image takes, so the multi-megabyte buffer
 	// is not regrown (and copied) a few dozen times on the way.
 	n := 512 + 96*len(evs)
-	for _, c := range st.Containers {
-		for _, e := range c.Entries {
+	for _, c := range containers {
+		for j := 0; j < c.Len(); j++ {
+			e := c.At(j)
 			n += 32 + len(e.Payload()) + 24*(len(e.Deps)+len(e.Links))
 		}
 	}
@@ -73,18 +77,19 @@ func (p *Project) encodeImage(schemaSrc, designer string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	b = strconv.AppendUint(append(b, `,"store":{"version":`...), st.Version, 10)
+	b = strconv.AppendUint(append(b, `,"store":{"version":`...), v.Version(), 10)
 	b = append(b, `,"containers":[`...)
-	for i, c := range st.Containers {
+	for i, c := range containers {
 		if i > 0 {
 			b = append(b, ',')
 		}
 		b = appendString(append(b, `{"name":`...), c.Name)
 		b = appendString(append(b, `,"space":`...), string(c.Space))
 		b = appendString(append(b, `,"class":`...), c.Class)
-		b = strconv.AppendUint(append(b, `,"watermark":`...), c.Watermark, 10)
+		b = strconv.AppendUint(append(b, `,"watermark":`...), c.Watermark(), 10)
 		b = append(b, `,"entries":[`...)
-		for j, e := range c.Entries {
+		for j := 0; j < c.Len(); j++ {
+			e := c.At(j)
 			if j > 0 {
 				b = append(b, ',')
 			}

@@ -49,7 +49,7 @@ func TestConstraintForcesIteration(t *testing.T) {
 		t.Fatalf("iterations = %d, want 3", res.Outcomes[0].Iterations)
 	}
 	// All three versions are filed as metadata (bad versions exist too).
-	if got := len(m.DB.Container("netlist").Entries); got != 3 {
+	if got := m.DB.Container("netlist").Len(); got != 3 {
 		t.Fatalf("netlist versions = %d, want 3", got)
 	}
 	// Violations were emitted.

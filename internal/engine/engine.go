@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"flowsched/internal/design"
+	"flowsched/internal/fault"
 	"flowsched/internal/flow"
 	"flowsched/internal/meta"
 	"flowsched/internal/obs"
@@ -111,17 +112,25 @@ func (l *eventLog) append(e Event) {
 // events (a fork of a fork that has emitted) joins them once and keeps
 // the joined prefix as its own base, so its next fork shares it too.
 func (l *eventLog) fork() *eventLog {
+	return &eventLog{base: l.shared()}
+}
+
+// shared returns the stream as a clipped alias of one of the log's
+// arrays, which later appends cannot reach. A log with both a base and
+// its own events joins them first, and keeps the joined prefix as its
+// base.
+func (l *eventLog) shared() []Event {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	switch {
 	case len(l.evs) == 0:
-		return &eventLog{base: l.base}
+		return l.base
 	case len(l.base) == 0:
-		return &eventLog{base: l.evs[:len(l.evs):len(l.evs)]}
+		return l.evs[:len(l.evs):len(l.evs)]
 	}
 	base := make([]Event, 0, len(l.base)+len(l.evs))
 	l.base, l.evs = append(append(base, l.base...), l.evs...), nil
-	return &eventLog{base: l.base}
+	return l.base
 }
 
 // sinceLocked copies the stream from position seq on; nil when there is
@@ -180,6 +189,9 @@ type Manager struct {
 	Clock    *vclock.Clock
 	Calendar *vclock.Calendar
 	Designer string
+	// Faults is the armed fault plan whose injectors wrap the bound
+	// tools, or nil. A fork continues from its own copy (fault.Plan.Fork).
+	Faults *fault.Plan
 
 	ev *eventLog
 
@@ -294,6 +306,12 @@ func (m *Manager) Instrument(o *obs.Obs) *Manager {
 // need the tail should use EventsSince. Safe to call while the manager
 // executes on another goroutine.
 func (m *Manager) Events() []Event { return m.ev.since(0) }
+
+// SharedEvents returns the whole event stream without copying it: the
+// slice shares the stream's own array, so the caller must not modify it.
+// Later events never appear in it. Safe to call while the manager
+// executes on another goroutine.
+func (m *Manager) SharedEvents() []Event { return m.ev.shared() }
 
 // EventsSince returns a copy of the events from sequence number seq on
 // (seq counts events already seen; 0 means all). The stream is

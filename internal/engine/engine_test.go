@@ -309,7 +309,7 @@ func TestFig7OneLinkPerActivity(t *testing.T) {
 	for _, act := range []string{"Create", "Simulate"} {
 		c := m.DB.Container(sched.Container(act))
 		links := 0
-		for _, e := range c.Entries {
+		for _, e := range c.Entries() {
 			links += len(e.Links)
 		}
 		if links != 1 {

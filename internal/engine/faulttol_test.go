@@ -335,7 +335,7 @@ func TestCheckpointResumeRunsNothingTwice(t *testing.T) {
 	// The completed work is durable and queryable through the snapshot.
 	for _, class := range []string{"src", "left", "right"} {
 		c := ee.Snapshot.Container(class)
-		if c == nil || len(c.Entries) == 0 {
+		if c == nil || c.Len() == 0 {
 			t.Fatalf("snapshot has no %s entities", class)
 		}
 	}

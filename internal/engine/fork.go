@@ -6,10 +6,11 @@ import (
 )
 
 // Fork branches an independent child manager off the manager's current
-// state: the task database is forked copy-on-write (O(containers), no
-// per-entry copies for untouched containers), the Level 4 design store is
-// forked aliasing its immutable objects, tool bindings are cloned, the
-// clock starts at the parent's current virtual time, and the event stream
+// state: the task database is forked copy-on-write (O(containers); a
+// write copies at most the 64-entry chunk it touches), the Level 4
+// design store is forked aliasing its immutable objects, tool bindings
+// are cloned (onto a fork of the armed fault plan, if any), the clock
+// starts at the parent's current virtual time, and the event stream
 // is shared, not copied: the child reads the parent's history in place
 // and appends its own events after it, so forking costs the same however
 // long the history is. Schema, flow graph, and calendar are shared — they
@@ -34,13 +35,20 @@ func (m *Manager) Fork() (*Manager, error) { return m.ForkAtView(nil) }
 // when it was made, and the fork holds them all.
 func (m *Manager) ForkAtView(v *store.View) (*Manager, error) {
 	db := m.DB.ForkAt(v)
-	return &Manager{
+	f := &Manager{
 		Schema: m.Schema, Graph: m.Graph, DB: db, Data: m.Data.Fork(),
 		Exec: m.Exec.WithDB(db), Sched: m.Sched.WithDB(db), Tools: m.Tools.Clone(),
 		Clock: vclock.NewAt(m.Clock.Now()), Calendar: m.Calendar,
 		Designer: m.Designer,
 		ev:       m.ev.fork(),
-	}, nil
+	}
+	if m.Faults != nil {
+		// The fork draws its faults from its own copy of the plan, on its
+		// own clock, so it never advances the parent's fault streams.
+		f.Faults = m.Faults.Fork()
+		f.Faults.Rebind(f.Tools, f.Clock.Now)
+	}
+	return f, nil
 }
 
 // AtView returns a read-only shallow copy of the manager whose schedule

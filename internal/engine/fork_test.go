@@ -69,7 +69,7 @@ func TestForkIsIndependent(t *testing.T) {
 	if _, err := m.Import("stimuli", []byte("pulse 1 9 2ns\n")); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(f.DB.Container("stimuli").Entries); got != 1 {
+	if got := f.DB.Container("stimuli").Len(); got != 1 {
 		t.Fatalf("parent import visible in fork: %d stimuli entries", got)
 	}
 	// Rebinding tools in the fork leaves the parent binding alone.
@@ -113,8 +113,8 @@ func TestAtViewIsConsistentAndReadOnly(t *testing.T) {
 	if _, err := m.Import("stimuli", []byte("late import\n")); err != nil {
 		t.Fatal(err)
 	}
-	if c := r.Sched.Reader().Container("stimuli"); len(c.Entries) != 1 {
-		t.Fatalf("view sees %d stimuli entries, want 1", len(c.Entries))
+	if c := r.Sched.Reader().Container("stimuli"); c.Len() != 1 {
+		t.Fatalf("view sees %d stimuli entries, want 1", c.Len())
 	}
 	if m.DB.Dump() == wantDump {
 		t.Fatal("live dump unchanged after import")

@@ -201,6 +201,31 @@ func NewPlan(cfg Config) (*Plan, error) {
 	}, nil
 }
 
+// Fork returns a plan that continues from this one independently: each
+// activity's stream and crash burst as they stand, the license windows
+// derived so far, and an empty history. Decisions the fork makes never
+// advance this plan, nor the other way round, so forks taken from the
+// same state draw the same faults whatever order they run in. The fork
+// is uninstrumented: its faults are not this plan's. Bind it to a forked
+// registry with Rebind.
+func (p *Plan) Fork() *Plan {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	f := &Plan{
+		cfg:     p.cfg,
+		acts:    make(map[string]*actState, len(p.acts)),
+		classes: make(map[string][]window, len(p.classes)),
+	}
+	for a, st := range p.acts {
+		cp := *st
+		f.acts[a] = &cp
+	}
+	for c, ws := range p.classes {
+		f.classes[c] = ws // never modified once derived
+	}
+	return f
+}
+
 // Seed reports the plan's seed.
 func (p *Plan) Seed() int64 { return p.cfg.Seed }
 

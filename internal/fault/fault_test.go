@@ -368,3 +368,81 @@ func TestPlanInstrument(t *testing.T) {
 		t.Fatalf("counter %d != Injected() %d", total, p.Injected())
 	}
 }
+
+// TestPlanForkContinuesIndependently: a fork draws exactly what its
+// parent would have drawn next, mid-burst included, starts with an empty
+// history, and neither side's draws move the other's streams.
+func TestPlanForkContinuesIndependently(t *testing.T) {
+	p, _ := NewPlan(Config{Seed: 9, Crash: 0.3, CrashBurst: 4})
+	for i := 0; i < 37; i++ {
+		p.decide("Sim", "simulator", time.Time{})
+		p.decide("Route", "router", time.Time{})
+	}
+	before := len(p.History())
+	f := p.Fork()
+	if f.History() != nil || f.Injected() != 0 {
+		t.Fatal("fork starts with the parent's history")
+	}
+	next := func(q *Plan) []decision {
+		var ds []decision
+		for i := 0; i < 50; i++ {
+			ds = append(ds, q.decide("Sim", "simulator", time.Time{}), q.decide("Place", "placer", time.Time{}))
+		}
+		return ds
+	}
+	got := next(f)
+	if len(p.History()) != before {
+		t.Fatal("the fork's draws grew the parent's history")
+	}
+	if want := next(p); len(got) != len(want) {
+		t.Fatalf("fork drew %d decisions, parent %d", len(got), len(want))
+	} else {
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("decision %d: fork %+v, parent %+v", i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestRebindMovesInjectorsKeepingRotation: Rebind moves every injector
+// of a registry onto the plan, leaves unwrapped tools alone and keeps
+// each activity's rotation.
+func TestRebindMovesInjectorsKeepingRotation(t *testing.T) {
+	old, _ := NewPlan(Config{Seed: 1, Crash: 0.999})
+	r := tools.NewRegistry()
+	if err := r.Bind("Sim", &stubTool{instance: "a#1", class: "t"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AddAlternate("Sim", &stubTool{instance: "a#2", class: "t"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := old.WrapRegistry(r, nil); err != nil {
+		t.Fatal(err)
+	}
+	plain := &stubTool{instance: "b#1", class: "t"}
+	if err := r.Bind("Edit", plain); err != nil {
+		t.Fatal(err)
+	}
+	r.Rotate("Sim")
+	f := old.Fork()
+	f.Rebind(r, nil)
+	bound := r.Bound("Sim")
+	if bound[0].Instance() != "a#2" || bound[1].Instance() != "a#1" {
+		t.Fatalf("rotation lost: %s, %s", bound[0].Instance(), bound[1].Instance())
+	}
+	for _, tl := range bound {
+		if inj, ok := tl.(*Injector); !ok || inj.plan != f {
+			t.Fatalf("instance %s is not on the forked plan", tl.Instance())
+		}
+	}
+	if r.For("Edit") != tools.Tool(plain) {
+		t.Fatal("Rebind wrapped a tool that had no injector")
+	}
+	if _, err := r.For("Sim").Run(nil, 1); err == nil {
+		t.Fatal("the forked plan does not inject the parent's faults")
+	}
+	if len(old.History()) != 0 {
+		t.Fatal("a run on the rebound registry drew from the parent plan")
+	}
+}

@@ -165,3 +165,17 @@ func (p *Plan) WrapRegistry(r *tools.Registry, now func() time.Time) error {
 	}
 	return nil
 }
+
+// Rebind moves every fault injector bound in r onto p, reading license
+// windows on the clock now; tools without an injector are left alone,
+// and each activity keeps its failover rotation. A forked project calls
+// it on its cloned registry with the fork of the parent's plan.
+func (p *Plan) Rebind(r *tools.Registry, now func() time.Time) {
+	r.Map(func(activity string, t tools.Tool) tools.Tool {
+		switch t.(type) {
+		case *Injector, *profiledInjector:
+			return p.Wrap(activity, t, now)
+		}
+		return t
+	})
+}

@@ -149,7 +149,7 @@ func (s *Space) BeginRun(activity, tool, by string, at time.Time) (*store.Entry,
 		return nil, err
 	}
 	cname := RunContainer(activity)
-	iter := len(db.Container(cname).Entries) + 1
+	iter := db.Container(cname).Len() + 1
 	return db.Put(cname, at, Run{
 		Activity: activity, Tool: tool, By: by, Iteration: iter,
 		Started: at, Status: RunInProgress,
@@ -219,13 +219,14 @@ func (s *Space) Entities(class string) ([]*store.Entry, []Entity, error) {
 	if c == nil {
 		return nil, nil, fmt.Errorf("meta: unknown class %q", class)
 	}
-	ents := make([]Entity, len(c.Entries))
-	for i, e := range c.Entries {
+	entries := c.Entries()
+	ents := make([]Entity, len(entries))
+	for i, e := range entries {
 		if err := e.Decode(&ents[i]); err != nil {
 			return nil, nil, fmt.Errorf("meta: entity %s: %w", e.ID, err)
 		}
 	}
-	return append([]*store.Entry(nil), c.Entries...), ents, nil
+	return entries, ents, nil
 }
 
 // LatestEntity returns the newest entity instance of a class, or nil if
@@ -252,11 +253,12 @@ func (s *Space) Runs(activity string) ([]*store.Entry, []Run, error) {
 	if c == nil {
 		return nil, nil, fmt.Errorf("meta: unknown activity %q", activity)
 	}
-	runs := make([]Run, len(c.Entries))
-	for i, e := range c.Entries {
+	entries := c.Entries()
+	runs := make([]Run, len(entries))
+	for i, e := range entries {
 		if err := e.Decode(&runs[i]); err != nil {
 			return nil, nil, fmt.Errorf("meta: run %s: %w", e.ID, err)
 		}
 	}
-	return append([]*store.Entry(nil), c.Entries...), runs, nil
+	return entries, runs, nil
 }

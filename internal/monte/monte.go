@@ -26,6 +26,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -485,6 +486,15 @@ func simulate(acts []ActivityModel, cfg Config, order []int,
 		}
 	}
 
+	// Scratch windows, one set per worker rather than one per shard: a
+	// shard takes a spare set, or makes one, and hands it back when it is
+	// done. Every window is written before it is read, so which set a
+	// shard gets does not change its results.
+	var (
+		spareMu sync.Mutex
+		spare   [][]time.Duration
+	)
+	scratchLen := (n - reused) * min(window, (cfg.Trials+numShards-1)/numShards)
 	critCounts := make([][]int64, numShards)
 	iterTotals := make([][]int64, numShards)
 	shardSketches := make([]*Sketch, numShards)
@@ -515,7 +525,19 @@ func simulate(acts []ActivityModel, cfg Config, order []int,
 		w := min(window, block)
 		var scratch []time.Duration
 		if fresh == nil {
-			scratch = make([]time.Duration, (n-reused)*w)
+			spareMu.Lock()
+			if k := len(spare); k > 0 {
+				scratch, spare = spare[k-1], spare[:k-1]
+			}
+			spareMu.Unlock()
+			if scratch == nil {
+				scratch = make([]time.Duration, scratchLen)
+			}
+			defer func() {
+				spareMu.Lock()
+				spare = append(spare, scratch)
+				spareMu.Unlock()
+			}()
 		}
 		cols := make([]column, n)
 		for i := range cols {

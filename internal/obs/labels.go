@@ -42,33 +42,39 @@ type family struct {
 	dropped  int64 // distinct label combinations routed to overflow
 }
 
-// intern maps caller-order values to the canonical sorted-key interned
-// string, or "", false on arity mismatch.
-func (f *family) intern(values []string) (string, bool) {
+// appendKey appends the interned key of caller-order values to buf: the
+// values in sorted-key order joined by labelSep, or the overflow key when
+// any value is OverflowValue. It returns false on arity mismatch.
+func (f *family) appendKey(buf []byte, values []string) ([]byte, bool) {
 	if len(values) != len(f.keys) {
-		return "", false
+		return buf, false
 	}
-	sorted := make([]string, len(values))
-	overflow := false
-	for i, p := range f.perm {
-		sorted[i] = values[p]
-		if values[p] == OverflowValue {
-			overflow = true
+	for _, v := range values {
+		if v == OverflowValue {
+			return f.appendOverflowKey(buf), true
 		}
 	}
-	if overflow {
-		return f.overflowKey(), true
+	for i, p := range f.perm {
+		if i > 0 {
+			buf = append(buf, labelSep...)
+		}
+		buf = append(buf, values[p]...)
 	}
-	return strings.Join(sorted, labelSep), true
+	return buf, true
 }
 
-func (f *family) overflowKey() string {
-	vals := make([]string, len(f.keys))
-	for i := range vals {
-		vals[i] = OverflowValue
+// appendOverflowKey appends the overflow series' key to buf.
+func (f *family) appendOverflowKey(buf []byte) []byte {
+	for i := range f.keys {
+		if i > 0 {
+			buf = append(buf, labelSep...)
+		}
+		buf = append(buf, OverflowValue...)
 	}
-	return strings.Join(vals, labelSep)
+	return buf
 }
+
+func (f *family) overflowKey() string { return string(f.appendOverflowKey(nil)) }
 
 // admit decides, given the live series count, whether a new interned
 // key may become a real series (true) or must be the overflow series
@@ -156,33 +162,42 @@ func (v *Vec[M]) newSeries() *M {
 
 // With returns the series for the given label values, in the key order
 // the family was declared with. A nil receiver or a value count that
-// does not match the declared keys yields a nil (no-op) series.
+// does not match the declared keys yields a nil (no-op) series. Finding
+// an existing series allocates nothing: the key is built on the stack.
 func (v *Vec[M]) With(values ...string) *M {
 	if v == nil {
 		return nil
 	}
-	key, ok := v.ls.intern(values)
+	var buf [128]byte
+	b, ok := v.ls.appendKey(buf[:0], values)
 	if !ok {
 		return nil
 	}
 	v.mu.RLock()
-	m := v.series[key]
+	m := v.series[string(b)]
 	v.mu.RUnlock()
 	if m != nil {
 		return m
 	}
+	return v.mint(string(b))
+}
+
+// mint returns the series for an interned key that had none when With
+// looked, making it, or routing the key to the overflow series, under
+// the write lock.
+func (v *Vec[M]) mint(key string) *M {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if m = v.series[key]; m != nil {
+	if m := v.series[key]; m != nil {
 		return m
 	}
 	if !v.ls.admit(key, len(v.series)) {
 		key = v.ls.overflowKey()
-		if m = v.series[key]; m != nil {
+		if m := v.series[key]; m != nil {
 			return m
 		}
 	}
-	m = v.newSeries()
+	m := v.newSeries()
 	v.series[key] = m
 	return m
 }

@@ -27,6 +27,28 @@ func TestCounterVecSeriesIdentity(t *testing.T) {
 	}
 }
 
+// TestVecWithExistingSeriesAllocatesNothing pins that With on a series
+// that exists allocates nothing, as the serving layer calls it on every
+// request. The histogram is keyed like the request-latency family, the
+// counter like the request family with two labels.
+func TestVecWithExistingSeriesAllocatesNothing(t *testing.T) {
+	r := NewRegistry()
+	c := r.CounterVec("serve_requests_total", "route", "cache")
+	h := r.HistogramVec("serve_request_seconds", nil, "route")
+	c.With("risk", "hit").Inc()
+	h.With("risk").Observe(1)
+	c.With(OverflowValue, "x").Inc()
+	for name, f := range map[string]func(){
+		"counter":   func() { c.With("risk", "hit").Inc() },
+		"histogram": func() { h.With("risk").Observe(1) },
+		"overflow":  func() { c.With(OverflowValue, "x").Inc() },
+	} {
+		if n := testing.AllocsPerRun(100, f); n != 0 {
+			t.Errorf("%s: With on an existing series allocates %v times, want 0", name, n)
+		}
+	}
+}
+
 func TestVecKeyOrderIsDeclarationOrder(t *testing.T) {
 	// Keys are interned sorted, but With takes values in declaration
 	// order: (tier, event) here, even though "event" sorts first.

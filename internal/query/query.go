@@ -248,11 +248,12 @@ func (q *Engine) Eval(text string) (string, error) {
 		return fmt.Sprintf("slip of %s = %s", act, fmtDur(d)), nil
 	case join == "plans":
 		c := q.Sched.Reader().Container(sched.PlanContainer)
-		if c == nil || len(c.Entries) == 0 {
+		if c == nil || c.Len() == 0 {
 			return "no plans exist", nil
 		}
 		var parts []string
-		for _, e := range c.Entries {
+		for i := 0; i < c.Len(); i++ {
+			e := c.At(i)
 			var p sched.Plan
 			if err := e.Decode(&p); err != nil {
 				return "", err

@@ -164,7 +164,7 @@ func E3Scaling() (string, error) {
 				return err
 			}
 			runs += len(rs)
-			entities += len(m.DB.Container(r.Output).Entries)
+			entities += m.DB.Container(r.Output).Len()
 		}
 		rows[i] = fmt.Sprintf("%-5d %-5d %-5d %-13s %-8d %d\n",
 			sz.d, sz.w, len(sch.Rules()), span.Round(time.Hour), runs, entities)

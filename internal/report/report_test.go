@@ -14,17 +14,17 @@ func TestScenarioReproducesFig5Population(t *testing.T) {
 	// execution metadata beyond the imported stimuli.
 	for _, act := range []string{"Create", "Simulate"} {
 		c := s.Mgr.DB.Container("sched:" + act)
-		if len(c.Entries) != 2 {
-			t.Errorf("sched:%s instances = %d, want 2 (CC1/CC2, SC1/SC2)", act, len(c.Entries))
+		if c.Len() != 2 {
+			t.Errorf("sched:%s instances = %d, want 2 (CC1/CC2, SC1/SC2)", act, c.Len())
 		}
 	}
-	if got := len(s.Mgr.DB.Container("schedule").Entries); got != 2 {
+	if got := s.Mgr.DB.Container("schedule").Len(); got != 2 {
 		t.Errorf("plans = %d, want 2", got)
 	}
-	if got := len(s.Mgr.DB.Container("netlist").Entries); got != 0 {
+	if got := s.Mgr.DB.Container("netlist").Len(); got != 0 {
 		t.Errorf("netlist entities before execution = %d", got)
 	}
-	if got := len(s.Mgr.DB.Container("stimuli").Entries); got != 1 {
+	if got := s.Mgr.DB.Container("stimuli").Len(); got != 1 {
 		t.Errorf("stimuli entities = %d, want 1", got)
 	}
 }
@@ -40,12 +40,12 @@ func TestScenarioReproducesFig6Fig7Population(t *testing.T) {
 	// Fig. 6: each activity iterated exactly twice -> two entity instances
 	// per produced class and two runs per activity.
 	for _, class := range []string{"netlist", "performance"} {
-		if got := len(s.Mgr.DB.Container(class).Entries); got != 2 {
+		if got := s.Mgr.DB.Container(class).Len(); got != 2 {
 			t.Errorf("%s entities = %d, want 2 (N1/N2, P1/P2)", class, got)
 		}
 	}
 	for _, act := range []string{"Create", "Simulate"} {
-		if got := len(s.Mgr.DB.Container("run:" + act).Entries); got != 2 {
+		if got := s.Mgr.DB.Container("run:" + act).Len(); got != 2 {
 			t.Errorf("run:%s = %d, want 2", act, got)
 		}
 	}
@@ -59,7 +59,7 @@ func TestScenarioReproducesFig6Fig7Population(t *testing.T) {
 		if !s.Mgr.DB.Linked(schedInst.ID, final.ID) {
 			t.Errorf("%s not linked to %s", schedInst.ID, final.ID)
 		}
-		first := s.Mgr.DB.Container(pair.class).Entries[0]
+		first := s.Mgr.DB.Container(pair.class).At(0)
 		if len(first.Links) != 0 {
 			t.Errorf("non-final entity %s has links %v", first.ID, first.Links)
 		}

@@ -12,9 +12,14 @@
 // than copying them, so a fork grows with neither the project's entries,
 // events nor design objects: O(containers + classes) per scenario (the
 // first fork after the parent filed new design objects merges them into
-// the shared index once). A
+// the shared index once). Its writes do not grow with the history
+// either: the store keeps entries in 64-entry chunks, so a fork's first
+// append to a container copies at most one chunk, and a replacement one
+// chunk plus the container's chunk index. A
 // fork's task database has no commit hook, so the payloads its re-plan
-// and re-execution write stay typed and are never marshalled.
+// and re-execution write stay typed and are never marshalled. A fork of
+// a project with an armed fault plan draws its faults from its own fork
+// of the plan (fault.Plan.Fork), so it never advances the parent's.
 //
 // Determinism: forks are created serially from the same parent state and
 // each fork's execution is driven entirely by its own virtual clock and
@@ -175,7 +180,8 @@ type Outcome struct {
 	// order they blocked. Empty when everything completed.
 	Blocked []string
 	// FaultsInjected counts the faults the scenario's plan actually
-	// injected (zero without Edit.Faults).
+	// injected: the edit's (Edit.Faults), or else the fork of the
+	// project's armed plan; zero without either.
 	FaultsInjected int
 	// Risk is the scenario's Monte-Carlo finish distribution summary
 	// (nil unless Options.Risk was set).
@@ -276,6 +282,9 @@ func Sweep(m *engine.Manager, targets []string, edits []Edit, opt Options) (*Rep
 		if err != nil {
 			return nil, fmt.Errorf("scenario: fork %q: %w", runs[i].name, err)
 		}
+		// A fork of a faulted project draws from its own fork of the
+		// plan (ForkAtView); an edit's Faults replace it.
+		runs[i].faults = f.Faults
 		if runs[i].edit != nil {
 			if err := apply(f, runs[i].edit); err != nil {
 				return nil, err
@@ -383,7 +392,7 @@ type run struct {
 	name   string
 	edit   *Edit // nil for the baseline
 	mgr    *engine.Manager
-	faults *fault.Plan // nil unless edit.Faults
+	faults *fault.Plan // the fork's fault plan; nil without one
 }
 
 // validate rejects malformed edits before any fork is created.

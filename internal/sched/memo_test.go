@@ -199,7 +199,7 @@ func TestViewReadsMilestonesDuringWrites(t *testing.T) {
 				}
 				want := 0
 				if c := snap.Container(MilestoneContainer); c != nil {
-					want = len(c.Entries)
+					want = c.Len()
 				}
 				if len(rows) != want {
 					errs <- fmt.Errorf("version %d: %d report rows, %d milestones", snap.Version(), len(rows), want)

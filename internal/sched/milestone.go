@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"time"
 
@@ -101,13 +100,13 @@ func (s *Space) decodedMilestones(c *store.Container) (*milestoneSet, error) {
 	if s.ms != nil {
 		old = s.ms.Load()
 	}
-	if old != nil && slices.Equal(old.entries, c.Entries) {
+	if old != nil && sameEntries(old.entries, c) {
 		return old, nil
 	}
 	set := &milestoneSet{
-		entries:  slices.Clone(c.Entries),
-		ms:       make([]Milestone, len(c.Entries)),
-		byTarget: make([]int, len(c.Entries)),
+		entries:  c.Entries(),
+		ms:       make([]Milestone, c.Len()),
+		byTarget: make([]int, c.Len()),
 	}
 	for i, e := range set.entries {
 		set.byTarget[i] = i
@@ -124,6 +123,19 @@ func (s *Space) decodedMilestones(c *store.Container) (*milestoneSet, error) {
 		s.ms.Store(set)
 	}
 	return set, nil
+}
+
+// sameEntries reports whether c holds exactly the entries es, in order.
+func sameEntries(es []*store.Entry, c *store.Container) bool {
+	if len(es) != c.Len() {
+		return false
+	}
+	for i, e := range es {
+		if c.At(i) != e {
+			return false
+		}
+	}
+	return true
 }
 
 // Milestones returns the milestone instances for a plan version, sorted

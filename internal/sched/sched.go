@@ -230,7 +230,7 @@ func (s *Space) Plan(tree *flow.Tree, start time.Time, est Estimator, opt PlanOp
 			return nil, fmt.Errorf("sched: basedOn %q is not a plan entry", b)
 		}
 	}
-	version := len(db.Container(PlanContainer).Entries) + 1
+	version := db.Container(PlanContainer).Len() + 1
 	finishOf := make(map[string]time.Time) // activity -> planned finish
 	resFree := make(map[string]time.Time)  // resource -> free at
 	instIDs := make(map[string]string)
@@ -378,13 +378,14 @@ func (s *Space) History(activity string) ([]*store.Entry, []Instance, error) {
 	if c == nil {
 		return nil, nil, fmt.Errorf("sched: unknown activity %q", activity)
 	}
-	insts := make([]Instance, len(c.Entries))
-	for i, e := range c.Entries {
+	entries := c.Entries()
+	insts := make([]Instance, len(entries))
+	for i, e := range entries {
 		if err := e.Decode(&insts[i]); err != nil {
 			return nil, nil, err
 		}
 	}
-	return append([]*store.Entry(nil), c.Entries...), insts, nil
+	return entries, insts, nil
 }
 
 // Lineage returns the ancestor chain of a plan entry (the plans it was

@@ -199,8 +199,8 @@ func TestFig5TwoPlanningPasses(t *testing.T) {
 	}
 	for _, act := range []string{"Create", "Simulate"} {
 		c := fx.space.DB.Container(Container(act))
-		if len(c.Entries) != 2 {
-			t.Errorf("%s schedule container has %d instances, want 2 (Fig. 5)", act, len(c.Entries))
+		if c.Len() != 2 {
+			t.Errorf("%s schedule container has %d instances, want 2 (Fig. 5)", act, c.Len())
 		}
 	}
 	dump := fx.space.DB.Dump()

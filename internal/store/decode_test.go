@@ -46,7 +46,7 @@ func liveValues(db *DB) int {
 	defer db.mu.RUnlock()
 	n := 0
 	for _, c := range db.containers {
-		for _, e := range c.Entries {
+		for _, e := range c.Entries() {
 			if kept(e) {
 				n++
 			}
@@ -237,7 +237,7 @@ func TestDecodedValuesBounded(t *testing.T) {
 			if err := db.SetPayload(e.ID, &task{Name: name, Pass: k, Finish: t0.Add(time.Hour)}); err != nil {
 				t.Fatal(err)
 			}
-			for _, old := range db.Container(name).Entries {
+			for _, old := range db.Container(name).Entries() {
 				var got task
 				if err := old.Decode(&got); err != nil {
 					t.Fatal(err)
@@ -356,7 +356,7 @@ func TestDecodeRaceWithWrites(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				v := db.Snapshot()
-				es := v.Container("sched:Create").Entries
+				es := v.Container("sched:Create").Entries()
 				for _, e := range es[max(0, len(es)-3):] {
 					var got, want task
 					if err := e.Decode(&got); err != nil {

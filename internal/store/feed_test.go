@@ -211,7 +211,7 @@ func TestStateRoundTripPreservesIdentity(t *testing.T) {
 		if r.Watermark() != c.Watermark() {
 			t.Fatalf("container %q watermark = %d, want %d", c.Name, r.Watermark(), c.Watermark())
 		}
-		if !reflect.DeepEqual(exportedEntries(r.Entries), exportedEntries(c.Entries)) {
+		if !reflect.DeepEqual(exportedEntries(r.Entries()), exportedEntries(c.Entries())) {
 			t.Fatalf("container %q entries differ", c.Name)
 		}
 	}

@@ -144,7 +144,7 @@ func TestLazyStateJSONEqualsEager(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, e := range st.Containers[1].Entries {
-		if want := eager.Container("sched:Create").Entries[i].Payload(); string(e.Payload()) != string(want) {
+		if want := eager.Container("sched:Create").At(i).Payload(); string(e.Payload()) != string(want) {
 			t.Fatalf("entry %s decoded with payload %s, want %s", e.ID, e.Payload(), want)
 		}
 	}
@@ -267,7 +267,7 @@ func TestLazyValuesBounded(t *testing.T) {
 	pendingEntries := func() int {
 		n := 0
 		for _, c := range db.Containers() {
-			for _, e := range c.Entries {
+			for _, e := range c.Entries() {
 				if pending(e) {
 					n++
 				}
@@ -282,7 +282,7 @@ func TestLazyValuesBounded(t *testing.T) {
 			if err := db.SetPayload(e.ID, &task{Name: name, Pass: k, Finish: t0.Add(time.Hour)}); err != nil {
 				t.Fatal(err)
 			}
-			for i, old := range db.Container(name).Entries {
+			for i, old := range db.Container(name).Entries() {
 				var got task
 				if err := old.Decode(&got); err != nil || got.Pass != i+1 {
 					t.Fatalf("%s decodes to %+v, %v", old.ID, got, err)
@@ -297,7 +297,7 @@ func TestLazyValuesBounded(t *testing.T) {
 		}
 	}
 	for _, c := range db.Containers() {
-		for _, e := range c.Entries {
+		for _, e := range c.Entries() {
 			e.Payload()
 		}
 	}
@@ -306,7 +306,7 @@ func TestLazyValuesBounded(t *testing.T) {
 	}
 	for _, c := range db.Containers() {
 		checkDecode[task](t, c.Latest())
-		checkDecode[task](t, c.Entries[0])
+		checkDecode[task](t, c.At(0))
 	}
 }
 
@@ -354,7 +354,7 @@ func TestLazyMaterializeRace(t *testing.T) {
 			}
 			return true
 		}
-		es := db.Snapshot().Container("sched:Create").Entries
+		es := db.Snapshot().Container("sched:Create").Entries()
 		for _, e := range es[max(0, len(es)-4):] {
 			var got task
 			if err := e.Decode(&got); err != nil {

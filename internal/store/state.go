@@ -29,24 +29,23 @@ type ContainerState struct {
 	Entries   []*Entry `json:"entries"`
 }
 
-// State captures the database as a checkpoint. Like Snapshot, it is
-// O(containers): entry slices are shared with the live database (clipped
-// with full slice expressions) and the containers are marked shared so
-// the next in-place replacement copies first. Entries are immutable, so
-// the caller may marshal the State at leisure while writers proceed.
+// State captures the database as a checkpoint. It copies each
+// container's entry pointers into the State's slices, so it is O(entries);
+// an encoder that walks a Snapshot instead copies nothing. Entries are
+// immutable, so the caller may marshal the State at leisure while writers
+// proceed.
 func (db *DB) State() *State {
-	db.mu.Lock()
-	defer db.mu.Unlock()
+	db.mu.RLock()
+	defer db.mu.RUnlock()
 	s := &State{Version: db.version, Containers: make([]ContainerState, 0, len(db.order))}
 	for _, n := range db.order {
 		c := db.containers[n]
-		c.shared = true
 		s.Containers = append(s.Containers, ContainerState{
 			Name:      c.Name,
 			Space:     c.Space,
 			Class:     c.Class,
 			Watermark: c.watermark,
-			Entries:   c.Entries[:len(c.Entries):len(c.Entries)],
+			Entries:   c.Entries(),
 		})
 	}
 	return s
@@ -76,12 +75,8 @@ func FromState(s *State) (*DB, error) {
 			Space:     cs.Space,
 			Class:     cs.Class,
 			watermark: cs.Watermark,
-			// The checkpoint may alias a live database's entry slices;
-			// mark shared so this database copies before replacing.
-			shared:  true,
-			Entries: cs.Entries[:len(cs.Entries):len(cs.Entries)],
 		}
-		for j, e := range c.Entries {
+		for j, e := range cs.Entries {
 			if e == nil {
 				return nil, fmt.Errorf("store: state: container %q has nil entry", cs.Name)
 			}
@@ -92,21 +87,23 @@ func FromState(s *State) (*DB, error) {
 				return nil, fmt.Errorf("store: state: entry id %q, want %q", e.ID, cs.Name+"/"+strconv.Itoa(e.Version))
 			}
 		}
-		if n := len(c.Entries); n > 0 {
+		if n := len(cs.Entries); n > 0 {
+			c.setEntries(cs.Entries)
 			// Give the latest entry an empty decoded cell for its first
 			// Decode to fill. The state's entries may belong to a live
 			// database, so the entry is cloned (with its bytes, which a
-			// lazy entry produces now) and the slice copied.
-			latest := *c.Entries[n-1]
+			// lazy entry produces now).
+			latest := *cs.Entries[n-1]
 			latest.payload, latest.value = latest.Payload(), new(decoded)
-			c.Entries = append(append(make([]*Entry, 0, n), c.Entries[:n-1]...), &latest)
-			c.shared = false
+			c.replaceLocked(n-1, &latest)
 		}
 		db.containers[cs.Name] = c
 		db.order = append(db.order, cs.Name)
 	}
 	for _, n := range db.order {
-		for _, e := range db.containers[n].Entries {
+		c := db.containers[n]
+		for i := 0; i < c.n; i++ {
+			e := c.At(i)
 			for _, refs := range [2][]string{e.Deps, e.Links} {
 				for _, d := range refs {
 					if db.lookupLocked(d) == nil {

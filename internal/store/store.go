@@ -24,16 +24,22 @@
 // # Snapshot isolation and copy-on-write
 //
 // Entries are immutable once appended: SetPayload and Link replace the
-// affected *Entry with a clone rather than mutating it in place. That makes
-// two cheap operations safe:
+// affected *Entry with a clone rather than mutating it in place. A
+// container keeps its entries in fixed chunks of 64 behind a chunk index.
+// That makes two cheap operations safe:
 //
 //   - Snapshot returns an immutable View of the whole database in
-//     O(containers), sharing the entry slices with the live DB (clipped with
-//     full slice expressions so later appends stay invisible). Until the
-//     next mutation it returns that same View again.
+//     O(containers), sharing the chunks with the live DB (the index
+//     clipped to its length, so later appends stay invisible). Until the
+//     next mutation it returns that same View again, and the next View
+//     shares its copies of the containers no mutation touched.
 //   - ForkAt branches a child DB off a View in O(containers); parent and
-//     child alias unmodified containers and copy a container's entry slice
-//     only on first write (copy-on-write, tracked by a shared bit).
+//     child share the chunks. A write copies at most the one chunk it
+//     touches, plus the chunk index when it replaces an entry: a fork's
+//     first append copies the last chunk it inherited, and a replacement
+//     after a Snapshot or ForkAt copies the replaced entry's chunk. One
+//     epoch per container, bumped by Snapshot, tells which chunks a
+//     container may write in place.
 //
 // See docs/store.md for the aliasing rules and fork semantics.
 package store
@@ -144,6 +150,11 @@ func (e *Entry) UnmarshalJSON(b []byte) error {
 }
 
 // Container groups the versioned instances of one class.
+//
+// Its entries sit in chunks of chunkSize behind a chunk index, so a
+// view or a fork shares them by sharing the index, and a write that may
+// not touch a shared chunk copies that one chunk (see docs/store.md).
+// Read them with Len, At, Latest or Entries.
 type Container struct {
 	// Name is the container name, unique within the database (e.g.
 	// "netlist", "sched:Create").
@@ -153,14 +164,28 @@ type Container struct {
 	Space Space `json:"space"`
 	// Class is the schema class or activity the container was created for.
 	Class string `json:"class"`
-	// Entries holds instances in version order.
-	Entries []*Entry `json:"entries"`
 
-	// shared marks the Entries backing array as possibly aliased by a View
-	// or a forked DB; the next in-place entry replacement must copy the
-	// slice first. Appends never need the copy: aliases are clipped to
-	// their snapshot length, so writing Entries[len] is invisible to them.
-	shared bool
+	// chunks is the chunk index: entry i sits in
+	// chunks[i/chunkSize].e[i%chunkSize]. Every chunk but the last is
+	// full.
+	chunks []chunk
+	// n counts the entries.
+	n int
+	// epoch is this container's ownership epoch. A chunk stamped with it
+	// was made since the last Snapshot (or ForkAt) could share it, so the
+	// container may replace its entries in place. Snapshot bumps it, and
+	// a fork starts above the epoch of the view it was taken from, so no
+	// chunk a fork inherits carries its epoch.
+	epoch uint64
+	// ownIndex says the same of the chunk index: this container made the
+	// index array since a view last shared it, so it may replace slots
+	// in place.
+	ownIndex bool
+	// ownTail says the free slots of the last chunk are this container's
+	// to fill: it made or copied that chunk. A fork's inherited last
+	// chunk is not; its parent fills those slots, so the fork copies the
+	// chunk before it appends.
+	ownTail bool
 	// watermark is the owning DB's version counter at this container's last
 	// mutation.
 	watermark uint64
@@ -170,12 +195,187 @@ type Container struct {
 	inherited int
 }
 
+const (
+	// chunkShift sets chunkSize, the entries per chunk: a write to a
+	// shared chunk copies at most chunkSize pointers.
+	chunkShift = 6
+	chunkSize  = 1 << chunkShift
+	// firstChunk is the length of a container's first chunk. A last
+	// chunk that fills up, or is copied, doubles up to chunkSize as a
+	// slice grows, so a small container holds no more slots than a slice
+	// of its entries would.
+	firstChunk = 2
+)
+
+// chunk is one slot of a container's chunk index.
+type chunk struct {
+	// e holds the entries. Its length is fixed when the chunk is made;
+	// slots past the container's count are unfilled, and only the
+	// container that owns the chunk's tail fills them.
+	e []*Entry
+	// epoch is the epoch of the container that made or copied the chunk.
+	epoch uint64
+}
+
+// Len returns the number of entries.
+func (c *Container) Len() int { return c.n }
+
+// At returns the entry of version i+1. It panics unless 0 <= i < Len().
+func (c *Container) At(i int) *Entry {
+	if uint(i) >= uint(c.n) {
+		panic("store: entry index out of range")
+	}
+	return c.chunks[i>>chunkShift].e[i&(chunkSize-1)]
+}
+
 // Latest returns the highest-version entry, or nil for an empty container.
 func (c *Container) Latest() *Entry {
-	if len(c.Entries) == 0 {
+	if c.n == 0 {
 		return nil
 	}
-	return c.Entries[len(c.Entries)-1]
+	return c.At(c.n - 1)
+}
+
+// Entries returns a copy of the entries in version order, or nil for an
+// empty container.
+func (c *Container) Entries() []*Entry {
+	if c.n == 0 {
+		return nil
+	}
+	out := make([]*Entry, 0, c.n)
+	for k := 0; len(out) < c.n; k++ {
+		e := c.chunks[k].e
+		out = append(out, e[:min(len(e), c.n-len(out))]...)
+	}
+	return out
+}
+
+// containerJSON is a Container's JSON form.
+type containerJSON struct {
+	Name    string   `json:"name"`
+	Space   Space    `json:"space"`
+	Class   string   `json:"class"`
+	Entries []*Entry `json:"entries"`
+}
+
+// MarshalJSON encodes the container with its entries in version order.
+func (c *Container) MarshalJSON() ([]byte, error) {
+	return json.Marshal(containerJSON{c.Name, c.Space, c.Class, c.Entries()})
+}
+
+// UnmarshalJSON decodes what MarshalJSON encodes.
+func (c *Container) UnmarshalJSON(b []byte) error {
+	var j containerJSON
+	if err := json.Unmarshal(b, &j); err != nil {
+		return err
+	}
+	*c = Container{Name: j.Name, Space: j.Space, Class: j.Class}
+	c.setEntries(j.Entries)
+	return nil
+}
+
+// setEntries fills an empty container with a copy of entries. The chunks
+// share one array, and a container of at most chunkSize entries gets a
+// chunk that just fits them.
+func (c *Container) setEntries(entries []*Entry) {
+	n := len(entries)
+	if n == 0 {
+		return
+	}
+	size := chunkSize
+	if n < chunkSize {
+		size = n
+	}
+	k := (n + chunkSize - 1) >> chunkShift
+	all := make([]*Entry, (k-1)<<chunkShift+size)
+	copy(all, entries)
+	c.chunks = make([]chunk, k)
+	for i := range c.chunks {
+		c.chunks[i] = chunk{e: all[i<<chunkShift : i<<chunkShift+size : i<<chunkShift+size], epoch: c.epoch}
+	}
+	c.n, c.ownIndex, c.ownTail = n, true, true
+}
+
+// appendLocked adds e as the last entry. It writes into the last chunk
+// when the container owns its free slots and it has one left; otherwise
+// it copies that chunk into one with room for twice its filled slots (up
+// to chunkSize and, unless the chunk is full, to its length), as append
+// grows a slice, or starts a new chunk when the last is full. Caller
+// holds the owning DB's mu for writing.
+func (c *Container) appendLocked(e *Entry) {
+	k, j := c.n>>chunkShift, c.n&(chunkSize-1)
+	switch {
+	case k == len(c.chunks):
+		size := chunkSize
+		if k == 0 {
+			size = firstChunk
+		}
+		if len(c.chunks) == cap(c.chunks) {
+			// A new index array: no view or fork can hold it.
+			c.chunks = append(make([]chunk, 0, 2*len(c.chunks)+1), c.chunks...)
+			c.ownIndex = true
+		}
+		c.chunks = append(c.chunks, chunk{e: make([]*Entry, size), epoch: c.epoch})
+		c.ownTail = true
+	case !c.ownTail || j == len(c.chunks[k].e):
+		size := min(max(2*j, firstChunk), chunkSize)
+		if j < len(c.chunks[k].e) {
+			size = min(size, len(c.chunks[k].e))
+		}
+		c.copyChunk(k, size)
+		c.ownTail = true
+	}
+	c.chunks[k].e[j] = e
+	c.n++
+}
+
+// replaceLocked swaps e in as entry i, first copying its chunk (and the
+// index) when a view or fork may share them. A copy of the last chunk
+// keeps room for one append, as a copied slice of the entries would.
+// Caller holds the owning DB's mu for writing.
+func (c *Container) replaceLocked(i int, e *Entry) {
+	k := i >> chunkShift
+	if c.chunks[k].epoch != c.epoch {
+		size := len(c.chunks[k].e)
+		if k == len(c.chunks)-1 {
+			size = min(size, c.n-k<<chunkShift+1)
+			c.ownTail = true
+		}
+		c.copyChunk(k, size)
+	}
+	c.chunks[k].e[i&(chunkSize-1)] = e
+}
+
+// copyChunk replaces chunk k with a copy of the given length that this
+// container owns. Only the filled slots are read: the chunk's owner may
+// be filling the others.
+func (c *Container) copyChunk(k, size int) {
+	if !c.ownIndex {
+		c.chunks = append([]chunk(nil), c.chunks...)
+		c.ownIndex = true
+	}
+	e := make([]*Entry, size)
+	copy(e, c.chunks[k].e[:min(len(c.chunks[k].e), c.n-k<<chunkShift)])
+	c.chunks[k] = chunk{e: e, epoch: c.epoch}
+}
+
+// share returns a read-only copy of the container for a view, and bumps
+// the epoch and gives up the index so the next replacement copies what
+// the copy shares. Caller holds the owning DB's mu for writing.
+func (c *Container) share() *Container {
+	k := len(c.chunks)
+	v := &Container{
+		Name:      c.Name,
+		Space:     c.Space,
+		Class:     c.Class,
+		chunks:    c.chunks[:k:k],
+		n:         c.n,
+		epoch:     c.epoch,
+		watermark: c.watermark,
+	}
+	c.epoch++
+	c.ownIndex = false
+	return v
 }
 
 // Watermark returns the owning database's version counter at this
@@ -228,7 +428,7 @@ func (db *DB) Instrument(o *obs.Obs) {
 	db.gEntries = m.Gauge("store_entries")
 	var entries int64
 	for _, c := range db.containers {
-		entries += int64(len(c.Entries))
+		entries += int64(c.n)
 	}
 	db.gEntries.Set(entries)
 }
@@ -322,7 +522,7 @@ func (db *DB) ContainersIn(space Space) []*Container {
 
 // lookupLocked resolves an entry ID by parsing it and indexing the dense
 // version into its container. Caller holds mu (read or write). Entry IDs
-// are "container/version" with versions 1..len(Entries), so no secondary
+// are "container/version" with versions 1..Len(), so no secondary
 // index is needed — which is what keeps Snapshot and ForkAt O(containers).
 func (db *DB) lookupLocked(id string) *Entry {
 	name, v, err := ParseID(id)
@@ -330,21 +530,10 @@ func (db *DB) lookupLocked(id string) *Entry {
 		return nil
 	}
 	c := db.containers[name]
-	if c == nil || v > len(c.Entries) {
+	if c == nil || v > c.n {
 		return nil
 	}
-	return c.Entries[v-1]
-}
-
-// cowLocked prepares a container for an in-place entry replacement: if the
-// Entries backing array may be aliased by a View or a fork, it is copied
-// first. Caller holds mu for writing.
-func (db *DB) cowLocked(c *Container) {
-	if !c.shared {
-		return
-	}
-	c.Entries = append(make([]*Entry, 0, len(c.Entries)+1), c.Entries...)
-	c.shared = false
+	return c.At(v - 1)
 }
 
 // Put appends a new instance to the named container, assigning the next
@@ -380,21 +569,21 @@ func (db *DB) Put(container string, created time.Time, payload any, deps ...stri
 		}
 	}
 	e := &Entry{
-		ID:        entryID(container, len(c.Entries)+1),
+		ID:        entryID(container, c.n+1),
 		Container: container,
-		Version:   len(c.Entries) + 1,
+		Version:   c.n + 1,
 		Created:   created,
 		Deps:      append([]string(nil), deps...),
 		payload:   raw,
 		value:     value,
 	}
-	if n := len(c.Entries); n > c.inherited {
-		c.Entries[n-1].value.retire()
+	if n := c.n; n > c.inherited {
+		c.At(n - 1).value.retire()
 	}
-	// Appending is safe even on a shared backing array: every alias is
-	// clipped to cap == its snapshot length, so it cannot observe the new
-	// element whether the append reallocates or writes in place.
-	c.Entries = append(c.Entries, e)
+	// Views and forks see only the entries they were taken with, so the
+	// append is invisible to them; a fork copies the last chunk it
+	// inherited before writing there.
+	c.appendLocked(e)
 	db.version++
 	c.watermark = db.version
 	db.mPuts.Inc()
@@ -459,7 +648,7 @@ func (db *DB) SetPayload(id string, payload any) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	e := db.lookupLocked(id)
-	latest := e != nil && e.Version == len(db.containers[e.Container].Entries)
+	latest := e != nil && e.Version == db.containers[e.Container].n
 	b, value, err := db.encodeLocked(payload, latest)
 	if err != nil {
 		return fmt.Errorf("store: marshal payload for %s: %w", id, err)
@@ -470,8 +659,7 @@ func (db *DB) SetPayload(id string, payload any) error {
 	clone := *e
 	clone.payload, clone.value = b, value
 	c := db.containers[clone.Container]
-	db.cowLocked(c)
-	c.Entries[clone.Version-1] = &clone
+	c.replaceLocked(clone.Version-1, &clone)
 	db.version++
 	c.watermark = db.version
 	if db.commitHook != nil { // Prev would produce a lazy entry's bytes
@@ -521,8 +709,7 @@ func (db *DB) linkOneLocked(e *Entry, target string) {
 	clone := *e
 	clone.Links = append(append([]string(nil), e.Links...), target)
 	c := db.containers[clone.Container]
-	db.cowLocked(c)
-	c.Entries[clone.Version-1] = &clone
+	c.replaceLocked(clone.Version-1, &clone)
 	db.version++
 	c.watermark = db.version
 }

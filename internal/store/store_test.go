@@ -249,11 +249,11 @@ func TestConcurrentPut(t *testing.T) {
 	}
 	wg.Wait()
 	c := db.Container("netlist")
-	if len(c.Entries) != workers*each {
-		t.Fatalf("entries = %d, want %d", len(c.Entries), workers*each)
+	if c.Len() != workers*each {
+		t.Fatalf("entries = %d, want %d", c.Len(), workers*each)
 	}
 	seen := make(map[int]bool)
-	for _, e := range c.Entries {
+	for _, e := range c.Entries() {
 		if seen[e.Version] {
 			t.Fatalf("duplicate version %d", e.Version)
 		}

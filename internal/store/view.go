@@ -29,10 +29,10 @@ var (
 )
 
 // View is an immutable, point-in-time snapshot of a DB. It shares entry
-// slices with the database it was taken from (clipped to their length at
-// snapshot time), so taking one is O(containers) regardless of how many
-// instances the database holds. Views need no locking: every entry and
-// every clipped slice they reference is frozen.
+// chunks with the database it was taken from (each chunk index clipped to
+// its length at snapshot time), so taking one is O(containers) regardless
+// of how many instances the database holds. Views need no locking: every
+// entry and every slot they can reach is frozen.
 type View struct {
 	version    uint64
 	containers map[string]*Container
@@ -41,16 +41,18 @@ type View struct {
 
 // Snapshot returns an immutable View of the database's current state.
 //
-// The view's containers are shallow copies whose Entries slices are clipped
-// with full slice expressions (entries[:n:n]), so later appends to the live
-// database — even ones that land in the same backing array — are invisible
-// to the view. The live containers are marked shared, which makes the next
-// in-place entry replacement copy its slice first (copy-on-write); appends
-// never copy.
+// The view's containers share the live chunks through a clipped copy of
+// each chunk index and keep their entry count, so later appends to the
+// live database — even ones that land in a chunk the view holds — are
+// invisible to the view. Each live container's epoch is bumped, which
+// makes the next in-place replacement copy the chunk (and the index) it
+// touches first (copy-on-write); appends never copy.
 //
 // Every mutation advances the version, so until one does, Snapshot
 // returns the View it returned last: under the read lock, without
-// allocating.
+// allocating. A new View shares the last one's copy of every container
+// no mutation has touched since, so it allocates only for the
+// containers that changed.
 func (db *DB) Snapshot() *View {
 	db.mu.RLock()
 	if v := db.last; v != nil && v.version == db.version {
@@ -65,23 +67,25 @@ func (db *DB) Snapshot() *View {
 	if v := db.last; v != nil && v.version == db.version {
 		return v // another reader took it while this one waited
 	}
+	prev := db.last
 	v := &View{
 		version:    db.version,
 		containers: make(map[string]*Container, len(db.order)),
-		order:      append([]string(nil), db.order...),
+	}
+	if prev != nil && len(prev.order) == len(db.order) {
+		v.order = prev.order // creation order only grows
+	} else {
+		v.order = append([]string(nil), db.order...)
 	}
 	for _, n := range db.order {
 		c := db.containers[n]
-		c.shared = true
-		k := len(c.Entries)
-		v.containers[n] = &Container{
-			Name:      c.Name,
-			Space:     c.Space,
-			Class:     c.Class,
-			Entries:   c.Entries[:k:k],
-			shared:    true,
-			watermark: c.watermark,
+		// A container no write touched since the last view is the same
+		// in this one: share its view copy, which is immutable.
+		if pc := prev.container(n); pc != nil && pc.watermark == c.watermark {
+			v.containers[n] = pc
+			continue
 		}
+		v.containers[n] = c.share()
 	}
 	db.last = v
 	return v
@@ -89,13 +93,14 @@ func (db *DB) Snapshot() *View {
 
 // ForkAt branches a new child database off the given view in O(containers).
 // A nil view forks the database's current state. The child starts with the
-// view's containers aliased (copy-on-write): nothing per-entry is copied
-// until a side actually replaces an entry in a container, and appends on
-// either side are invisible to the other because the fork is clipped to the
-// snapshot length. Parent and child are fully independent afterwards —
-// writes never cross over in either direction. The child never retires
-// the decoded value of an entry it inherited (see Entry.Decode): that
-// entry is still the parent's, and its views'.
+// view's chunks shared (copy-on-write): its first append to a container
+// copies the last chunk it inherited, its first replacement in a chunk
+// copies that chunk, and nothing else is copied. Appends on either side
+// are invisible to the other because the fork keeps the view's entry
+// count. Parent and child are fully independent afterwards — writes never
+// cross over in either direction. The child never retires the decoded
+// value of an entry it inherited (see Entry.Decode): that entry is still
+// the parent's, and its views'.
 //
 // The child is uninstrumented; call Instrument to attach its own metrics.
 func (db *DB) ForkAt(v *View) *DB {
@@ -108,8 +113,10 @@ func (db *DB) ForkAt(v *View) *DB {
 		version:    v.version,
 	}
 	for n, vc := range v.containers {
-		cc := *vc // shares the clipped Entries slice; shared bit carries over
-		cc.inherited = len(cc.Entries)
+		cc := *vc // shares the clipped chunk index
+		// Above every epoch a shared chunk carries: the child owns none.
+		cc.epoch++
+		cc.inherited = cc.n
 		child.containers[n] = &cc
 	}
 	db.mu.RLock()
@@ -117,6 +124,14 @@ func (db *DB) ForkAt(v *View) *DB {
 	db.mu.RUnlock()
 	f.Inc()
 	return child
+}
+
+// container returns the named container of a possibly nil view.
+func (v *View) container(name string) *Container {
+	if v == nil {
+		return nil
+	}
+	return v.containers[name]
 }
 
 // Version returns the source database's mutation counter at snapshot time.
@@ -152,10 +167,10 @@ func (v *View) Get(id string) *Entry {
 		return nil
 	}
 	c := v.containers[name]
-	if c == nil || ver > len(c.Entries) {
+	if c == nil || ver > c.n {
 		return nil
 	}
-	return c.Entries[ver-1]
+	return c.At(ver - 1)
 }
 
 // Linked reports whether entries a and b are linked.
@@ -178,7 +193,7 @@ func (v *View) Stats() map[Space]struct{ Containers, Instances int } {
 	for _, c := range v.containers {
 		s := out[c.Space]
 		s.Containers++
-		s.Instances += len(c.Entries)
+		s.Instances += c.n
 		out[c.Space] = s
 	}
 	return out
@@ -195,8 +210,9 @@ func (v *View) Dump() string {
 		}
 		fmt.Fprintf(&b, "%s space:\n", space)
 		for _, c := range cs {
-			ids := make([]string, 0, len(c.Entries))
-			for _, e := range c.Entries {
+			ids := make([]string, 0, c.n)
+			for i := 0; i < c.n; i++ {
+				e := c.At(i)
 				label := e.ID
 				if len(e.Links) > 0 {
 					linked := append([]string(nil), e.Links...)

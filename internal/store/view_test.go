@@ -22,8 +22,8 @@ func mustPut(t *testing.T, db *DB, container string, at time.Time, payload any, 
 }
 
 // marshal serializes db's containers in creation order. It reads them
-// directly instead of through State or Snapshot, which mark containers
-// shared and could mask a missing copy-on-write mark.
+// directly instead of through Snapshot, which bumps the containers'
+// epochs and could mask a missing copy-on-write step.
 func marshal(t *testing.T, db *DB) string {
 	t.Helper()
 	db.mu.RLock()
@@ -56,7 +56,7 @@ func TestSnapshotInvisibleToLaterWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := len(v.Container("netlist").Entries); got != 1 {
+	if got := v.Container("netlist").Len(); got != 1 {
 		t.Fatalf("snapshot sees %d netlist entries, want 1", got)
 	}
 	var p map[string]int
@@ -84,7 +84,7 @@ func randomOps(t *testing.T, db *DB, rng *rand.Rand, n int) {
 	containers := []string{"netlist", "sched:Create"}
 	var ids []string
 	for _, c := range containers {
-		for _, e := range db.Container(c).Entries {
+		for _, e := range db.Container(c).Entries() {
 			ids = append(ids, e.ID)
 		}
 	}
@@ -346,9 +346,9 @@ func TestConcurrentSnapshotsAndForks(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
 				v := db.Snapshot()
-				n := len(v.Container("netlist").Entries)
+				n := v.Container("netlist").Len()
 				fork := db.ForkAt(v)
-				if got := len(fork.Container("netlist").Entries); got != n {
+				if got := fork.Container("netlist").Len(); got != n {
 					t.Errorf("fork sees %d entries, view has %d", got, n)
 					return
 				}

@@ -311,6 +311,19 @@ func (r *Registry) Rotate(activity string) (t Tool, rotated bool) {
 	return b.instances[b.active], true
 }
 
+// Map replaces every bound instance t of every activity with fn(activity,
+// t), keeping each activity's rotation: how a forked project moves its
+// cloned bindings onto state of its own (a fault plan's fork).
+func (r *Registry) Map(fn func(activity string, t Tool) Tool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for a, b := range r.byActivity {
+		for i, t := range b.instances {
+			b.instances[i] = fn(a, t)
+		}
+	}
+}
+
 // Clone returns an independent registry with the same bindings. Tool
 // instances are shared (they are stateless); rebinding in the clone never
 // affects the original — what a forked project needs to explore

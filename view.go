@@ -481,7 +481,7 @@ func (v *ProjectView) WhatIfFingerprint(targets []string, edits []ScenarioEdit, 
 	sort.Strings(names)
 	for _, n := range names {
 		c := byName[n]
-		fmt.Fprintf(h, "container=%s|%s|%s|w%d|n%d\n", c.Name, c.Space, c.Class, c.Watermark(), len(c.Entries))
+		fmt.Fprintf(h, "container=%s|%s|%s|w%d|n%d\n", c.Name, c.Space, c.Class, c.Watermark(), c.Len())
 	}
 	return fmt.Sprintf("whatif.%016x", h.Sum64()), nil
 }

@@ -116,7 +116,7 @@ func TestViewReadsRaceFreeWithLazyPayloads(t *testing.T) {
 					err = readEverything(p, g, targets)
 				} else {
 					for _, c := range p.mgr.DB.Snapshot().Containers() {
-						for _, e := range c.Entries {
+						for _, e := range c.Entries() {
 							if raw := e.Payload(); raw != nil && !json.Valid(raw) {
 								err = fmt.Errorf("%s: invalid payload %s", e.ID, raw)
 							}

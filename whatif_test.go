@@ -2,6 +2,7 @@ package flowsched
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -257,5 +258,132 @@ func TestWhatIfSweepAllocs(t *testing.T) {
 	const bound = 10860 * 85 / 100
 	if allocs > bound {
 		t.Fatalf("what-if sweep: %.0f allocs, want at most %d", allocs, bound)
+	}
+}
+
+// faultedSweepProject returns a prepared project with a fault plan armed
+// (seed 10, 30% crashes, 30% corrupt outputs) and one recovered run
+// behind it, so the plan's streams have advanced before any fork.
+func faultedSweepProject(t *testing.T) *Project {
+	t.Helper()
+	p := prepared(t)
+	if _, err := p.Plan([]string{"performance"}, Fixed{Default: 8 * time.Hour}, PlanOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.InjectFaults(FaultConfig{Seed: 10, Crash: 0.3, Corrupt: 0.3}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.RunWith([]string{"performance"}, RunOptions{
+		AutoComplete: true, MaxIterations: 30, MaxFailures: 5, Recovery: DefaultRecovery(),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestFaultedSweepDeterministicAcrossWorkers: each fork of a project
+// with an armed fault plan draws from its own fork of the plan, so which
+// fork draws which fault no longer depends on how the workers interleave.
+func TestFaultedSweepDeterministicAcrossWorkers(t *testing.T) {
+	var want string
+	for _, workers := range []int{1, 2, 8} {
+		p := faultedSweepProject(t)
+		rep, err := p.Scenarios([]string{"performance"}, sweepEdits(), ScenarioOptions{
+			Workers: workers, Recovery: DefaultRecovery(),
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		injected := 0
+		for _, o := range rep.Scenarios {
+			injected += o.FaultsInjected
+		}
+		if injected == 0 {
+			t.Fatalf("workers=%d: the sweep's forks injected no faults", workers)
+		}
+		b, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == "" {
+			want = string(b)
+		} else if string(b) != want {
+			t.Fatalf("workers=%d faulted sweep differs from workers=1:\n%s\nvs\n%s", workers, b, want)
+		}
+	}
+}
+
+// TestFaultedSweepLeavesParentFaultsUntouched: a sweep neither adds to
+// the parent's fault history nor advances its fault streams, so a
+// resume after the sweep draws exactly the faults it draws without one.
+func TestFaultedSweepLeavesParentFaultsUntouched(t *testing.T) {
+	resumeAfter := func(sweep bool) (history string, resumed string) {
+		p := prepared(t)
+		if err := p.InjectFaults(FaultConfig{Seed: 1, Crash: 0.95}); err != nil {
+			t.Fatal(err)
+		}
+		_, err := p.RunWith([]string{"performance"}, RunOptions{AutoComplete: true})
+		var ee *ExecError
+		if !errors.As(err, &ee) {
+			t.Fatalf("run under 95%% crashes did not fail with an ExecError: %v", err)
+		}
+		if sweep {
+			rec := DefaultRecovery()
+			rec.ContinueOnBlock = true
+			if _, err := p.Scenarios([]string{"performance"}, sweepEdits(), ScenarioOptions{Workers: 4, Recovery: rec}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		h, err := json.Marshal(p.FaultHistory())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ee.Resume()
+		out, merr := json.Marshal(res)
+		if merr != nil {
+			t.Fatal(merr)
+		}
+		after, merr := json.Marshal(p.FaultHistory())
+		if merr != nil {
+			t.Fatal(merr)
+		}
+		return string(h), fmt.Sprintf("%s|%v|%s", out, err, after)
+	}
+	h0, r0 := resumeAfter(false)
+	h1, r1 := resumeAfter(true)
+	if h1 != h0 {
+		t.Fatalf("sweep changed the parent's fault history:\n%s\nvs\n%s", h1, h0)
+	}
+	if r1 != r0 {
+		t.Fatalf("resume after a sweep differs from one without:\n%s\nvs\n%s", r1, r0)
+	}
+}
+
+// TestProjectForkCarriesFaultPlan: Project.Fork continues the armed
+// plan on a copy, so the fork's runs extend its own history and leave
+// the parent's as it was.
+func TestProjectForkCarriesFaultPlan(t *testing.T) {
+	p := faultedSweepProject(t)
+	before := p.FaultHistory()
+	f, err := p.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.FaultHistory() != nil {
+		t.Fatal("a fork starts with the parent's fault history")
+	}
+	if _, err := f.Plan([]string{"performance"}, Fixed{Default: 8 * time.Hour}, PlanOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.RunWith([]string{"performance"}, RunOptions{
+		AutoComplete: true, MaxIterations: 30, MaxFailures: 5, Recovery: DefaultRecovery(),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(f.FaultHistory()) == 0 {
+		t.Fatal("the fork's run drew no fault decisions from its plan")
+	}
+	if got := p.FaultHistory(); len(got) != len(before) {
+		t.Fatalf("the fork's run added %d decisions to the parent's history", len(got)-len(before))
 	}
 }
