@@ -503,29 +503,61 @@ func designerLoop(tb testing.TB, p *Project, iterations int) {
 	if err := p.UseSimulatedTools(); err != nil {
 		tb.Fatal(err)
 	}
-	r := rand.New(rand.NewSource(1))
-	text := func(n int) []byte {
+	text := randomText(1)
+	for _, class := range []string{"constraints", "testbench"} {
+		if _, err := p.Import(class, text(512)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for i := 0; i < iterations; i++ {
+		designerIteration(tb, p, text(2048))
+	}
+}
+
+// randomText returns a generator of hex-digit text, seeded.
+func randomText(seed int64) func(n int) []byte {
+	r := rand.New(rand.NewSource(seed))
+	return func(n int) []byte {
 		b := make([]byte, n)
 		for i := range b {
 			b[i] = "0123456789abcdef"[r.Intn(16)]
 		}
 		return b
 	}
-	for _, class := range []string{"constraints", "testbench"} {
-		if _, err := p.Import(class, text(512)); err != nil {
-			tb.Fatal(err)
-		}
-	}
+}
+
+// designerIteration imports rtl, plans and runs to sign-off.
+func designerIteration(tb testing.TB, p *Project, rtl []byte) {
+	tb.Helper()
 	targets := []string{"drcreport", "lvsreport", "timingreport", "simreport"}
-	for i := 0; i < iterations; i++ {
-		if _, err := p.Import("rtl", text(2048)); err != nil {
-			tb.Fatal(err)
-		}
-		if _, err := p.Plan(targets, Fixed{Default: 8 * time.Hour}, PlanOptions{}); err != nil {
-			tb.Fatal(err)
-		}
-		if _, err := p.RunWith(targets, RunOptions{AutoComplete: true}); err != nil {
-			tb.Fatal(err)
+	if _, err := p.Import("rtl", rtl); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := p.Plan(targets, Fixed{Default: 8 * time.Hour}, PlanOptions{}); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := p.RunWith(targets, RunOptions{AutoComplete: true}); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkDesignerIteration measures a designer iteration followed by
+// a one-edit what-if sweep, as a designer who asks "and if synthesis
+// runs twice as slow?" after every change: the project starts after 24
+// iterations and grows by one per op, so compare runs of one fixed
+// -benchtime (150x). Every sweep forks a project that has just filed new
+// design objects.
+func BenchmarkDesignerIteration(b *testing.B) {
+	p := designerProject(b, 24)
+	text := randomText(2)
+	targets := []string{"drcreport", "lvsreport", "timingreport", "simreport"}
+	edits := asicSweepEdits()[:1]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		designerIteration(b, p, text(2048))
+		if _, err := p.Scenarios(targets, edits, ScenarioOptions{Workers: 1}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

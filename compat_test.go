@@ -202,3 +202,31 @@ func TestV2FixturesLoad(t *testing.T) {
 	}
 	checkGolden(t, "durable after a new checkpoint", want, goldenOf(t, re))
 }
+
+// testdata/v2/shadowed is a crashed durable ASIC project, log only,
+// written by the design store that kept a cross-class content index. It
+// imported the same bytes as rtl and constraints, a testbench, then the
+// same bytes into rtl again. That index remembered only the constraints
+// copy, so the second rtl import filed rtl@2 with the content of rtl@1,
+// and the log holds both inserts. Replay files every logged insert as
+// it was filed, so both rtl versions come back and the rtl entity that
+// links rtl@2 still runs.
+func TestShadowedFixtureReplaysVerbatim(t *testing.T) {
+	p, err := Open(copyDir(t, "testdata/v2/shadowed"), "", Options{}, PersistOptions{NoSync: true, CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rtl := p.mgr.Data.Chains()["rtl"]
+	if len(rtl) != 2 || rtl[0].Ref.Sum != rtl[1].Ref.Sum || string(rtl[0].Bytes) != string(rtl[1].Bytes) {
+		t.Fatalf("recovered %d rtl versions, want two of one content", len(rtl))
+	}
+	if c := p.mgr.Data.Latest("constraints"); c == nil || c.Ref.Sum != rtl[0].Ref.Sum {
+		t.Fatalf("recovered constraints %v, want the rtl content", c)
+	}
+	if err := p.UseSimulatedTools(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Run([]string{"simreport"}, false); err != nil {
+		t.Fatalf("recovered project cannot run: %v", err)
+	}
+}

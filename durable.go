@@ -407,7 +407,8 @@ func recoverDurable(manBytes []byte, opt Options, log *persist.Log) (*Project, m
 			}
 			return applyMutation(st.db, w.mut)
 		case w.data != nil:
-			_, err := st.data.Put(w.data.Class, w.data.Bytes, w.data.Producer, w.data.Created)
+			// Verbatim: the log holds only actual inserts, in order.
+			_, err := st.data.Append(w.data.Class, w.data.Bytes, w.data.Producer, w.data.Created)
 			return err
 		case w.event != nil:
 			st.events = append(st.events, *w.event)

@@ -2,9 +2,11 @@ package flowsched
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -322,4 +324,118 @@ func TestFailedRunIsDurable(t *testing.T) {
 		return
 	}
 	t.Fatal("no seed in 0..63 aborts a run after completing an activity")
+}
+
+// designChains renders every design object of p, class by class in
+// order, so two projects' Level 4 data compare as strings.
+func designChains(p *Project) string {
+	chains := p.mgr.Data.Chains()
+	classes := make([]string, 0, len(chains))
+	for class := range chains {
+		classes = append(classes, class)
+	}
+	sort.Strings(classes)
+	var b strings.Builder
+	for _, class := range classes {
+		for _, o := range chains[class] {
+			fmt.Fprintf(&b, "%s %s %s %q\n", o.Ref, o.Producer, o.Created.Format(time.RFC3339Nano), o.Bytes)
+		}
+	}
+	return b.String()
+}
+
+// sharedBytesSession imports the same bytes as rtl and as constraints,
+// then a testbench, into a fresh ASIC project: the content that two
+// classes file under one content address.
+func sharedBytesSession(t *testing.T, p *Project) []byte {
+	t.Helper()
+	if err := p.UseSimulatedTools(); err != nil {
+		t.Fatal(err)
+	}
+	same := []byte("module top; endmodule\n")
+	for _, class := range []string{"rtl", "constraints"} {
+		if _, err := p.Import(class, same); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := p.Import("testbench", []byte("initial $finish;\n")); err != nil {
+		t.Fatal(err)
+	}
+	return same
+}
+
+// TestDurableRecoverySharedBytesAcrossClasses: the same bytes imported
+// into rtl and constraints, a checkpoint, the bytes imported into rtl
+// again, and a crash. Recovery restores the checkpoint's design chains
+// and replays the tail; whichever order the checkpoint's classes are
+// restored in, the recovered project holds the live project's chains
+// and database and runs to sign-off. Twenty cycles, because the order a
+// restore visits classes in may vary from run to run.
+func TestDurableRecoverySharedBytesAcrossClasses(t *testing.T) {
+	for cycle := 0; cycle < 20; cycle++ {
+		dir := t.TempDir()
+		p, err := Open(dir, ASICSchema, Options{Designer: "ewj"}, PersistOptions{NoSync: true, CheckpointEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		same := sharedBytesSession(t, p)
+		if err := p.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Import("rtl", same); err != nil {
+			t.Fatal(err)
+		}
+		// No Close: the process crashes here.
+		re, err := Open(dir, "", Options{}, PersistOptions{NoSync: true, CheckpointEvery: -1})
+		if err != nil {
+			t.Fatalf("cycle %d: %v", cycle, err)
+		}
+		if got, want := designChains(re), designChains(p); got != want {
+			t.Fatalf("cycle %d: recovered design chains\n%s\nwant\n%s", cycle, got, want)
+		}
+		if re.DatabaseDump() != p.DatabaseDump() {
+			t.Fatalf("cycle %d: recovered database differs from the live project", cycle)
+		}
+		if err := re.UseSimulatedTools(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := re.Run([]string{"simreport"}, false); err != nil {
+			t.Fatalf("cycle %d: recovered project cannot run: %v", cycle, err)
+		}
+	}
+}
+
+// TestLoadSharedBytesAcrossClasses is the session twin of
+// TestDurableRecoverySharedBytesAcrossClasses: every Load of one
+// session deduplicates a re-import of the shared bytes into rtl to the
+// rtl version that already holds them, as the live project does.
+func TestLoadSharedBytesAcrossClasses(t *testing.T) {
+	p, err := New(ASICSchema, Options{Designer: "ewj"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := sharedBytesSession(t, p)
+	snap, err := p.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := p.mgr.Data.Latest("rtl").Ref
+	if _, err := p.Import("rtl", same); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.mgr.Data.Latest("rtl").Ref; got != want {
+		t.Fatalf("live re-import filed %v, want %v", got, want)
+	}
+	for i := 0; i < 20; i++ {
+		l, err := Load(snap, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.Import("rtl", same); err != nil {
+			t.Fatal(err)
+		}
+		if got := l.mgr.Data.Latest("rtl").Ref; got != want {
+			t.Fatalf("load %d: re-import filed %v, want %v", i, got, want)
+		}
+	}
 }

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"unsafe"
 
-	"flowsched/internal/design"
 	"flowsched/internal/persist"
 )
 
@@ -135,8 +134,8 @@ func TestRecoveryDoesNotAliasCheckpoint(t *testing.T) {
 		return n > 0 && a >= lo && a < lo+uintptr(len(fs.read))
 	}
 	var payloads, objects int
-	for _, c := range p.mgr.DB.State().Containers {
-		for _, e := range c.Entries {
+	for _, c := range p.mgr.DB.Snapshot().Containers() {
+		for _, e := range c.Entries() {
 			if inside(unsafe.SliceData(e.Payload()), len(e.Payload())) {
 				t.Fatalf("entry %s payload shares the checkpoint buffer", e.ID)
 			}
@@ -148,14 +147,14 @@ func TestRecoveryDoesNotAliasCheckpoint(t *testing.T) {
 			payloads += len(e.Payload())
 		}
 	}
-	for class, objs := range p.mgr.Data.State().Classes {
+	for _, objs := range p.mgr.Data.Chains() {
 		for _, o := range objs {
-			obj, err := p.mgr.Data.Get(design.Ref{Class: class, Version: o.Version, Sum: o.Sum})
+			obj, err := p.mgr.Data.Get(o.Ref)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if inside(unsafe.SliceData(obj.Bytes), len(obj.Bytes)) {
-				t.Fatalf("design object %s@%d shares the checkpoint buffer", class, o.Version)
+				t.Fatalf("design object %s shares the checkpoint buffer", o.Ref)
 			}
 			objects++
 		}

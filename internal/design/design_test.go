@@ -2,8 +2,8 @@ package design
 
 import (
 	"fmt"
-	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -138,16 +138,47 @@ func TestDedupProperty(t *testing.T) {
 	}
 }
 
-// TestForkSharesIndexCopyOnWrite: a fork shares its parent's content
-// index, and each side files its own inserts apart from it, so a writer
-// never copies the index. Each side still deduplicates against what they
-// had in common, and neither sees the other's later inserts — also not
-// through deduplication.
-func TestForkSharesIndexCopyOnWrite(t *testing.T) {
+// TestDedupIsPerClass: identical content filed under another class
+// in between does not hide a class's own copy from deduplication.
+func TestDedupIsPerClass(t *testing.T) {
+	s := NewStore()
+	a1, _ := s.Put("A", []byte("same"), "", t0)
+	b1, _ := s.Put("B", []byte("same"), "", t0)
+	if b1.Class != "B" || b1.Version != 1 {
+		t.Fatalf("another class's content deduplicated a put into B: %v", b1)
+	}
+	if r, _ := s.Put("A", []byte("same"), "", t0); r != a1 {
+		t.Fatalf("re-put into A = %v, want %v", r, a1)
+	}
+	if s.Versions("A") != 1 || s.Versions("B") != 1 {
+		t.Fatalf("versions A=%d B=%d, want 1 and 1", s.Versions("A"), s.Versions("B"))
+	}
+}
+
+// TestAppendFilesVerbatim: Append files every call as a new version,
+// identical content included, and Put then deduplicates to the newest.
+func TestAppendFilesVerbatim(t *testing.T) {
+	s := NewStore()
+	r1, _ := s.Append("A", []byte("same"), "", t0)
+	r2, _ := s.Append("A", []byte("same"), "", t0)
+	if r1.Version != 1 || r2.Version != 2 || r1.Sum != r2.Sum {
+		t.Fatalf("appends filed %v and %v", r1, r2)
+	}
+	if r, _ := s.Put("A", []byte("same"), "", t0); r != r2 {
+		t.Fatalf("put after appends = %v, want the newest %v", r, r2)
+	}
+	if _, err := s.Append("", []byte("x"), "", t0); err == nil {
+		t.Fatal("empty class accepted")
+	}
+}
+
+// TestForkIsolation: a fork and its parent each deduplicate against
+// what they had in common, and neither sees the other's later inserts —
+// also not through deduplication.
+func TestForkIsolation(t *testing.T) {
 	s := NewStore()
 	a, _ := s.Put("netlist", []byte("a"), "", t0)
 	f := s.Fork()
-	index := reflect.ValueOf(f.shared).UnsafePointer()
 	for name, st := range map[string]*Store{"parent": s, "fork": f} {
 		if r, _ := st.Put("netlist", []byte("a"), "", t0); r != a {
 			t.Fatalf("%s: shared content filed again as %v", name, r)
@@ -155,9 +186,6 @@ func TestForkSharesIndexCopyOnWrite(t *testing.T) {
 	}
 	pb, _ := s.Put("netlist", []byte("b"), "", t0)
 	fc, _ := f.Put("netlist", []byte("c"), "", t0)
-	if reflect.ValueOf(s.shared).UnsafePointer() != index || reflect.ValueOf(f.shared).UnsafePointer() != index {
-		t.Fatal("an insert after the fork copied the shared index")
-	}
 	if pb.Version != 2 || fc.Version != 2 {
 		t.Fatalf("first own inserts got versions %d and %d, want 2 and 2", pb.Version, fc.Version)
 	}
@@ -173,7 +201,7 @@ func TestForkSharesIndexCopyOnWrite(t *testing.T) {
 	if r, _ := f.Put("netlist", []byte("c"), "", t0); r != fc {
 		t.Fatalf("the fork lost its own insert's dedup: %v, want %v", r, fc)
 	}
-	// A fork of a fork shares the index three ways.
+	// A fork of a fork.
 	g := f.Fork()
 	if r, _ := g.Put("netlist", []byte("c"), "", t0); r != fc {
 		t.Fatalf("a second-generation fork lost the dedup: %v", r)
@@ -183,5 +211,87 @@ func TestForkSharesIndexCopyOnWrite(t *testing.T) {
 	}
 	if r, _ := f.Put("netlist", []byte("d"), "", t0); r.Version != 4 {
 		t.Fatalf("the fork deduplicated against its own fork's insert: %v", r)
+	}
+}
+
+// TestConcurrentPutsForksAndReads hammers one store from every side at
+// once: writers put new and repeated content into a shared and their
+// own classes, a forker forks and puts into each fork, and readers walk
+// Chains, Get every ref they see and read Latest. Run it under -race.
+func TestConcurrentPutsForksAndReads(t *testing.T) {
+	s := NewStore()
+	const writers, puts = 4, 200
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			own := fmt.Sprintf("own%d", w)
+			for i := 0; i < puts; i++ {
+				data := []byte(fmt.Sprintf("w%d-%d", w, i))
+				r1, err1 := s.Put(own, data, "", t0)
+				r2, err2 := s.Put(own, data, "", t0)
+				if err1 != nil || err2 != nil || r1 != r2 || r1.Version != i+1 {
+					t.Errorf("writer %d put %d: %v %v, %v %v", w, i, r1, err1, r2, err2)
+					return
+				}
+				if _, err := s.Put("shared", data, "", t0); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	var readers sync.WaitGroup
+	readers.Add(2)
+	go func() { // forker
+		defer readers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			f := s.Fork()
+			n := f.Versions("shared")
+			if r, err := f.Put("shared", []byte("fork-only"), "", t0); err != nil || r.Version != n+1 {
+				t.Errorf("fork put = %v, %v; want version %d", r, err, n+1)
+				return
+			}
+		}
+	}()
+	go func() { // reader
+		defer readers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for class, chain := range s.Chains() {
+				for i, o := range chain {
+					if o.Ref.Version != i+1 || string(o.Bytes) == "fork-only" {
+						t.Errorf("%s[%d] = %v %q", class, i, o.Ref, o.Bytes)
+						return
+					}
+					if _, err := s.Get(o.Ref); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if l := s.Latest(class); l == nil || l.Ref.Version < len(chain) {
+					t.Errorf("Latest(%s) = %v behind a chain of %d", class, l, len(chain))
+					return
+				}
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+	if got := s.Versions("shared"); got != writers*puts {
+		t.Fatalf("shared holds %d versions, want %d", got, writers*puts)
 	}
 }

@@ -27,10 +27,10 @@ func TestPutHookObservesOnlyInserts(t *testing.T) {
 		t.Fatalf("first insert ref = %v, want %v", inserts[0].Ref, r1)
 	}
 
-	// Replaying the observed inserts reproduces the chains exactly.
+	// Appending the observed inserts reproduces the chains exactly.
 	r := NewStore()
 	for _, o := range inserts {
-		ref, err := r.Put(o.Ref.Class, o.Bytes, o.Producer, o.Created)
+		ref, err := r.Append(o.Ref.Class, o.Bytes, o.Producer, o.Created)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,7 +3,6 @@ package design
 import (
 	"fmt"
 	"time"
-	"unicode/utf8"
 )
 
 // State is the serialized form of a Store: every version chain, content
@@ -39,28 +38,6 @@ func (s *Store) Chains() map[string][]*Object {
 	return out
 }
 
-// State captures the store. Object contents are immutable and shared,
-// not copied, except that valid UTF-8 is turned into Text strings.
-func (s *Store) State() *State {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := &State{Classes: make(map[string][]ObjectState, len(s.byClass))}
-	for class, chain := range s.byClass {
-		objs := make([]ObjectState, len(chain))
-		for i, o := range chain {
-			objs[i] = ObjectState{
-				Version: o.Ref.Version, Sum: o.Ref.Sum,
-				Created: o.Created, Producer: o.Producer, Bytes: o.Bytes,
-			}
-			if utf8.Valid(o.Bytes) {
-				objs[i].Text, objs[i].Bytes = string(o.Bytes), nil
-			}
-		}
-		out.Classes[class] = objs
-	}
-	return out
-}
-
 // FromState rebuilds a store from a State, verifying content hashes and
 // version density. It rejects a missing State.
 func FromState(st *State) (*Store, error) {
@@ -80,14 +57,12 @@ func FromState(st *State) (*Store, error) {
 			if hashBytes(oj.Bytes) != oj.Sum {
 				return nil, fmt.Errorf("design: restore: object %s@%d hash mismatch", class, oj.Version)
 			}
-			o := &Object{
+			chain[i] = &Object{
 				Ref:      Ref{Class: class, Version: oj.Version, Sum: oj.Sum},
 				Created:  oj.Created,
 				Producer: oj.Producer,
 				Bytes:    oj.Bytes,
 			}
-			chain[i] = o
-			s.recent[oj.Sum] = o
 		}
 		s.byClass[class] = chain
 	}

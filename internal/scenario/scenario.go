@@ -8,11 +8,10 @@
 // question — "and if simulation runs twice as slow?", "and if layout
 // slips three days?" — without disturbing the live project. Forks are
 // copy-on-write snapshots of the Level 3 task database (store.DB.ForkAt)
-// and share the parent's event history and design-data index rather
-// than copying them, so a fork grows with neither the project's entries,
-// events nor design objects: O(containers + classes) per scenario (the
-// first fork after the parent filed new design objects merges them into
-// the shared index once). Its writes do not grow with the history
+// and share the parent's event history and design-data version chains
+// rather than copying them, so a fork grows with neither the project's
+// entries, events nor design objects: O(containers + classes) per
+// scenario. Its writes do not grow with the history
 // either: the store keeps entries in 64-entry chunks, so a fork's first
 // append to a container copies at most one chunk, and a replacement one
 // chunk plus the container's chunk index. A

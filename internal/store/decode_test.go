@@ -279,7 +279,7 @@ func TestFromStateLatestDecodes(t *testing.T) {
 	db := newHookedTestDB(t)
 	mustPut(t, db, "sched:Create", t0, task{Name: "Create", Pass: 1})
 	last := mustPut(t, db, "sched:Create", t0, task{Name: "Create", Pass: 2})
-	b, err := json.Marshal(db.State())
+	b, err := json.Marshal(stateOf(db))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestFromStateLatestDecodes(t *testing.T) {
 
 	// Restoring a live database's own State clones the latest entries
 	// instead of changing them.
-	live := db.State()
+	live := stateOf(db)
 	if _, err := FromState(live); err != nil {
 		t.Fatal(err)
 	}

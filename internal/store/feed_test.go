@@ -104,8 +104,8 @@ func TestCommitFeedReplayIsBitIdentical(t *testing.T) {
 	if got.Version() != db.Version() {
 		t.Fatalf("replayed version = %d, want %d", got.Version(), db.Version())
 	}
-	a, _ := json.Marshal(db.State())
-	b, _ := json.Marshal(got.State())
+	a, _ := json.Marshal(stateOf(db))
+	b, _ := json.Marshal(stateOf(got))
 	if string(a) != string(b) {
 		t.Fatalf("replayed database differs:\n%s\nvs\n%s", a, b)
 	}
@@ -181,7 +181,7 @@ func TestStateRoundTripPreservesIdentity(t *testing.T) {
 	db := NewDB()
 	mutate(t, db)
 
-	st := db.State()
+	st := stateOf(db)
 	// Marshal/unmarshal to prove the checkpoint survives serialization.
 	b, err := json.Marshal(st)
 	if err != nil {
@@ -241,7 +241,7 @@ func exportedEntries(es []*Entry) []Entry {
 func TestStateAliasesAreCopyOnWrite(t *testing.T) {
 	db := NewDB()
 	mutate(t, db)
-	st := db.State()
+	st := stateOf(db)
 	before := string(st.Containers[0].Entries[0].Payload())
 	// Mutating the live database after State must not change the state.
 	if err := db.SetPayload("netlist/1", "after-state"); err != nil {
@@ -255,7 +255,7 @@ func TestStateAliasesAreCopyOnWrite(t *testing.T) {
 func TestFromStateRejectsCorruptStates(t *testing.T) {
 	db := NewDB()
 	mutate(t, db)
-	good, _ := json.Marshal(db.State())
+	good, _ := json.Marshal(stateOf(db))
 
 	corrupt := func(name string, f func(*State)) {
 		var s State
@@ -332,7 +332,7 @@ func TestFromStateAllocatesPerContainer(t *testing.T) {
 			}
 			prev = []string{e.ID}
 		}
-		st := db.State()
+		st := stateOf(db)
 		return testing.AllocsPerRun(20, func() {
 			if _, err := FromState(st); err != nil {
 				t.Fatal(err)

@@ -128,11 +128,11 @@ func TestLazyStateJSONEqualsEager(t *testing.T) {
 		mustPut(t, lazy, "sched:Create", t0, payload)
 		mustPut(t, eager, "sched:Create", t0, payload)
 	}
-	a, err := json.Marshal(lazy.State())
+	a, err := json.Marshal(stateOf(lazy))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.Marshal(eager.State())
+	b, err := json.Marshal(stateOf(eager))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestLazyMaterializeRace(t *testing.T) {
 	}()
 	read := func(r int) bool {
 		if r == 0 {
-			st := db.State()
+			st := stateOf(db)
 			a, err := json.Marshal(st)
 			if err != nil {
 				t.Error(err)

@@ -29,28 +29,6 @@ type ContainerState struct {
 	Entries   []*Entry `json:"entries"`
 }
 
-// State captures the database as a checkpoint. It copies each
-// container's entry pointers into the State's slices, so it is O(entries);
-// an encoder that walks a Snapshot instead copies nothing. Entries are
-// immutable, so the caller may marshal the State at leisure while writers
-// proceed.
-func (db *DB) State() *State {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	s := &State{Version: db.version, Containers: make([]ContainerState, 0, len(db.order))}
-	for _, n := range db.order {
-		c := db.containers[n]
-		s.Containers = append(s.Containers, ContainerState{
-			Name:      c.Name,
-			Space:     c.Space,
-			Class:     c.Class,
-			Watermark: c.watermark,
-			Entries:   c.Entries(),
-		})
-	}
-	return s
-}
-
 // FromState reconstructs a database from a State, restoring the
 // mutation counter and per-container watermarks exactly. It rejects a
 // missing state and validates dense versions, canonical IDs, watermarks

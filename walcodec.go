@@ -281,7 +281,7 @@ func decodeV2(r *jsonReader, kind persist.RecordKind, base func(id string) (json
 		}
 		d := &dataPut{}
 		if n > 0 {
-			d.Bytes = r.b[k : k+int(n)] // design.Store.Put copies it
+			d.Bytes = r.b[k : k+int(n)] // design.Store.Append copies it
 		}
 		r.i = k + int(n)
 		r.tuple(2, &d.Class, &d.Created, &d.Producer)
