@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"os"
 
+	"flowsched/internal/schema"
 	"flowsched/internal/workload"
 )
 
@@ -27,16 +28,10 @@ func main() {
 	seed := flag.Int64("seed", 1, "generator seed (layered)")
 	flag.Parse()
 
-	switch *kind {
-	case "fig4":
-		fmt.Print(workload.Fig4().Format())
-	case "asic":
-		fmt.Print(workload.ASIC().Format())
-	case "board":
-		fmt.Print(workload.Board().Format())
-	case "analog":
-		fmt.Print(workload.Analog().Format())
-	case "layered":
+	switch src, ok := workload.Builtins[*kind]; {
+	case ok:
+		fmt.Print(schema.MustParse(src).Format())
+	case *kind == "layered":
 		sch, err := workload.Layered(workload.LayeredConfig{
 			Depth: *depth, Width: *width, FanIn: *fanin, Seed: *seed,
 		})

@@ -50,6 +50,7 @@ import (
 	"flowsched"
 	"flowsched/internal/host"
 	"flowsched/internal/serve"
+	"flowsched/internal/workload"
 )
 
 func main() {
@@ -72,7 +73,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("flowservd", flag.ContinueOnError)
 	var (
 		addr     = fs.String("addr", ":8080", "listen address")
-		schemaF  = fs.String("schema", "builtin:fig4", "flow schema: builtin:fig4|builtin:asic|builtin:board|builtin:analog or a DSL file path")
+		schemaF  = fs.String("schema", "builtin:fig4", "flow schema: "+workload.SchemaUsage)
 		load     = fs.String("load", "", "restore a saved session JSON instead of starting from -schema")
 		root     = fs.String("root", "", "host mode: serve every durable project under this directory")
 		create   = fs.String("create", "", "host mode: comma-separated project IDs to create from -schema if missing")
@@ -198,7 +199,7 @@ func buildHost(root, create, schemaF, designer string, checkEv int, sopt serve.O
 		return nil, err
 	}
 	if create != "" {
-		src, err := schemaSource(schemaF)
+		src, err := workload.SchemaSource(schemaF)
 		if err != nil {
 			h.Shutdown(context.Background())
 			return nil, err
@@ -240,7 +241,7 @@ func buildProject(load, schemaF, designer string) (*flowsched.Project, error) {
 		}
 		return p, nil
 	}
-	src, err := schemaSource(schemaF)
+	src, err := workload.SchemaSource(schemaF)
 	if err != nil {
 		return nil, err
 	}
@@ -252,25 +253,6 @@ func buildProject(load, schemaF, designer string) (*flowsched.Project, error) {
 		return nil, err
 	}
 	return p, nil
-}
-
-func schemaSource(name string) (string, error) {
-	switch name {
-	case "builtin:fig4":
-		return flowsched.Fig4Schema, nil
-	case "builtin:asic":
-		return flowsched.ASICSchema, nil
-	case "builtin:board":
-		return flowsched.BoardSchema, nil
-	case "builtin:analog":
-		return flowsched.AnalogSchema, nil
-	default:
-		b, err := os.ReadFile(name)
-		if err != nil {
-			return "", err
-		}
-		return string(b), nil
-	}
 }
 
 // prepare optionally plans (and runs) the requested targets so a fresh

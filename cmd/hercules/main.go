@@ -81,6 +81,7 @@ import (
 
 	"flowsched"
 	"flowsched/internal/scenario"
+	"flowsched/internal/workload"
 )
 
 func main() {
@@ -380,24 +381,11 @@ func (s *session) show(render func(*flowsched.ProjectView) (string, error)) erro
 
 func (s *session) loadSchema(args []string) error {
 	if len(args) != 1 {
-		return fmt.Errorf("usage: schema builtin:fig4|builtin:asic|<path>")
+		return fmt.Errorf("usage: schema %s", workload.SchemaUsage)
 	}
-	var src string
-	switch args[0] {
-	case "builtin:fig4":
-		src = flowsched.Fig4Schema
-	case "builtin:asic":
-		src = flowsched.ASICSchema
-	case "builtin:board":
-		src = flowsched.BoardSchema
-	case "builtin:analog":
-		src = flowsched.AnalogSchema
-	default:
-		b, err := os.ReadFile(args[0])
-		if err != nil {
-			return err
-		}
-		src = string(b)
+	src, err := workload.SchemaSource(args[0])
+	if err != nil {
+		return err
 	}
 	p, err := flowsched.New(src, flowsched.Options{
 		Designer: username(),

@@ -11,6 +11,7 @@ import (
 	"flowsched/internal/design"
 	"flowsched/internal/engine"
 	"flowsched/internal/persist"
+	"flowsched/internal/sched"
 	"flowsched/internal/schema"
 	"flowsched/internal/store"
 	"flowsched/internal/vclock"
@@ -54,7 +55,7 @@ type durableManifest struct {
 
 // restore builds a Project from persisted state — the one path Load and
 // Open's recovery share: the engine over the store and design data, the
-// event stream, observability, and the tracked plan.
+// event stream and observability (the tracked plan is in the store).
 func (st *projectState) restore(sch *schema.Schema, designer string, opt Options) (*Project, error) {
 	if opt.Calendar == nil {
 		opt.Calendar = vclock.Standard()
@@ -64,15 +65,7 @@ func (st *projectState) restore(sch *schema.Schema, designer string, opt Options
 		return nil, err
 	}
 	m.RestoreEvents(st.events)
-	p := fromManager(m, opt.Obs)
-	if st.planVersion > 0 {
-		_, plan, err := m.Sched.PlanByVersion(st.planVersion)
-		if err != nil {
-			return nil, fmt.Errorf("flowsched: restore plan: %w", err)
-		}
-		p.plan = plan
-	}
-	return p, nil
+	return fromManager(m, opt.Obs), nil
 }
 
 // ErrQuarantined marks a durable project whose write-ahead log has
@@ -247,13 +240,13 @@ func (r *recorder) Err() error {
 // Open creates or recovers a durable project rooted at dir. On first
 // open the directory is initialized: a manifest pins schema, designer,
 // and start time, and every subsequent committed mutation — task-database
-// commits, design-data inserts, engine events, plan selections — is
-// appended to a write-ahead log before the call that caused it returns,
-// each call's mutations as one atomic batch. On later opens the project
-// is rebuilt by loading the latest checkpoint and replaying the log's
-// clean prefix; the recovered project is bit-identical to the crashed
-// one after its last durable operation: same store version, same
-// container watermarks, same event stream, same virtual clock.
+// commits, design-data inserts, engine events — is appended to a
+// write-ahead log before the call that caused it returns, each call's
+// mutations as one atomic batch. On later opens the project is rebuilt
+// by loading the latest checkpoint and replaying the log's clean prefix;
+// the recovered project is bit-identical to the crashed one after its
+// last durable operation: same store version, same container
+// watermarks, same event stream, same virtual clock.
 //
 // schemaSrc is required on first open and ignored afterwards (the
 // manifest wins — a project's schema is fixed at creation). As with
@@ -414,8 +407,7 @@ func recoverDurable(manBytes []byte, opt Options, log *persist.Log) (*Project, m
 			st.events = append(st.events, *w.event)
 			return nil
 		default:
-			st.planVersion = w.plan
-			return nil
+			return checkPlanVersion(st.db, w.plan)
 		}
 	}); err != nil {
 		return nil, nil, err
@@ -467,6 +459,15 @@ func applyMutation(db *store.DB, m *store.Mutation) error {
 	return nil
 }
 
+// checkPlanVersion checks a legacy plan record or image "planVersion":
+// the tracked plan was always the newest plan, so it must name that.
+func checkPlanVersion(db *store.DB, version int) error {
+	if c := db.Container(sched.PlanContainer); c != nil && c.Len() == version {
+		return nil
+	}
+	return fmt.Errorf("flowsched: replay diverged: plan record names plan %d, not the newest plan", version)
+}
+
 // Durable reports whether the project persists its mutations to a
 // write-ahead log (it was opened with Open).
 func (p *Project) Durable() bool { return p.rec != nil }
@@ -481,7 +482,7 @@ func (p *Project) WALSeq() uint64 {
 }
 
 // Checkpoint captures the full project state — store (exact version and
-// watermarks), design data, clock, tracked plan, event stream — and
+// watermarks), design data, clock, event stream — and
 // installs it atomically in the WAL, deleting the covered segments. The
 // caller must guarantee no mutation is in flight (the facade's
 // single-writer discipline; the host's per-project lock provides it when

@@ -1,6 +1,7 @@
 package flowsched
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -436,6 +437,72 @@ func TestLoadSharedBytesAcrossClasses(t *testing.T) {
 		}
 		if got := l.mgr.Data.Latest("rtl").Ref; got != want {
 			t.Fatalf("load %d: re-import filed %v, want %v", i, got, want)
+		}
+	}
+}
+
+// TestLegacyPlanSelectionMustNameNewestPlan: logs and images written
+// before the tracked plan was read from the schedule space also name it,
+// in a plan record or an image's "planVersion". The tracked plan was
+// always the newest plan, so such a name still loads when it names the
+// newest plan, and recovery refuses a log or session that names an
+// older one: that state diverged from the one it claims to log.
+func TestLegacyPlanSelectionMustNameNewestPlan(t *testing.T) {
+	for _, named := range []int{2, 1} {
+		dir := t.TempDir()
+		p := openDurable(t, dir, PersistOptions{})
+		if _, err := p.Import("stimuli", []byte("pulse 0 5 1ns")); err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range []time.Duration{8, 4} {
+			if _, err := p.Plan([]string{"performance"}, Fixed{Default: h * time.Hour}, PlanOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		session, err := p.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		now := p.Now()
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		log, err := persist.Open(dir, persist.Options{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := log.Replay(nil); err != nil {
+			t.Fatal(err)
+		}
+		rec := &persist.Record{Now: now, Kind: recPlan, Body: []byte(fmt.Sprint(named))}
+		if _, err := log.AppendBatch([]*persist.Record{rec}); err != nil {
+			t.Fatal(err)
+		}
+		if err := log.Close(); err != nil {
+			t.Fatal(err)
+		}
+		re, err := Open(dir, "", Options{}, PersistOptions{NoSync: true})
+		legacy := bytes.Replace(session, []byte(`,"events":`), []byte(fmt.Sprintf(`,"planVersion":%d,"events":`, named)), 1)
+		if bytes.Equal(legacy, session) {
+			t.Fatal(`session has no "events" member to name the plan before`)
+		}
+		loaded, lerr := Load(legacy, Options{})
+		if named == 2 {
+			if err != nil || lerr != nil {
+				t.Fatalf("naming the newest plan: Open: %v, Load: %v", err, lerr)
+			}
+			if re.CurrentPlan().Version != 2 || loaded.CurrentPlan().Version != 2 {
+				t.Fatalf("tracked plans %d and %d, want 2", re.CurrentPlan().Version, loaded.CurrentPlan().Version)
+			}
+			re.Close()
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "replay diverged") {
+			t.Fatalf("log naming plan 1 of 2: Open err = %v", err)
+		}
+		if lerr == nil || !strings.Contains(lerr.Error(), "replay diverged") {
+			t.Fatalf("session naming plan 1 of 2: Load err = %v", lerr)
 		}
 	}
 }

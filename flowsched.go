@@ -166,9 +166,8 @@ type Options struct {
 
 // Project is a design process under integrated flow + schedule management.
 type Project struct {
-	mgr  *engine.Manager // mgr.Faults is nil unless InjectFaults
-	plan *Plan           // current tracked plan, nil before first Plan
-	obs  *obs.Obs        // nil unless Options.Obs.Enabled
+	mgr *engine.Manager // mgr.Faults is nil unless InjectFaults
+	obs *obs.Obs        // nil unless Options.Obs.Enabled
 	// riskMemo caches per-subtree Monte-Carlo trial streams across the
 	// project's risk analyses (and, shared by pointer, its forks' — the
 	// memo keys on subtree content, so reuse across forks is sound).
@@ -358,38 +357,42 @@ func (p *Project) ExtractTree(targets ...string) (*Tree, error) {
 
 // Plan derives a schedule for the targets by simulating the flow's
 // execution from the current virtual time (paper §III). Each call creates
-// a new plan version; the newest plan is tracked by subsequent Run calls.
-// When a previous plan exists it is recorded as this plan's ancestor
-// (schedule metadata lineage).
+// a new plan version; the newest version is the tracked plan, and the
+// returned copy is the caller's. When a previous plan exists it is
+// recorded as this plan's ancestor (schedule metadata lineage).
 func (p *Project) Plan(targets []string, est Estimator, opt PlanOptions) (_ *Plan, err error) {
 	defer p.commit(&err)
 	tree, err := p.mgr.ExtractTree(targets...)
 	if err != nil {
 		return nil, err
 	}
-	if p.plan != nil && len(opt.BasedOn) == 0 {
-		if e, _, err := p.mgr.Sched.PlanByVersion(p.plan.Version); err == nil {
-			opt.BasedOn = []string{e.ID}
-		}
+	if e, _, err := p.mgr.Sched.CurrentPlan(); err == nil && e != nil && len(opt.BasedOn) == 0 {
+		opt.BasedOn = []string{e.ID}
 	}
 	res, err := p.mgr.Plan(tree, est, opt)
 	if err != nil {
 		return nil, err
 	}
-	p.plan = &res.Plan
-	if p.rec != nil {
-		// The plan's store instances were recorded by the commit feed;
-		// this records which version became the *tracked* plan.
-		p.rec.add(walRecord{plan: res.Plan.Version})
-	}
-	return p.plan, nil
+	return &res.Plan, nil
 }
 
-// CurrentPlan returns the tracked plan, or nil before planning. It is
-// the live plan that writes such as Run and Propagate mutate in place,
-// so it is only safe to read from the goroutine that writes; concurrent
-// readers must take a View instead.
-func (p *Project) CurrentPlan() *Plan { return p.plan }
+// CurrentPlan returns a copy of the tracked plan, or nil before
+// planning. It is safe to call while another goroutine writes; reads
+// that must agree with each other take one View instead.
+func (p *Project) CurrentPlan() *Plan {
+	if _, plan, err := p.mgr.Sched.AtView(p.mgr.DB.Snapshot()).CurrentPlan(); err == nil && plan != nil {
+		return plan.Clone()
+	}
+	return nil
+}
+
+// trackedPlan decodes the tracked plan for a write.
+func (p *Project) trackedPlan(what string) (plan *Plan, err error) {
+	if _, plan, err = p.mgr.Sched.CurrentPlan(); err == nil && plan == nil {
+		err = fmt.Errorf("flowsched: no plan to %s", what)
+	}
+	return plan, err
+}
 
 // Run executes the task tree covering the targets, tracked against the
 // current plan if one exists. With autoComplete, finished activities are
@@ -414,7 +417,9 @@ func (p *Project) execute(targets []string, opt engine.ExecOptions) (*ExecResult
 	if err != nil {
 		return nil, err
 	}
-	opt.Plan = p.plan
+	if _, opt.Plan, err = p.mgr.Sched.CurrentPlan(); err != nil {
+		return nil, err
+	}
 	opt.Commit = func(err error) error {
 		p.commit(&err)
 		return err
@@ -475,20 +480,22 @@ func (p *Project) RunWith(targets []string, opt RunOptions) (*ExecResult, error)
 // activity under the current plan, creating the schedule↔entity link.
 func (p *Project) Complete(activity, entityID string) (err error) {
 	defer p.commit(&err)
-	if p.plan == nil {
-		return fmt.Errorf("flowsched: no plan to complete against")
+	plan, err := p.trackedPlan("complete against")
+	if err != nil {
+		return err
 	}
-	return p.mgr.CompleteActivity(p.plan, activity, entityID)
+	return p.mgr.CompleteActivity(plan, activity, entityID)
 }
 
 // Propagate updates the current plan for slips as of the virtual now and
 // returns the projected project finish.
 func (p *Project) Propagate() (_ time.Time, err error) {
 	defer p.commit(&err)
-	if p.plan == nil {
-		return time.Time{}, fmt.Errorf("flowsched: no plan to propagate")
+	plan, err := p.trackedPlan("propagate")
+	if err != nil {
+		return time.Time{}, err
 	}
-	return p.mgr.Sched.Propagate(p.plan, p.Now())
+	return p.mgr.Sched.Propagate(plan, p.Now())
 }
 
 // EventsPage returns the events from cursor since on plus the next
@@ -574,10 +581,10 @@ type MilestoneStatus = sched.MilestoneStatus
 // completes.
 func (p *Project) SetMilestone(name, class string, target time.Time) (err error) {
 	defer p.commit(&err)
-	if p.plan == nil {
-		return fmt.Errorf("flowsched: no plan to set a milestone against")
+	plan, err := p.trackedPlan("set a milestone against")
+	if err == nil {
+		_, err = p.mgr.Sched.SetMilestone(plan, name, class, target)
 	}
-	_, err = p.mgr.Sched.SetMilestone(p.plan, name, class, target)
 	return err
 }
 
@@ -600,8 +607,9 @@ func NewGrouping(groups map[string][]string) (*Grouping, error) {
 // status. Returns how many rows were applied.
 func (p *Project) ImportActualsCSV(r io.Reader) (_ int, err error) {
 	defer p.commit(&err)
-	if p.plan == nil {
-		return 0, fmt.Errorf("flowsched: no plan to apply actuals to")
+	plan, err := p.trackedPlan("apply actuals to")
+	if err != nil {
+		return 0, err
 	}
 	actuals, err := export.ParseActualsCSV(r)
 	if err != nil {
@@ -621,7 +629,7 @@ func (p *Project) ImportActualsCSV(r io.Reader) (_ int, err error) {
 		}
 		return e.ID, nil
 	}
-	return export.ApplyActuals(p.mgr.Sched, p.plan, actuals, resolve)
+	return export.ApplyActuals(p.mgr.Sched, plan, actuals, resolve)
 }
 
 // RiskResult is the outcome of a Monte-Carlo schedule risk analysis.
@@ -702,11 +710,7 @@ func (p *Project) Fork() (*Project, error) {
 	// The fork shares the parent's trial-stream memo: entries key on
 	// subtree content, so an unedited fork's risk analysis is a warm
 	// full hit and an edited fork pays only for its dirty subtrees.
-	f := &Project{mgr: m, riskMemo: p.riskMemo}
-	if p.plan != nil {
-		f.plan = p.plan.Clone()
-	}
-	return f, nil
+	return &Project{mgr: m, riskMemo: p.riskMemo}, nil
 }
 
 // Scenarios runs ProjectView.Scenarios on a fresh View — a parallel
@@ -786,8 +790,8 @@ func (p *Project) HistoricalEstimator(fb Estimator) Estimator {
 
 // Snapshot serializes the whole session as JSON: the same image a
 // durable project's checkpoint holds — the store with its exact version
-// and container watermarks, design data, virtual clock, tracked plan, and
-// event stream — plus the schema and designer a durable project keeps in
+// and container watermarks (plan versions included), design data,
+// virtual clock, and event stream — plus the schema and designer a durable project keeps in
 // its manifest. Restore it with Load. Tool bindings are not persisted;
 // rebind tools after loading.
 func (p *Project) Snapshot() ([]byte, error) {
@@ -796,7 +800,8 @@ func (p *Project) Snapshot() ([]byte, error) {
 
 // Load restores a project from a Snapshot through the same path as
 // Open's recovery: the restored project has the saved store version,
-// watermarks, event stream, clock, and tracked plan. The calendar (not
+// watermarks, event stream and clock, and tracks the newest plan in the
+// restored schedule space. The calendar (not
 // persisted) comes from opt, and opt.Designer, when set, overrides the
 // saved designer; rebind tools with UseSimulatedTools or BindTool before
 // executing. Sessions in the earlier "db" format, which lost the store

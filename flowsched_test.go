@@ -99,6 +99,42 @@ func TestPlanRunLifecycle(t *testing.T) {
 	}
 }
 
+// TestCurrentPlanIsASnapshot: the plan Plan returns and the one
+// CurrentPlan returns belong to the caller. A slip propagated after
+// they were taken leaves both as they were; a fresh CurrentPlan shows it.
+func TestCurrentPlanIsASnapshot(t *testing.T) {
+	p := prepared(t)
+	targets := []string{"performance"}
+	planned, err := p.Plan(targets, Fixed{Default: time.Hour}, PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := p.CurrentPlan()
+	if cur == nil || cur.Version != planned.Version || !cur.Finish.Equal(planned.Finish) {
+		t.Fatalf("CurrentPlan = %+v, want the plan Plan returned (%+v)", cur, planned)
+	}
+	before := planned.Finish
+	// The simulated tools take far longer than the hour planned per
+	// activity: running without completing leaves the plan slipping.
+	if _, err := p.Run(targets, false); err != nil {
+		t.Fatal(err)
+	}
+	finish, err := p.Propagate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !finish.After(before) {
+		t.Fatalf("no slip: projected finish %v, planned %v", finish, before)
+	}
+	if !planned.Finish.Equal(before) || !cur.Finish.Equal(before) {
+		t.Fatalf("a write changed a caller's plan: Plan's finish %v, CurrentPlan's %v, want %v",
+			planned.Finish, cur.Finish, before)
+	}
+	if now := p.CurrentPlan(); now == nil || !now.Finish.Equal(finish) {
+		t.Fatalf("fresh CurrentPlan = %+v, want finish %v", now, finish)
+	}
+}
+
 func TestPlanLineageAutomatic(t *testing.T) {
 	p := prepared(t)
 	if _, err := p.Plan([]string{"performance"}, Fixed{Default: 8 * time.Hour}, PlanOptions{}); err != nil {

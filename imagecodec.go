@@ -20,10 +20,10 @@ import (
 // checkpoint payload and, with the schema and designer at its front,
 // the saved session (Snapshot/Load). It holds the full-fidelity store
 // state (exact version counter and watermarks — see store.State), the
-// design data, the virtual clock, the tracked plan, and the event
-// stream; restoring it is bit-identical to replaying the records it
-// covers. Checkpoints leave out the schema and designer, which a
-// durable project's manifest pins.
+// design data, the virtual clock, and the event stream; restoring it
+// is bit-identical to replaying the records it covers. Checkpoints
+// leave out the schema and designer, which a durable project's
+// manifest pins.
 //
 // Version 2 ("v":2) drops what the structure implies:
 //
@@ -31,14 +31,15 @@ import (
 //	 "store":{"version":N,"containers":[{"name":"…","space":"…","class":"…","watermark":N,
 //	   "entries":[{"created":T,"deps":["…"],"links":["…"],"payload":…}]}]},
 //	 "data":{"classes":{"class":[{"version":N,"sum":N,"created":"RFC 3339","producer":"…","text":"…"}]}},
-//	 "planVersion":N,"events":[["kind","activity",T,"detail"]]}
+//	 "events":[["kind","activity",T,"detail"]]}
 //
 // An entry's ID, container and version follow from its container and
 // position; T is a time as appendTime writes it, and events are the
 // WAL's positional arrays. Members that are empty or zero are left out
 // (schema, designer, deps, links, payload, producer, text, bytes,
-// planVersion, events). Design content that is not UTF-8 is "bytes",
-// base64, instead of "text". Payloads are copied verbatim both ways.
+// events). Design content that is not UTF-8 is "bytes", base64,
+// instead of "text". Payloads are copied verbatim both ways. Older
+// images also name the tracked plan in "planVersion" (checkPlanVersion).
 //
 // Version-1 images (no "v") still decode: their entries carry "id" and
 // "version", which restore checks, and their events are objects with
@@ -144,9 +145,6 @@ func (p *Project) encodeImage(schemaSrc, designer string) ([]byte, error) {
 		b = append(b, ']')
 	}
 	b = append(b, "}}"...)
-	if p.plan != nil && p.plan.Version != 0 {
-		b = strconv.AppendInt(append(b, `,"planVersion":`...), int64(p.plan.Version), 10)
-	}
 	if len(evs) > 0 {
 		b = append(b, `,"events":[`...)
 		for i := range evs {
@@ -171,7 +169,6 @@ type projectState struct {
 	db                  *store.DB
 	data                *design.Store
 	events              []engine.Event
-	planVersion         int
 }
 
 // decodeImage decodes an image and rebuilds its store and design data.
@@ -181,10 +178,10 @@ func decodeImage(b []byte, validate bool) (*projectState, error) {
 	r := &jsonReader{b: b, validate: validate}
 	st := &projectState{}
 	var (
-		v      int
-		state  *store.State // nil is FromState's "missing" error
-		data   *design.State
-		legacy bool
+		v, planVersion int
+		state          *store.State // nil is FromState's "missing" error
+		data           *design.State
+		legacy         bool
 	)
 	r.object(func(key []byte) {
 		switch string(key) {
@@ -201,7 +198,7 @@ func decodeImage(b []byte, validate bool) (*projectState, error) {
 		case "data":
 			data = decodeDesign(r)
 		case "planVersion":
-			st.planVersion = r.int()
+			planVersion = r.int()
 		case "events":
 			r.array(func(int) {
 				if len(st.events) == cap(st.events) {
@@ -233,6 +230,11 @@ func decodeImage(b []byte, validate bool) (*projectState, error) {
 	}
 	if st.data, err = design.FromState(data); err != nil {
 		return nil, err
+	}
+	if planVersion != 0 {
+		if err := checkPlanVersion(st.db, planVersion); err != nil {
+			return nil, err
+		}
 	}
 	return st, nil
 }

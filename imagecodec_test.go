@@ -177,8 +177,8 @@ func TestRecoveryDoesNotAliasCheckpoint(t *testing.T) {
 
 // TestImageKeepsEncodingJSONMeaning checks that the hand-written image
 // means what encoding/json's did: the fixture session, loaded and saved
-// again, decodes with encoding/json to the same value as the fixture,
-// and no longer escapes '<'.
+// again, decodes with encoding/json to the same value as the fixture
+// less its legacy "planVersion", and no longer escapes '<'.
 func TestImageKeepsEncodingJSONMeaning(t *testing.T) {
 	old, err := os.ReadFile("testdata/v2/session.json")
 	if err != nil {
@@ -200,7 +200,14 @@ func TestImageKeepsEncodingJSONMeaning(t *testing.T) {
 		}
 		return v
 	}
-	if a, b := decode(old), decode(re); !reflect.DeepEqual(a, b) {
+	// The one member not written back is the legacy "planVersion": the
+	// tracked plan is the newest plan in the store, checked on load.
+	a, b := decode(old), decode(re)
+	if _, ok := b["planVersion"]; ok {
+		t.Error(`image still carries "planVersion"`)
+	}
+	delete(a, "planVersion")
+	if !reflect.DeepEqual(a, b) {
 		for k := range a {
 			if !reflect.DeepEqual(a[k], b[k]) {
 				t.Errorf("image member %q differs after Load → Snapshot", k)

@@ -173,7 +173,7 @@ func (e *ExecError) Completed() []string {
 // the outage) before resuming, or the same failure recurs — in which
 // case Resume returns a fresh *ExecError whose checkpoint includes any
 // newly completed work.
-func (e *ExecError) Resume() (*ExecResult, error) {
+func (e *ExecError) Resume() (_ *ExecResult, err error) {
 	if e == nil || e.mgr == nil {
 		return nil, fmt.Errorf("engine: nothing to resume")
 	}
@@ -181,5 +181,11 @@ func (e *ExecError) Resume() (*ExecResult, error) {
 	for _, a := range e.Failed.Completed {
 		skip[a] = true
 	}
-	return e.opt.commit(e.mgr.execute(e.tree, e.opt, skip))
+	opt := e.opt
+	if opt.Plan != nil { // writes since the failure may have propagated it
+		if _, opt.Plan, err = e.mgr.Sched.PlanByVersion(opt.Plan.Version); err != nil {
+			return nil, err
+		}
+	}
+	return opt.commit(e.mgr.execute(e.tree, opt, skip))
 }

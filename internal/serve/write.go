@@ -250,7 +250,7 @@ func writeTargets(p *flowsched.Project, r *http.Request) ([]string, error) {
 		return strings.Split(t, ","), nil
 	}
 	if pl := p.CurrentPlan(); pl != nil && len(pl.Targets) > 0 {
-		return append([]string(nil), pl.Targets...), nil
+		return pl.Targets, nil // CurrentPlan returns a copy
 	}
 	return nil, badRequest("no targets: pass ?targets=a,b or plan first")
 }

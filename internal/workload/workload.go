@@ -7,6 +7,8 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"strings"
 	"time"
 
 	"flowsched/internal/sched"
@@ -82,6 +84,24 @@ rule SimPost: postsim      <- simulator(extracted, tbvectors)
 // applied by two different activities (pre- and post-layout simulation),
 // exercising the paper's "tools are not tied to specific tasks".
 func Analog() *schema.Schema { return schema.MustParse(AnalogSource) }
+
+// SchemaUsage names the schemas SchemaSource resolves.
+const SchemaUsage = "builtin:fig4|builtin:asic|builtin:board|builtin:analog|<path>"
+
+// Builtins are the builtin schema sources by kind ("builtin:<kind>").
+var Builtins = map[string]string{
+	"fig4": Fig4Source, "asic": ASICSource, "board": BoardSource, "analog": AnalogSource,
+}
+
+// SchemaSource resolves a schema name as the command-line tools take
+// it: a builtin named in SchemaUsage, or the path of a DSL file.
+func SchemaSource(name string) (string, error) {
+	if kind, ok := strings.CutPrefix(name, "builtin:"); ok && Builtins[kind] != "" {
+		return Builtins[kind], nil
+	}
+	b, err := os.ReadFile(name)
+	return string(b), err
+}
 
 // LayeredConfig parameterizes a synthetic layered flow.
 type LayeredConfig struct {

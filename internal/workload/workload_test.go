@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -210,5 +213,29 @@ func TestAnalog(t *testing.T) {
 	tr, err := g.Extract("postsim", "simreport")
 	if err != nil || len(tr.Activities()) != 6 {
 		t.Fatalf("extraction = %v, %v", tr, err)
+	}
+}
+
+func TestSchemaSource(t *testing.T) {
+	for name, want := range map[string]string{
+		"builtin:fig4": Fig4Source, "builtin:asic": ASICSource,
+		"builtin:board": BoardSource, "builtin:analog": AnalogSource,
+	} {
+		if got, err := SchemaSource(name); err != nil || got != want {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !strings.Contains(SchemaUsage, name) {
+			t.Fatalf("SchemaUsage %q leaves out %s", SchemaUsage, name)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "flow.dsl")
+	if err := os.WriteFile(path, []byte(Fig4Source), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := SchemaSource(path); err != nil || got != Fig4Source {
+		t.Fatalf("file: %q, %v", got, err)
+	}
+	if _, err := SchemaSource("builtin:nope"); err == nil {
+		t.Fatal("unknown builtin resolved")
 	}
 }

@@ -3,6 +3,7 @@ package flowsched
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -65,6 +66,55 @@ func TestRunWithCheckpointResume(t *testing.T) {
 	}
 	if len(res.Outcomes) != 1 || res.Outcomes[0].Activity != "Simulate" {
 		t.Fatalf("resume outcomes = %+v, want just Simulate", res.Outcomes)
+	}
+}
+
+// TestResumeSlipsFromThePropagatedPlan: a write between a failed run
+// and its Resume may propagate the plan. The slip Resume reports must
+// start from that stored finish, not from the finish the failed run
+// started with.
+func TestResumeSlipsFromThePropagatedPlan(t *testing.T) {
+	p := prepared(t)
+	if _, err := p.Plan([]string{"performance"}, Fixed{Default: time.Hour}, PlanOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.BindTool("Simulate", deadTool{class: "simulator", instance: "sim#dead"}); err != nil {
+		t.Fatal(err)
+	}
+	_, err := p.RunWith([]string{"performance"}, RunOptions{AutoComplete: true, MaxFailures: 2})
+	var ee *ExecError
+	if !errors.As(err, &ee) {
+		t.Fatalf("error is not an ExecError: %v", err)
+	}
+	propagated, err := p.Propagate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := NewSimTool("simulator", "sim#good", ToolProfile{Base: 30 * time.Hour, MeanIterations: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.BindTool("Simulate", good); err != nil {
+		t.Fatal(err)
+	}
+	since := p.EventCount()
+	if _, err := ee.Resume(); err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	evs, _ := p.EventsPage(since)
+	want := "project finish slipped " + propagated.Format("2006-01-02") + " -> "
+	slips := 0
+	for _, e := range evs {
+		if e.Kind != "slip" {
+			continue
+		}
+		slips++
+		if !strings.HasPrefix(e.Detail, want) {
+			t.Fatalf("resume slip %q, want it to start %q", e.Detail, want)
+		}
+	}
+	if slips != 1 {
+		t.Fatalf("resume reported %d slips, want 1", slips)
 	}
 }
 

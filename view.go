@@ -27,9 +27,8 @@ import (
 // cheap (O(containers), no entry copying) and safe for concurrent use;
 // take a fresh one whenever "now" should advance.
 //
-// The view decodes the tracked plan from the snapshot rather than
-// sharing the project's live plan pointer — slip propagation mutates
-// the live plan in place, and a view must never observe that.
+// The view decodes the tracked plan, the newest plan version, from its
+// snapshot, so later slip propagation never changes what it reports.
 type ProjectView struct {
 	m    *engine.Manager
 	view *store.View

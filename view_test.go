@@ -12,10 +12,11 @@ import (
 // TestViewReadsRaceFreeDuringWrites polls every ProjectView read surface
 // from a second goroutine, each pass on a fresh View, while the test
 // goroutine keeps importing, planning, executing, propagating and
-// setting milestones. Plan reassigns the live plan and Propagate
-// mutates it in place; a view decodes its own plan from the snapshot,
-// so under -race this must report no data race, and every read of a
-// planned snapshot must succeed.
+// setting milestones, and also polls Project.CurrentPlan. Plan adds plan
+// versions and Propagate rewrites the newest one; a view decodes its own
+// plan from its snapshot and CurrentPlan returns a copy, so under -race
+// this must report no data race, and every read of a planned snapshot
+// must succeed.
 func TestViewReadsRaceFreeDuringWrites(t *testing.T) {
 	p := prepared(t)
 	targets := []string{"performance"}
@@ -43,6 +44,10 @@ func TestViewReadsRaceFreeDuringWrites(t *testing.T) {
 			}
 			if err := readEverything(p, g, targets); err != nil {
 				result <- err
+				return
+			}
+			if pl := p.CurrentPlan(); pl == nil || pl.Version == 0 {
+				result <- fmt.Errorf("CurrentPlan = %+v while writes run", pl)
 				return
 			}
 			reads.Add(1)

@@ -25,7 +25,7 @@ import (
 //	recLink     [version,"a","b"]
 //	recTouch    version
 //	recEvent    ["kind","activity",at] + ,"detail"
-//	recPlan     planVersion
+//	recPlan     planVersion   (legacy: read and checked, never written)
 //	recData     uvarint n, n bytes of raw content, then ["class",created] or ["class",created,"producer"]
 //
 // version is the store's mutation counter after the commit, kept so
@@ -50,7 +50,7 @@ const (
 )
 
 // walRecord is one WAL record in memory: exactly one of mut, data and
-// event is set, or none for a plan selection.
+// event is set, or none for a legacy plan record, which only decodes.
 type walRecord struct {
 	mut   *store.Mutation
 	data  *dataPut
@@ -90,7 +90,7 @@ func appendRecord(b []byte, w walRecord) (persist.RecordKind, []byte, error) {
 		b, err := appendEvent(b, w.event)
 		return recEvent, b, err
 	default:
-		return recPlan, strconv.AppendInt(b, int64(w.plan), 10), nil
+		return 0, nil, fmt.Errorf("flowsched: plan records are no longer written")
 	}
 }
 

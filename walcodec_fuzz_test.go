@@ -22,8 +22,9 @@ func fuzzBase(string) (json.RawMessage, bool) {
 }
 
 // FuzzDecodeRecord fuzzes decodeRecord over an arbitrary kind byte and
-// body. It must never panic, and every record it accepts must re-encode
-// through appendRecord and decode back to an equal walRecord. The
+// body. It must never panic, and every record it accepts, other than a
+// legacy plan record (which no writer emits), must re-encode through
+// appendRecord and decode back to an equal walRecord. The
 // re-decode looks payload deltas up against the payload the accepted
 // record says it replaced, which is fuzzBase's for a version-2 record
 // and the record's own for a version-1 one.
@@ -99,8 +100,8 @@ func FuzzDecodeRecord(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, kind byte, body []byte) {
 		w, err := decodeRecord(&persist.Record{Seq: 1, Kind: persist.RecordKind(kind), Body: body}, fuzzBase)
-		if err != nil {
-			return
+		if err != nil || w.mut == nil && w.data == nil && w.event == nil {
+			return // rejected, or a legacy plan record, which only decodes
 		}
 		k2, b2, err := appendRecord(nil, w)
 		if err != nil {
@@ -130,8 +131,6 @@ func recordDiff(a, b walRecord) string {
 		return x.Equal(y) && x.Format(time.RFC3339Nano) == y.Format(time.RFC3339Nano)
 	}
 	switch {
-	case a.plan != b.plan:
-		return fmt.Sprintf("plan %d vs %d", a.plan, b.plan)
 	case (a.mut == nil) != (b.mut == nil), (a.data == nil) != (b.data == nil), (a.event == nil) != (b.event == nil):
 		return fmt.Sprintf("record kinds differ: %+v vs %+v", a, b)
 	case a.event != nil:

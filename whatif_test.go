@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -111,7 +112,7 @@ func TestScenariosLeaveProjectUntouched(t *testing.T) {
 	if p.DatabaseDump() != before {
 		t.Fatal("sweep wrote the project database")
 	}
-	if p.CurrentPlan() != plan {
+	if !reflect.DeepEqual(p.CurrentPlan(), plan) {
 		t.Fatal("sweep replaced the tracked plan")
 	}
 	if !strings.Contains(rep.Render(), "baseline") {
