@@ -562,6 +562,57 @@ func BenchmarkDesignerIteration(b *testing.B) {
 	}
 }
 
+// BenchmarkPropagate measures a durable write and the read after it:
+// each op is a propagate, then Status on a fresh view, on a durable
+// ASIC project (Open in a temp dir, no fsync) after 4 designer
+// iterations and a fifth import and plan, so that every activity of the
+// tracked plan is pending. /neutral propagates at the clock the plan was
+// made at: no slip, so nothing commits and versions/op is 0. /slip
+// propagates one working hour later per op: every instance and the plan
+// slip, and each is rewritten and logged.
+func BenchmarkPropagate(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		step time.Duration
+	}{{"neutral", 0}, {"slip", time.Hour}} {
+		b.Run(bc.name, func(b *testing.B) {
+			p := durableDesigner(b, 4)
+			if _, err := p.Import("rtl", randomText(2)(2048)); err != nil {
+				b.Fatal(err)
+			}
+			targets := []string{"drcreport", "lvsreport", "timingreport", "simreport"}
+			if _, err := p.Plan(targets, Fixed{Default: 8 * time.Hour}, PlanOptions{}); err != nil {
+				b.Fatal(err)
+			}
+			benchPropagate(b, p, bc.step)
+		})
+	}
+}
+
+// benchPropagate times BenchmarkPropagate's op on p, moving the virtual
+// clock by step of working time before each propagate.
+func benchPropagate(b *testing.B, p *Project, step time.Duration) {
+	v0 := p.Version()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if step > 0 {
+			p.mgr.Clock.AdvanceTo(p.Calendar().AddWork(p.Now(), step))
+		}
+		if _, err := p.Propagate(); err != nil {
+			b.Fatal(err)
+		}
+		v, err := p.View()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := v.Status(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(p.Version()-v0)/float64(b.N), "versions/op")
+}
+
 // BenchmarkAblation_ArchRollup measures architectural plan + actual
 // roll-up over a 3-level, 64-leaf decomposition.
 func BenchmarkAblation_ArchRollup(b *testing.B) {

@@ -133,12 +133,13 @@ func (p *Project) Health() Health {
 
 // recorder bridges the in-memory change feeds to the WAL. Hooks fire
 // from the project's executing goroutine in commit order; each record is
-// stamped with the virtual clock when it is buffered, which is how
-// recovery restores the clock (the clock is monotonic, so the last
-// record's Now is the crashed process's Now). Records are buffered, not
-// written: the facade operation that produced them flushes them as one
-// WAL batch — one frame, one fsync — so recovery restores whole
-// operations (see Project.commit).
+// stamped with the virtual clock when it is buffered, and a batch's last
+// record with the clock when the operation ends, which is how recovery
+// restores the clock (the clock is monotonic, so the last record's Now
+// is the crashed process's Now). Records are buffered, not written: the
+// facade operation that produced them flushes them as one WAL batch —
+// one frame, one fsync — so recovery restores whole operations (see
+// Project.commit).
 //
 // A failed flush wedges the recorder: in-memory state has advanced past
 // what is durable, so further records are dropped and the error
@@ -151,6 +152,9 @@ type recorder struct {
 	mu      sync.Mutex
 	pending []pendingRecord
 	err     error
+	// logged is the clock the log last carried: the last appended
+	// record's Now, or the clock the project was opened at.
+	logged time.Time
 }
 
 // pendingRecord is a buffered record and the clock when it was buffered.
@@ -169,15 +173,28 @@ func (r *recorder) add(rec walRecord) {
 	r.pending = append(r.pending, pendingRecord{now: r.clock.Now(), rec: rec})
 }
 
-// flush encodes the buffered records and appends them as one batch, and
-// returns the wedging error, if any. The flushed slots are cleared so
-// the buffer does not keep design-data blobs alive.
+// clockOnly reports whether the clock has moved past what the log
+// carries while no record is buffered to carry it.
+func (r *recorder) clockOnly() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.err == nil && len(r.pending) == 0 && !r.clock.Now().Equal(r.logged)
+}
+
+// flush stamps the last buffered record with the clock, encodes the
+// records and appends them as one batch, and returns the wedging error,
+// if any. The flushed slots are cleared so the buffer does not keep
+// design-data blobs alive.
 func (r *recorder) flush() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.err == nil && len(r.pending) > 0 {
+	if n := len(r.pending); r.err == nil && n > 0 {
+		now := r.clock.Now()
+		r.pending[n-1].now = now
 		if err := r.appendLocked(); err != nil {
 			r.wedgeLocked(err)
+		} else {
+			r.logged = now
 		}
 	}
 	clear(r.pending)
@@ -275,7 +292,7 @@ func Open(dir, schemaSrc string, opt Options, po PersistOptions) (*Project, erro
 		return nil, err
 	}
 
-	rec := &recorder{log: log, clock: p.mgr.Clock}
+	rec := &recorder{log: log, clock: p.mgr.Clock, logged: p.mgr.Clock.Now()}
 	p.rec = rec
 	p.checkpointEvery = uint64(defaultCheckpointEvery)
 	switch {
@@ -516,12 +533,16 @@ func (p *Project) Checkpoint() error {
 // included: whatever a failed operation already changed in memory is
 // made as durable as a success would be. On a durable project it
 // appends the records the operation buffered as one WAL batch, then
-// applies the auto-checkpoint policy. The operation's own error wins;
-// otherwise a WAL failure surfaces as *QuarantineError. A no-op on
-// non-durable projects.
+// applies the auto-checkpoint policy. An operation that changed nothing
+// appends nothing; one that moved only the clock logs a touch to carry
+// it. The operation's own error wins; otherwise a WAL failure surfaces
+// as *QuarantineError. A no-op on non-durable projects.
 func (p *Project) commit(errp *error) {
 	if p.rec == nil {
 		return
+	}
+	if p.rec.clockOnly() {
+		p.mgr.DB.Touch()
 	}
 	err := p.rec.flush()
 	if err != nil {

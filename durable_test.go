@@ -129,6 +129,33 @@ func TestDurableRecoveryBitIdentical(t *testing.T) {
 	checkIdentity(t, want2, identityOf(t, re2))
 }
 
+// TestDurableNeutralOperationLogsNothing: a propagate that finds no slip
+// leaves the version and the log as they are, and one that finds none
+// after the clock moved logs a touch that carries the clock, so a
+// recovery from the log alone reads the same clock.
+func TestDurableNeutralOperationLogsNothing(t *testing.T) {
+	dir := t.TempDir()
+	p := openDurable(t, dir, PersistOptions{})
+	driveTracked(t, p)
+	version, seq := p.Version(), p.WALSeq()
+	if _, err := p.Propagate(); err != nil {
+		t.Fatal(err)
+	}
+	if p.Version() != version || p.WALSeq() != seq {
+		t.Fatalf("neutral propagate moved version %d→%d, WAL seq %d→%d", version, p.Version(), seq, p.WALSeq())
+	}
+
+	p.mgr.Clock.Advance(2 * time.Hour) // every activity is done: still no slip
+	if _, err := p.Propagate(); err != nil {
+		t.Fatal(err)
+	}
+	if p.Version() != version+1 || p.WALSeq() != seq+1 {
+		t.Fatalf("clock-only propagate: version %d→%d, WAL seq %d→%d; want one touch", version, p.Version(), seq, p.WALSeq())
+	}
+	want := identityOf(t, p)
+	checkIdentity(t, want, identityOf(t, openDurable(t, dir, PersistOptions{})))
+}
+
 // TestDurableRecoveryViaCheckpoint proves checkpoint + tail replay is
 // equivalent to pure replay.
 func TestDurableRecoveryViaCheckpoint(t *testing.T) {

@@ -154,6 +154,7 @@ func (s *Space) Propagate(p *Plan, now time.Time) (time.Time, error) {
 				}
 			}
 		}
+		oldStart, oldFinish := in.PlannedStart, in.PlannedFinish
 		if in.Started() {
 			// A running task keeps its actual start; its finish cannot lie
 			// in the past, so slips surface as soon as `now` passes the
@@ -182,6 +183,11 @@ func (s *Space) Propagate(p *Plan, now time.Time) (time.Time, error) {
 		if in.PlannedFinish.After(projected) {
 			projected = in.PlannedFinish
 		}
+		// No slip, no write: an unchanged instance would marshal the
+		// bytes it already has.
+		if marshalsEqual(oldStart, in.PlannedStart) && marshalsEqual(oldFinish, in.PlannedFinish) {
+			continue
+		}
 		if err := db.SetPayload(e.ID, in); err != nil {
 			return time.Time{}, err
 		}
@@ -191,12 +197,22 @@ func (s *Space) Propagate(p *Plan, now time.Time) (time.Time, error) {
 	if err != nil {
 		return time.Time{}, err
 	}
-	plan.Finish = projected
-	if err := db.SetPayload(planEntry.ID, plan); err != nil {
-		return time.Time{}, err
+	if !marshalsEqual(plan.Finish, projected) {
+		plan.Finish = projected
+		if err := db.SetPayload(planEntry.ID, plan); err != nil {
+			return time.Time{}, err
+		}
 	}
 	p.Finish = projected
 	return projected, nil
+}
+
+// marshalsEqual reports whether a and b marshal to the same JSON: the same
+// instant at the same zone offset, which is all RFC 3339 prints.
+func marshalsEqual(a, b time.Time) bool {
+	_, ao := a.Zone()
+	_, bo := b.Zone()
+	return a.Equal(b) && ao == bo
 }
 
 // checkTopoOrder verifies the traversal-order invariant Propagate's

@@ -27,13 +27,14 @@ func TestForkReadsKeepProjectMemo(t *testing.T) {
 	if rec := post(t, s, "/fork?name=f", ""); rec.Code != http.StatusOK {
 		t.Fatalf("POST /fork = %d: %s", rec.Code, rec.Body.String())
 	}
-	if rec := post(t, s, "/propagate?fork=f", ""); rec.Code != http.StatusOK {
-		t.Fatalf("fork propagate = %d: %s", rec.Code, rec.Body.String())
+	target := time.Date(1995, 6, 9, 17, 0, 0, 0, time.UTC).Format(time.RFC3339)
+	if rec := post(t, s, "/milestone?fork=f&name=m&class=performance&target="+target, ""); rec.Code != http.StatusOK {
+		t.Fatalf("fork milestone = %d: %s", rec.Code, rec.Body.String())
 	}
 	fork := get(t, s, "/status?fork=f")
 	main := get(t, s, "/status")
 	if fork.Header().Get("X-Flowsched-Version") == main.Header().Get("X-Flowsched-Version") {
-		t.Fatal("fork propagate did not advance the fork's version")
+		t.Fatal("fork milestone did not advance the fork's version")
 	}
 	if h := main.Header().Get("X-Flowsched-Cache"); h != "hit" {
 		t.Fatalf("project /status after a fork read = %q, want hit", h)

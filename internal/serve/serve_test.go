@@ -27,6 +27,26 @@ func newTracked(t *testing.T) *flowsched.Project {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return track(t, p)
+}
+
+// newTrackedDurable is newTracked on a durable project in a temporary
+// directory (no fsync).
+func newTrackedDurable(t *testing.T) *flowsched.Project {
+	t.Helper()
+	p, err := flowsched.Open(t.TempDir(), flowsched.Fig4Schema, flowsched.Options{
+		Designer: "ewj", Obs: flowsched.ObsOptions{Enabled: true},
+	}, flowsched.PersistOptions{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+	return track(t, p)
+}
+
+// track binds tools, imports stimuli, plans and runs performance.
+func track(t *testing.T, p *flowsched.Project) *flowsched.Project {
+	t.Helper()
 	if err := p.UseSimulatedTools(); err != nil {
 		t.Fatal(err)
 	}

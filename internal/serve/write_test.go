@@ -55,15 +55,18 @@ func TestWriteRoutesMutateTheProject(t *testing.T) {
 	target := p.Now().Add(90 * 24 * time.Hour).Format(time.RFC3339)
 	cases := []struct {
 		path, body, want string
+		// neutral marks a write that changes nothing here: a propagate
+		// right after the run that propagated finds no slip.
+		neutral bool
 	}{
-		{"/import?class=stimuli", "pulse 2", `"class": "stimuli"`},
-		{"/plan?targets=performance&hours=6", "", `"planVersion"`},
+		{"/import?class=stimuli", "pulse 2", `"class": "stimuli"`, false},
+		{"/plan?targets=performance&hours=6", "", `"planVersion"`, false},
 		// After /plan: milestones attach to the current plan, and a
 		// re-plan drops them.
-		{"/milestone?name=tapeout&class=performance&target=" + target, "", `"milestone": "tapeout"`},
-		{"/run?targets=performance", "", `"finished"`},
-		{"/propagate", "", `"finish"`},
-		{"/edit?spec=crunch=Simulate*0.5", "", `"applied": "crunch"`},
+		{"/milestone?name=tapeout&class=performance&target=" + target, "", `"milestone": "tapeout"`, false},
+		{"/run?targets=performance", "", `"finished"`, false},
+		{"/propagate", "", `"finish"`, true},
+		{"/edit?spec=crunch=Simulate*0.5", "", `"applied": "crunch"`, false},
 	}
 	var last uint64
 	for _, c := range cases {
@@ -75,7 +78,10 @@ func TestWriteRoutesMutateTheProject(t *testing.T) {
 			t.Fatalf("POST %s body lacks %q:\n%s", c.path, c.want, rec.Body.String())
 		}
 		v := version(t, rec)
-		if v <= last {
+		switch {
+		case c.neutral && v != last:
+			t.Fatalf("neutral POST %s moved version %d to %d", c.path, last, v)
+		case !c.neutral && v <= last:
 			t.Fatalf("POST %s left version at %d (previous %d): write did not commit", c.path, v, last)
 		}
 		last = v
@@ -360,6 +366,39 @@ func TestOCCConflictRetryFansOutExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestNeutralPropagateKeepsIfMatchVersion: a propagate that finds no
+// slip answers 200 at the version it was sent, so a client holding that
+// version can still write with it, and a stale If-Match on a neutral
+// propagate still conflicts.
+func TestNeutralPropagateKeepsIfMatchVersion(t *testing.T) {
+	p := newTracked(t)
+	s := New(p, Options{})
+	v0 := p.Version()
+	v := strconv.FormatUint(v0, 10)
+	rec := postIfMatch(t, s, "/propagate", "", v)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("neutral propagate at the current version = %d: %s", rec.Code, rec.Body.String())
+	}
+	if got := rec.Header().Get("X-Flowsched-Version"); got != v {
+		t.Fatalf("neutral propagate stamped version %s, want %s", got, v)
+	}
+	rec = postIfMatch(t, s, "/milestone?name=m&class=performance&target="+
+		p.Now().Add(24*time.Hour).Format(time.RFC3339), "", v)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("write at the version a neutral propagate returned = %d: %s", rec.Code, rec.Body.String())
+	}
+	if got := version(t, rec); got <= v0 {
+		t.Fatalf("milestone write left version at %d (sent %d)", got, v0)
+	}
+	cur := p.Version()
+	if rec := postIfMatch(t, s, "/propagate", "", v); rec.Code != http.StatusConflict {
+		t.Fatalf("neutral propagate at stale version %s = %d, want 409: %s", v, rec.Code, rec.Body.String())
+	}
+	if p.Version() != cur {
+		t.Fatalf("conflicted propagate moved the version %d → %d", cur, p.Version())
+	}
+}
+
 // TestForkSessions: a designer branches the tracked project, mutates
 // and reads the branch through ?fork=, and discards it — without the
 // tracked project ever changing.
@@ -494,6 +533,39 @@ func TestSchedulesFireOnVirtualClockCross(t *testing.T) {
 	}
 	if list := scheduleList(t, s); len(list) != 0 {
 		t.Fatalf("schedules after delete: %+v", list)
+	}
+}
+
+// TestScheduledNeutralPropagateCommitsNothing: an hourly propagate that
+// fires on a project with no slip leaves the version, the WAL and the
+// read cache as they are.
+func TestScheduledNeutralPropagateCommitsNothing(t *testing.T) {
+	p := newTrackedDurable(t)
+	s := New(p, Options{})
+	sc, err := s.AddSchedule("hourly:propagate")
+	if err != nil {
+		t.Fatal(err)
+	}
+	get(t, s, "/status")
+	const invalidations = `serve_cache_events_total{event="invalidation",tier="memo"}`
+	version, seq, inval := p.Version(), p.WALSeq(), metricValue(t, s, invalidations)
+
+	// Due now, with the clock where the last run left it.
+	s.sched.mu.Lock()
+	sc.Next = p.Now()
+	s.sched.mu.Unlock()
+	s.runDueSchedules()
+	if got := scheduleByID(t, s, sc.ID); got.Fired != 1 || got.LastErr != "" {
+		t.Fatalf("schedule fired %d times, last error %q; want one clean fire", got.Fired, got.LastErr)
+	}
+	if p.Version() != version || p.WALSeq() != seq {
+		t.Fatalf("neutral fire moved version %d→%d, WAL seq %d→%d", version, p.Version(), seq, p.WALSeq())
+	}
+	if got := metricValue(t, s, invalidations); got != inval {
+		t.Fatalf("memo invalidations %d→%d across a neutral fire", inval, got)
+	}
+	if h := get(t, s, "/status").Header().Get("X-Flowsched-Cache"); h != "hit" {
+		t.Fatalf("/status after a neutral fire = %q, want hit", h)
 	}
 }
 
