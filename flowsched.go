@@ -172,6 +172,9 @@ type Project struct {
 	// project's risk analyses (and, shared by pointer, its forks' — the
 	// memo keys on subtree content, so reuse across forks is sound).
 	riskMemo *monte.Memo
+	// riskModels memoizes the derived risk models and their fingerprint
+	// per (tool-binding generation, target set); see ProjectView.riskModels.
+	riskModels riskModelMemo
 	// flight retains wide records of the project's expensive facade
 	// operations (risk, what-if) for post-hoc inspection; nil unless
 	// Options.Obs.Enabled.

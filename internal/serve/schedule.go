@@ -317,7 +317,7 @@ func (s *Server) schedulesRoute(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, r, "schedules", errReadOnly)
 			return
 		}
-		id, err := qInt(r, "id", 0)
+		id, err := qInt(r.URL.Query(), "id", 0)
 		if err != nil || id <= 0 {
 			s.writeError(w, r, "schedules", badRequest("missing id: pass ?id=N"))
 			return

@@ -35,6 +35,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -307,7 +308,29 @@ func retryAfterValue(d time.Duration) string {
 }
 
 // renderFunc renders one route's body from a pinned view.
-type renderFunc func(v *flowsched.ProjectView, r *http.Request) ([]byte, string, error)
+type renderFunc func(v *flowsched.ProjectView, rq *readReq) ([]byte, string, error)
+
+// readReq is one snapshot-pinned read: its query is parsed once, and
+// the fork lookup, the cache key and the renderer all read the parsed
+// values. /risk's parameters are parsed once too, by whichever of the
+// key and the renderer asks first.
+type readReq struct {
+	r *http.Request
+	q url.Values
+
+	risk       riskParams
+	riskErr    error
+	riskParsed bool
+}
+
+// riskParams returns the request's parsed /risk parameters.
+func (rq *readReq) riskParams(v *flowsched.ProjectView) (riskParams, error) {
+	if !rq.riskParsed {
+		rq.risk, rq.riskErr = parseRiskParams(v, rq.q)
+		rq.riskParsed = true
+	}
+	return rq.risk, rq.riskErr
+}
 
 func (s *Server) routes() {
 	// Snapshot-pinned, memoized read surfaces.
@@ -432,8 +455,9 @@ func (s *Server) handleView(pattern, name string, fn renderFunc) {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 			return
 		}
+		rq := &readReq{r: r, q: r.URL.Query()}
 		proj, session := s.p, uint64(0)
-		if fname := r.URL.Query().Get("fork"); fname != "" {
+		if fname := rq.q.Get("fork"); fname != "" {
 			// Read a fork session's state through the same routes
 			// (write.go): a designer inspects a what-if branch with the
 			// full read surface before deciding to promote or discard.
@@ -473,9 +497,9 @@ func (s *Server) handleView(pattern, name string, fn renderFunc) {
 		var ctype string
 		cacheState := "off"
 		if s.opt.DisableCache {
-			body, ctype, err = fn(v, r)
+			body, ctype, err = fn(v, rq)
 		} else {
-			key, fingerprint := cacheKey(name, session, v, r)
+			key, fingerprint := cacheKey(name, session, v, rq)
 			// Only the server's own project advances the snapshot
 			// generation; a fork's versions continue its parent's.
 			var version uint64
@@ -490,7 +514,7 @@ func (s *Server) handleView(pattern, name string, fn renderFunc) {
 			// the retry renders fresh under this request's own context.
 			for {
 				body, ctype, hit, err = s.cache.do(key, fingerprint, version, func() ([]byte, string, error) {
-					return fn(v, r)
+					return fn(v, rq)
 				})
 				if err != nil && !hit &&
 					(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) &&
@@ -536,31 +560,32 @@ func (s *Server) handleView(pattern, name string, fn renderFunc) {
 
 // cacheKey returns the request's one response-cache key and whether it
 // is an input fingerprint. /risk is keyed by its derived risk inputs, so
-// its entry outlives store advances that leave them unchanged; a request
-// the view cannot fingerprint (a bad parameter, an unknown target) falls
-// back to the snapshot key and renders its error uncached. Every other
-// route is keyed by the full snapshot identity: the fork session (0 for
-// the server's own project), the store version and the virtual instant
-// (the clock can tick between store writes, and rendered output shows
-// "now").
-func cacheKey(name string, session uint64, v *flowsched.ProjectView, r *http.Request) (string, bool) {
-	q := canonicalQuery(r)
+// its entry outlives store advances that leave them unchanged; its query
+// part leaves out workers, which changes no byte of the answer. A
+// request the view cannot fingerprint (a bad parameter, an unknown
+// target) falls back to the snapshot key and renders its error
+// uncached. Every other route is keyed by the full snapshot identity:
+// the fork session (0 for the server's own project), the store version
+// and the virtual instant (the clock can tick between store writes, and
+// rendered output shows "now").
+func cacheKey(name string, session uint64, v *flowsched.ProjectView, rq *readReq) (string, bool) {
 	if name == "risk" {
-		if fp, err := riskFingerprint(v, r); err == nil {
-			return name + "?" + q + "|" + fp, true
+		if fp, err := riskFingerprint(v, rq); err == nil {
+			return name + "?" + canonicalQuery(rq.q, "workers") + "|" + fp, true
 		}
 	}
-	return fmt.Sprintf("%d.%d.%d|%s?%s", session, v.Version(), v.Now().UnixNano(), name, q), false
+	return fmt.Sprintf("%d.%d.%d|%s?%s", session, v.Version(), v.Now().UnixNano(), name, canonicalQuery(rq.q, "")), false
 }
 
-// canonicalQuery renders the request's query parameters in sorted-key
-// order (value order preserved), so equivalent requests share one memo
-// entry regardless of parameter spelling order.
-func canonicalQuery(r *http.Request) string {
-	q := r.URL.Query()
+// canonicalQuery renders the query parameters in sorted-key order
+// (value order preserved), leaving out the omit key, so equivalent
+// requests share one memo entry regardless of parameter spelling order.
+func canonicalQuery(q url.Values, omit string) string {
 	keys := make([]string, 0, len(q))
 	for k := range q {
-		keys = append(keys, k)
+		if k != omit {
+			keys = append(keys, k)
+		}
 	}
 	sort.Strings(keys)
 	var b strings.Builder
@@ -591,8 +616,8 @@ func textBody(t string) ([]byte, string, error) {
 
 // targetsParam resolves the "targets" parameter, defaulting to the
 // snapshot plan's targets.
-func targetsParam(v *flowsched.ProjectView, r *http.Request) ([]string, error) {
-	if t := r.URL.Query().Get("targets"); t != "" {
+func targetsParam(v *flowsched.ProjectView, q url.Values) ([]string, error) {
+	if t := q.Get("targets"); t != "" {
 		return strings.Split(t, ","), nil
 	}
 	if t := v.Targets(); len(t) > 0 {
@@ -601,7 +626,7 @@ func targetsParam(v *flowsched.ProjectView, r *http.Request) ([]string, error) {
 	return nil, badRequest("no targets: pass ?targets=a,b or plan first")
 }
 
-func renderStatus(v *flowsched.ProjectView, _ *http.Request) ([]byte, string, error) {
+func renderStatus(v *flowsched.ProjectView, _ *readReq) ([]byte, string, error) {
 	rows, err := v.Status()
 	if err != nil {
 		return nil, "", err
@@ -613,7 +638,7 @@ func renderStatus(v *flowsched.ProjectView, _ *http.Request) ([]byte, string, er
 	}{v.Now(), v.PlanVersion(), rows})
 }
 
-func renderGantt(v *flowsched.ProjectView, _ *http.Request) ([]byte, string, error) {
+func renderGantt(v *flowsched.ProjectView, _ *readReq) ([]byte, string, error) {
 	chart, err := v.Gantt()
 	if err != nil {
 		return nil, "", err
@@ -621,8 +646,8 @@ func renderGantt(v *flowsched.ProjectView, _ *http.Request) ([]byte, string, err
 	return textBody(chart)
 }
 
-func renderTaskTree(v *flowsched.ProjectView, r *http.Request) ([]byte, string, error) {
-	targets, err := targetsParam(v, r)
+func renderTaskTree(v *flowsched.ProjectView, rq *readReq) ([]byte, string, error) {
+	targets, err := targetsParam(v, rq.q)
 	if err != nil {
 		return nil, "", err
 	}
@@ -633,7 +658,7 @@ func renderTaskTree(v *flowsched.ProjectView, r *http.Request) ([]byte, string, 
 	return textBody(tree)
 }
 
-func renderDashboard(v *flowsched.ProjectView, _ *http.Request) ([]byte, string, error) {
+func renderDashboard(v *flowsched.ProjectView, _ *readReq) ([]byte, string, error) {
 	d, err := v.Dashboard()
 	if err != nil {
 		return nil, "", err
@@ -641,7 +666,7 @@ func renderDashboard(v *flowsched.ProjectView, _ *http.Request) ([]byte, string,
 	return textBody(d)
 }
 
-func renderAnalyze(v *flowsched.ProjectView, _ *http.Request) ([]byte, string, error) {
+func renderAnalyze(v *flowsched.ProjectView, _ *readReq) ([]byte, string, error) {
 	cpm, err := v.Analyze()
 	if err != nil {
 		return nil, "", err
@@ -649,7 +674,7 @@ func renderAnalyze(v *flowsched.ProjectView, _ *http.Request) ([]byte, string, e
 	return jsonBody(cpm)
 }
 
-func renderMilestones(v *flowsched.ProjectView, _ *http.Request) ([]byte, string, error) {
+func renderMilestones(v *flowsched.ProjectView, _ *readReq) ([]byte, string, error) {
 	rows, err := v.MilestoneReport()
 	if err != nil {
 		return nil, "", err
@@ -660,8 +685,8 @@ func renderMilestones(v *flowsched.ProjectView, _ *http.Request) ([]byte, string
 	}{v.Now(), rows})
 }
 
-func renderQuery(v *flowsched.ProjectView, r *http.Request) ([]byte, string, error) {
-	q := r.URL.Query().Get("q")
+func renderQuery(v *flowsched.ProjectView, rq *readReq) ([]byte, string, error) {
+	q := rq.q.Get("q")
 	if q == "" {
 		return nil, "", badRequest("missing query: pass ?q=...")
 	}
@@ -672,16 +697,16 @@ func renderQuery(v *flowsched.ProjectView, r *http.Request) ([]byte, string, err
 	return textBody(out)
 }
 
-func renderReport(v *flowsched.ProjectView, r *http.Request) ([]byte, string, error) {
+func renderReport(v *flowsched.ProjectView, rq *readReq) ([]byte, string, error) {
 	to := v.Now()
 	from := to.Add(-7 * 24 * time.Hour)
 	var err error
-	if f := r.URL.Query().Get("from"); f != "" {
+	if f := rq.q.Get("from"); f != "" {
 		if from, err = time.Parse(time.RFC3339, f); err != nil {
 			return nil, "", badRequest("bad from %q: want RFC3339", f)
 		}
 	}
-	if t := r.URL.Query().Get("to"); t != "" {
+	if t := rq.q.Get("to"); t != "" {
 		if to, err = time.Parse(time.RFC3339, t); err != nil {
 			return nil, "", badRequest("bad to %q: want RFC3339", t)
 		}
@@ -721,22 +746,22 @@ type riskParams struct {
 	workers int
 }
 
-func parseRiskParams(v *flowsched.ProjectView, r *http.Request) (riskParams, error) {
+func parseRiskParams(v *flowsched.ProjectView, q url.Values) (riskParams, error) {
 	var p riskParams
 	var err error
-	if p.targets, err = targetsParam(v, r); err != nil {
+	if p.targets, err = targetsParam(v, q); err != nil {
 		return p, err
 	}
-	if p.trials, err = qInt(r, "trials", 1000); err != nil {
+	if p.trials, err = qInt(q, "trials", 1000); err != nil {
 		return p, err
 	}
 	if p.trials < 1 || p.trials > maxRiskTrials {
 		return p, badRequest("bad trials %d: want 1..%d", p.trials, maxRiskTrials)
 	}
-	if p.seed, err = qInt64(r, "seed", 1995); err != nil {
+	if p.seed, err = qInt64(q, "seed", 1995); err != nil {
 		return p, err
 	}
-	if p.workers, err = qInt(r, "workers", 0); err != nil {
+	if p.workers, err = qInt(q, "workers", 0); err != nil {
 		return p, err
 	}
 	return p, nil
@@ -745,17 +770,19 @@ func parseRiskParams(v *flowsched.ProjectView, r *http.Request) (riskParams, err
 // riskFingerprint keys /risk responses by the derived risk model and
 // sampling configuration — not the store version, because the
 // distribution depends only on those inputs (worker count is excluded:
-// runs are bit-identical for any worker count).
-func riskFingerprint(v *flowsched.ProjectView, r *http.Request) (string, error) {
-	p, err := parseRiskParams(v, r)
+// runs are bit-identical for any worker count). The view's risk-model
+// memo answers it without deriving anything at a warm tool-binding
+// generation, and pins the model set renderRisk then simulates.
+func riskFingerprint(v *flowsched.ProjectView, rq *readReq) (string, error) {
+	p, err := rq.riskParams(v)
 	if err != nil {
 		return "", err
 	}
 	return v.RiskFingerprint(p.targets, flowsched.RiskOptions{Trials: p.trials, Seed: p.seed})
 }
 
-func renderRisk(v *flowsched.ProjectView, r *http.Request) ([]byte, string, error) {
-	p, err := parseRiskParams(v, r)
+func renderRisk(v *flowsched.ProjectView, rq *readReq) ([]byte, string, error) {
+	p, err := rq.riskParams(v)
 	if err != nil {
 		return nil, "", err
 	}
@@ -765,7 +792,7 @@ func renderRisk(v *flowsched.ProjectView, r *http.Request) ([]byte, string, erro
 	if err != nil {
 		return nil, "", err
 	}
-	if ri := reqInfoFrom(r); ri != nil {
+	if ri := reqInfoFrom(rq.r); ri != nil {
 		ri.sampledTrials = int64(res.SampledActivityTrials)
 		ri.reusedTrials = int64(res.ReusedActivityTrials)
 	}
@@ -780,11 +807,11 @@ func renderRisk(v *flowsched.ProjectView, r *http.Request) ([]byte, string, erro
 }
 
 // parseWhatIfParams is the shared /whatif request parsing.
-func parseWhatIfParams(v *flowsched.ProjectView, r *http.Request) (targets []string, edits []flowsched.ScenarioEdit, err error) {
-	if targets, err = targetsParam(v, r); err != nil {
+func parseWhatIfParams(v *flowsched.ProjectView, q url.Values) (targets []string, edits []flowsched.ScenarioEdit, err error) {
+	if targets, err = targetsParam(v, q); err != nil {
 		return nil, nil, err
 	}
-	specs := r.URL.Query()["edit"]
+	specs := q["edit"]
 	if len(specs) == 0 {
 		return nil, nil, badRequest("no scenarios: pass ?edit=name=Act*1.5;Act+3h;parallel (repeatable)")
 	}
@@ -799,8 +826,8 @@ func parseWhatIfParams(v *flowsched.ProjectView, r *http.Request) (targets []str
 	return targets, edits, nil
 }
 
-func renderWhatIf(v *flowsched.ProjectView, r *http.Request) ([]byte, string, error) {
-	targets, edits, err := parseWhatIfParams(v, r)
+func renderWhatIf(v *flowsched.ProjectView, rq *readReq) ([]byte, string, error) {
+	targets, edits, err := parseWhatIfParams(v, rq.q)
 	if err != nil {
 		return nil, "", err
 	}
@@ -808,27 +835,27 @@ func renderWhatIf(v *flowsched.ProjectView, r *http.Request) ([]byte, string, er
 	if err != nil {
 		return nil, "", err
 	}
-	if r.URL.Query().Get("format") == "json" {
+	if rq.q.Get("format") == "json" {
 		return jsonBody(rep)
 	}
 	return textBody(rep.Render())
 }
 
-func renderPredict(v *flowsched.ProjectView, r *http.Request) ([]byte, string, error) {
-	activity := r.URL.Query().Get("activity")
+func renderPredict(v *flowsched.ProjectView, rq *readReq) ([]byte, string, error) {
+	activity := rq.q.Get("activity")
 	if activity == "" {
 		return nil, "", badRequest("missing activity: pass ?activity=Name")
 	}
-	alpha, err := qFloat(r, "alpha", 0)
+	alpha, err := qFloat(rq.q, "alpha", 0)
 	if err != nil {
 		return nil, "", err
 	}
-	size, err := qFloat(r, "size", 0)
+	size, err := qFloat(rq.q, "size", 0)
 	if err != nil {
 		return nil, "", err
 	}
 	var sizes []float64
-	if raw := r.URL.Query().Get("sizes"); raw != "" {
+	if raw := rq.q.Get("sizes"); raw != "" {
 		for _, part := range strings.Split(raw, ",") {
 			f, err := strconv.ParseFloat(part, 64)
 			if err != nil {
@@ -838,7 +865,7 @@ func renderPredict(v *flowsched.ProjectView, r *http.Request) ([]byte, string, e
 		}
 	}
 	pr, err := v.PredictDuration(activity, flowsched.PredictOptions{
-		Method: r.URL.Query().Get("method"), Alpha: alpha,
+		Method: rq.q.Get("method"), Alpha: alpha,
 		Size: size, Sizes: sizes,
 	})
 	if err != nil {
@@ -847,7 +874,7 @@ func renderPredict(v *flowsched.ProjectView, r *http.Request) ([]byte, string, e
 	return jsonBody(pr)
 }
 
-func renderVersion(v *flowsched.ProjectView, _ *http.Request) ([]byte, string, error) {
+func renderVersion(v *flowsched.ProjectView, _ *readReq) ([]byte, string, error) {
 	return jsonBody(struct {
 		StoreVersion uint64    `json:"storeVersion"`
 		PlanVersion  int       `json:"planVersion"`
@@ -865,7 +892,7 @@ func (s *Server) metrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) trace(w http.ResponseWriter, r *http.Request) {
-	depth, err := qInt(r, "depth", 0)
+	depth, err := qInt(r.URL.Query(), "depth", 0)
 	if err != nil {
 		http.Error(w, err.Error(), errCode(err))
 		return
@@ -882,7 +909,7 @@ func (s *Server) trace(w http.ResponseWriter, r *http.Request) {
 // Last-Event-ID resumes exactly where a poll (or a dropped stream) left
 // off.
 func (s *Server) events(w http.ResponseWriter, r *http.Request) {
-	since, err := qInt(r, "since", 0)
+	since, err := qInt(r.URL.Query(), "since", 0)
 	if err != nil {
 		http.Error(w, err.Error(), errCode(err))
 		return
@@ -943,8 +970,8 @@ func (s *Server) healthz(w http.ResponseWriter, _ *http.Request) {
 	w.Write(body)
 }
 
-func qInt(r *http.Request, name string, def int) (int, error) {
-	raw := r.URL.Query().Get(name)
+func qInt(q url.Values, name string, def int) (int, error) {
+	raw := q.Get(name)
 	if raw == "" {
 		return def, nil
 	}
@@ -955,8 +982,8 @@ func qInt(r *http.Request, name string, def int) (int, error) {
 	return n, nil
 }
 
-func qInt64(r *http.Request, name string, def int64) (int64, error) {
-	raw := r.URL.Query().Get(name)
+func qInt64(q url.Values, name string, def int64) (int64, error) {
+	raw := q.Get(name)
 	if raw == "" {
 		return def, nil
 	}
@@ -967,8 +994,8 @@ func qInt64(r *http.Request, name string, def int64) (int64, error) {
 	return n, nil
 }
 
-func qFloat(r *http.Request, name string, def float64) (float64, error) {
-	raw := r.URL.Query().Get(name)
+func qFloat(q url.Values, name string, def float64) (float64, error) {
+	raw := q.Get(name)
 	if raw == "" {
 		return def, nil
 	}

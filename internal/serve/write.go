@@ -287,7 +287,7 @@ func writePlan(p *flowsched.Project, r *http.Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	hours, err := qInt(r, "hours", 8)
+	hours, err := qInt(r.URL.Query(), "hours", 8)
 	if err != nil {
 		return nil, err
 	}

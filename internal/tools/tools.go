@@ -24,6 +24,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -210,9 +211,14 @@ func artifact(instance, class string, iteration int, digest uint64, quality floa
 // A Registry is safe for concurrent use: the serving layer reads
 // bindings (For, Bound) while an executing run may Rotate to an
 // alternate or rebind after a fault.
+//
+// Every change to the bindings moves the registry's generation, so a
+// reader can tell whether what it derived from the bindings is still
+// current (see Generation).
 type Registry struct {
 	mu         sync.RWMutex
 	byActivity map[string]*binding
+	gen        atomic.Uint64 // moved under mu by every mutator
 }
 
 // binding is one activity's instances; instances[active] runs next.
@@ -237,6 +243,7 @@ func (r *Registry) Bind(activity string, t Tool) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.byActivity[activity] = &binding{instances: []Tool{t}}
+	r.gen.Add(1)
 	return nil
 }
 
@@ -256,6 +263,7 @@ func (r *Registry) AddAlternate(activity string, t Tool) error {
 			return fmt.Errorf("tools: empty activity")
 		}
 		r.byActivity[activity] = &binding{instances: []Tool{t}}
+		r.gen.Add(1)
 		return nil
 	}
 	for _, have := range b.instances {
@@ -264,6 +272,7 @@ func (r *Registry) AddAlternate(activity string, t Tool) error {
 		}
 	}
 	b.instances = append(b.instances, t)
+	r.gen.Add(1)
 	return nil
 }
 
@@ -308,6 +317,7 @@ func (r *Registry) Rotate(activity string) (t Tool, rotated bool) {
 		return b.instances[b.active], false
 	}
 	b.active = (b.active + 1) % len(b.instances)
+	r.gen.Add(1)
 	return b.instances[b.active], true
 }
 
@@ -322,16 +332,25 @@ func (r *Registry) Map(fn func(activity string, t Tool) Tool) {
 			b.instances[i] = fn(a, t)
 		}
 	}
+	r.gen.Add(1)
 }
 
-// Clone returns an independent registry with the same bindings. Tool
-// instances are shared (they are stateless); rebinding in the clone never
-// affects the original — what a forked project needs to explore
-// alternative tool profiles.
+// Generation counts the registry's binding changes: Bind, AddAlternate,
+// a Rotate that rotates, and Map each move it. A reader that loads the
+// generation before deriving something from the bindings and finds it
+// unchanged afterwards derived from one consistent set of bindings, and
+// may keep the result until the generation moves again.
+func (r *Registry) Generation() uint64 { return r.gen.Load() }
+
+// Clone returns an independent registry with the same bindings and
+// generation. Tool instances are shared (they are stateless); rebinding
+// in the clone never affects the original — what a forked project needs
+// to explore alternative tool profiles.
 func (r *Registry) Clone() *Registry {
 	c := NewRegistry()
 	r.mu.RLock()
 	defer r.mu.RUnlock()
+	c.gen.Store(r.gen.Load())
 	for a, b := range r.byActivity {
 		c.byActivity[a] = &binding{
 			instances: append([]Tool(nil), b.instances...),

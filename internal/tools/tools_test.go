@@ -349,3 +349,43 @@ func TestRegistryCloneIndependentAlternates(t *testing.T) {
 		t.Fatal("clone state wrong")
 	}
 }
+
+// TestRegistryGeneration: every binding change moves the generation and
+// nothing else does — a refused Bind or AddAlternate, a Rotate with no
+// alternate and every read leave it alone. A clone starts at its
+// parent's generation and moves independently.
+func TestRegistryGeneration(t *testing.T) {
+	r := NewRegistry()
+	a, b := sim(t, "sim", "a#1", basic), sim(t, "sim", "a#2", basic)
+	step := func(what string, moves bool, fn func()) {
+		t.Helper()
+		before := r.Generation()
+		fn()
+		if got := r.Generation() != before; got != moves {
+			t.Fatalf("%s: generation moved = %t, want %t", what, got, moves)
+		}
+	}
+	step("Bind", true, func() { r.Bind("A", a) })
+	step("refused Bind", false, func() { r.Bind("", a) })
+	step("Rotate without alternate", false, func() { r.Rotate("A") })
+	step("Rotate of unbound activity", false, func() { r.Rotate("B") })
+	step("AddAlternate", true, func() { r.AddAlternate("A", b) })
+	step("refused AddAlternate", false, func() { r.AddAlternate("A", b) })
+	step("AddAlternate to unbound activity", true, func() { r.AddAlternate("B", b) })
+	step("Rotate", true, func() { r.Rotate("A") })
+	step("Map", true, func() { r.Map(func(_ string, t Tool) Tool { return t }) })
+	step("reads", false, func() {
+		r.For("A")
+		r.Bound("A")
+		r.Activities()
+	})
+	var c *Registry
+	step("Clone", false, func() { c = r.Clone() })
+	if c.Generation() != r.Generation() {
+		t.Fatalf("clone generation %d, parent %d", c.Generation(), r.Generation())
+	}
+	step("Bind in the clone", false, func() { c.Bind("A", b) })
+	if c.Generation() != r.Generation()+1 {
+		t.Fatalf("clone generation %d after one Bind, want %d", c.Generation(), r.Generation()+1)
+	}
+}

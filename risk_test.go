@@ -230,3 +230,117 @@ func TestProjectFlightRecorder(t *testing.T) {
 		t.Fatalf("uninstrumented lint: %v", errs)
 	}
 }
+
+// TestRiskModelMemo: the risk models and their fingerprint are derived
+// once per (tool-binding generation, target set) and shared by every
+// view; a view keeps answering from the set it derived even after a
+// rebinding, while a fresh view sees the new binding. Errors are never
+// filed, the memo stays bounded whatever target lists arrive, and a
+// fork derives into a memo of its own.
+func TestRiskModelMemo(t *testing.T) {
+	p := prepared(t)
+	targets := []string{"performance"}
+	opt := RiskOptions{Trials: 400, Seed: 9}
+	view := func() *ProjectView {
+		t.Helper()
+		v, err := p.View()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	set := func(v *ProjectView) *riskModelSet {
+		t.Helper()
+		s, err := v.riskModels(targets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	v1 := view()
+	fp1, err := v1.RiskFingerprint(targets, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res1, err := v1.SimulateRiskWith(targets, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if set(view()) != set(v1) {
+		t.Fatal("a second view at one generation derived the models again")
+	}
+
+	slow, err := NewSimTool("simulator", "simulator#9", ToolProfile{Base: 30 * time.Hour, Jitter: 0.1, MeanIterations: 1.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.BindTool("Simulate", slow); err != nil {
+		t.Fatal(err)
+	}
+	if fp, _ := v1.RiskFingerprint(targets, opt); fp != fp1 {
+		t.Fatal("a rebinding changed what an existing view fingerprints")
+	}
+	if res, _ := v1.SimulateRiskWith(targets, opt); res.Mean() != res1.Mean() {
+		t.Fatal("a rebinding changed what an existing view simulates")
+	}
+	v2 := view()
+	if fp, _ := v2.RiskFingerprint(targets, opt); fp == fp1 {
+		t.Fatal("a fresh view after the rebinding kept the fingerprint")
+	}
+	if res, _ := v2.SimulateRiskWith(targets, opt); res.Mean() <= res1.Mean() {
+		t.Fatalf("a fresh view simulated mean %v after binding a slower Simulate, want above %v", res.Mean(), res1.Mean())
+	}
+
+	if _, err := view().RiskFingerprint([]string{"nope"}, opt); err == nil {
+		t.Fatal("unknown target fingerprinted")
+	}
+	if _, filed := p.riskModels.sets["nope"]; filed {
+		t.Fatal("a failed derivation was filed")
+	}
+	for i := 1; i <= 3*maxRiskModelSets; i++ {
+		many := make([]string, i)
+		for j := range many {
+			many[j] = "performance"
+		}
+		if _, err := view().riskModels(many); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(p.riskModels.sets); n > maxRiskModelSets {
+			t.Fatalf("memo holds %d target sets, bound %d", n, maxRiskModelSets)
+		}
+	}
+
+	f, err := p.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fv, err := f.View()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fs, err := fv.riskModels(targets); err != nil || fs == set(view()) || len(f.riskModels.sets) != 1 {
+		t.Fatalf("fork derivation: err %v, shared the parent's set: %t, fork memo %d sets", err, fs == set(view()), len(f.riskModels.sets))
+	}
+}
+
+// TestRiskModelMemoKeysAreExact: a target list that aliases another
+// list's memo key (a target holding the key separator) is derived for
+// itself — here, refused as unknown — instead of served the other
+// list's models.
+func TestRiskModelMemoKeysAreExact(t *testing.T) {
+	p := prepared(t)
+	v, err := p.View()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := v.riskModels([]string{"performance", "performance"}); err != nil {
+		t.Fatal(err)
+	}
+	v, err = p.View()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := v.riskModels([]string{"performance\x00performance"}); err == nil {
+		t.Fatal("a target aliasing a filed list's key was served that list's models")
+	}
+}

@@ -4,8 +4,11 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"flowsched/internal/engine"
@@ -38,6 +41,10 @@ type ProjectView struct {
 	memo *monte.Memo     // the project's shared trial-stream memo
 	span *obs.Span       // request root for CaptureTrace'd views; else nil
 	ctx  context.Context // cancellation for compute surfaces; nil = never canceled
+	// models is the project's risk-model memo; risk pins the set this
+	// view (and every copy of it) last answered from.
+	models *riskModelMemo
+	risk   *atomic.Pointer[riskModelSet]
 }
 
 // WithContext returns a copy of the view whose compute surfaces
@@ -83,7 +90,10 @@ func (p *Project) View() (*ProjectView, error) {
 	if err != nil {
 		return nil, fmt.Errorf("flowsched: view: %w", err)
 	}
-	return &ProjectView{m: m, view: v, plan: plan, now: m.Clock.Now(), obs: p.obs, memo: p.riskMemo}, nil
+	return &ProjectView{
+		m: m, view: v, plan: plan, now: m.Clock.Now(), obs: p.obs, memo: p.riskMemo,
+		models: &p.riskModels, risk: new(atomic.Pointer[riskModelSet]),
+	}, nil
 }
 
 // Version is the store snapshot version the view is pinned to. It
@@ -322,13 +332,16 @@ func (v *ProjectView) ExportMPX() (string, error) {
 // risk analysis and the actual execution share one model. Every
 // in-scope activity must be bound to a simulated tool
 // (UseSimulatedTools or a NewSimTool binding); tools are session
-// configuration, not Level 3 state, so the live bindings are used.
+// configuration, not Level 3 state, so the live bindings are used. The
+// models come from the project's memo (see riskModels), so a call after
+// RiskFingerprint on the same view simulates exactly the models that
+// fingerprint names and derives nothing.
 //
 // Unless opt.NoReuse is set, the run shares the project's subtree
 // trial-stream memo: re-simulations after an edit re-sample only the
 // subtrees whose fingerprint changed, bit-identical to a cold run.
 func (v *ProjectView) SimulateRiskWith(targets []string, opt RiskOptions) (*RiskResult, error) {
-	models, err := v.riskModels(targets)
+	set, err := v.riskModels(targets)
 	if err != nil {
 		return nil, err
 	}
@@ -336,22 +349,110 @@ func (v *ProjectView) SimulateRiskWith(targets []string, opt RiskOptions) (*Risk
 	if opt.NoReuse {
 		memo = nil
 	}
-	return monte.Simulate(models, monte.Config{
+	return monte.Simulate(set.models, monte.Config{
 		Trials: opt.Trials, Seed: opt.Seed, Workers: opt.Workers,
 		Sketch: opt.Sketch, Memo: memo,
 		Obs: v.obs, Parent: v.span, VirtNow: v.now, Ctx: v.ctx,
 	})
 }
 
-// riskModels derives the stochastic activity models for the targets
-// from the bound simulated tools (see scenario.RiskModels — the sweep's
-// risk dimension and the view share one derivation).
-func (v *ProjectView) riskModels(targets []string) ([]monte.ActivityModel, error) {
-	tree, err := v.m.ExtractTree(targets...)
+// riskModelSet is one derivation of a target set's stochastic activity
+// models and their monte.ModelsFingerprint, made at tool-binding
+// generation gen. It is immutable once built: views and the memo share
+// it, and monte only reads the models.
+type riskModelSet struct {
+	targets []string // the target list, a copy
+	gen     uint64
+	models  []monte.ActivityModel
+	fp      uint64
+}
+
+// riskModelMemo holds a project's risk model sets for the current
+// tool-binding generation, one per target set. The models depend only
+// on the schema graph (fixed per project), the bindings and the
+// targets — never on the store version — so a warm /risk derives
+// nothing. A fork's Project has its own memo, since its registry is a
+// clone.
+type riskModelMemo struct {
+	mu   sync.Mutex
+	gen  uint64 // generation of every filed set
+	sets map[string]*riskModelSet
+}
+
+// maxRiskModelSets bounds the memo's target sets: target lists are
+// client input, so when full the memo drops everything, as the serve
+// layer's response cache does.
+const maxRiskModelSets = 64
+
+// riskTargetsKey is the memo's map key for a target list, order kept
+// (the models follow the tree's activity order). A target holding the
+// separator could alias another list, so a hit also compares the lists.
+func riskTargetsKey(targets []string) string {
+	if len(targets) == 1 {
+		return targets[0]
+	}
+	return strings.Join(targets, "\x00")
+}
+
+// get returns the target set's models at the registry's current
+// generation, deriving them on a miss. The generation is read before
+// and after deriving; only a derivation that no binding change
+// overlapped is filed. Errors are never filed.
+func (c *riskModelMemo) get(m *engine.Manager, targets []string) (*riskModelSet, error) {
+	key := riskTargetsKey(targets)
+	gen := m.Tools.Generation()
+	c.mu.Lock()
+	set := c.sets[key]
+	c.mu.Unlock()
+	if set != nil && set.gen == gen && slices.Equal(set.targets, targets) {
+		return set, nil
+	}
+	tree, err := m.ExtractTree(targets...)
 	if err != nil {
 		return nil, err
 	}
-	return scenario.RiskModels(v.m, tree)
+	models, err := scenario.RiskModels(m, tree)
+	if err != nil {
+		return nil, err
+	}
+	fp, err := monte.ModelsFingerprint(models)
+	if err != nil {
+		return nil, err
+	}
+	set = &riskModelSet{targets: slices.Clone(targets), gen: gen, models: models, fp: fp}
+	if m.Tools.Generation() != gen {
+		return set, nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch {
+	case gen < c.gen:
+		// A newer generation was filed meanwhile: this set is stale.
+		return set, nil
+	case gen > c.gen || c.sets == nil || len(c.sets) >= maxRiskModelSets:
+		c.sets, c.gen = make(map[string]*riskModelSet), gen
+	}
+	c.sets[key] = set
+	return set, nil
+}
+
+// riskModels returns the targets' risk model set. The view pins the set
+// it last answered from, so RiskFingerprint and SimulateRiskWith on one
+// view describe one model set even while tools are rebound
+// concurrently; otherwise the set comes from the project's memo, keyed
+// by (tool-binding generation, target set), and is derived (tree
+// extraction, scenario.RiskModels, monte.ModelsFingerprint) only on a
+// miss.
+func (v *ProjectView) riskModels(targets []string) (*riskModelSet, error) {
+	if set := v.risk.Load(); set != nil && slices.Equal(set.targets, targets) {
+		return set, nil
+	}
+	set, err := v.models.get(v.m, targets)
+	if err != nil {
+		return nil, err
+	}
+	v.risk.Store(set)
+	return set, nil
 }
 
 // RiskFingerprint returns a canonical fingerprint of everything a
@@ -360,13 +461,17 @@ func (v *ProjectView) riskModels(targets []string) ([]monte.ActivityModel, error
 // trials, seed, and sketch settings. Two calls whose fingerprints match
 // return bit-identical results, no matter how the underlying store
 // version or virtual clock moved in between — which is what lets a
-// serving layer reuse rendered risk answers across snapshots.
+// serving layer reuse rendered risk answers across snapshots. The
+// fingerprint also names the tool-binding generation the models were
+// derived at, so any rebinding retires the keys made before it, even
+// one that leaves the models equal (InjectFaults wraps tools without
+// changing their profiles).
+//
+// The models and their hash come from the project's memo (see
+// riskModels), so a repeated call at one generation hashes nothing but
+// the settings.
 func (v *ProjectView) RiskFingerprint(targets []string, opt RiskOptions) (string, error) {
-	models, err := v.riskModels(targets)
-	if err != nil {
-		return "", err
-	}
-	fp, err := monte.ModelsFingerprint(models)
+	set, err := v.riskModels(targets)
 	if err != nil {
 		return "", err
 	}
@@ -380,7 +485,7 @@ func (v *ProjectView) RiskFingerprint(targets []string, opt RiskOptions) (string
 	if opt.Sketch {
 		sk = monte.SketchVersion
 	}
-	return fmt.Sprintf("risk.%016x.t%d.s%d.sk%d", fp, trials, opt.Seed, sk), nil
+	return fmt.Sprintf("risk.%016x.g%d.t%d.s%d.sk%d", set.fp, set.gen, trials, opt.Seed, sk), nil
 }
 
 // WhatIfFingerprint is a canonical hash of everything a Scenarios sweep
