@@ -50,7 +50,8 @@
 //	query <text...>                           §IV.B query (see docs)
 //	dump                                      task database dump (Figs. 5–7 view)
 //	report [days]                             periodic status report (default last 7 days)
-//	milestone <name> <class> <date>           commit a milestone (proposed milestone)
+//	milestone <name> <class> <date>           commit a milestone (proposed milestone);
+//	                                          date 1995-06-09T17:00 (UTC) or RFC 3339
 //	milestones                                milestone report (achieved/pending, margin)
 //	export csv|mpx <path>                     export the plan for PM tooling
 //	actuals <path>                            import hand-collected actual dates (CSV)
@@ -73,6 +74,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -220,11 +222,11 @@ func (s *session) dispatch(line string) error {
 		if len(args) < 2 {
 			return fmt.Errorf("usage: import <class> <text...>")
 		}
-		id, err := s.project.Import(args[0], []byte(strings.Join(args[1:], " ")))
+		res, err := s.apply("import", url.Values{"class": {args[0]}}, []byte(strings.Join(args[1:], " ")))
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(s.out, "imported as %s\n", id)
+		fmt.Fprintf(s.out, "imported as %s\n", res.ID)
 		return nil
 	case "plan":
 		return s.plan(args)
@@ -286,11 +288,8 @@ func (s *session) dispatch(line string) error {
 		if len(args) != 3 {
 			return fmt.Errorf("usage: milestone <name> <class> <YYYY-MM-DDTHH:MM>")
 		}
-		target, err := time.Parse("2006-01-02T15:04", args[2])
-		if err != nil {
-			return fmt.Errorf("bad target date %q: %v", args[2], err)
-		}
-		if err := s.project.SetMilestone(args[0], args[1], target.UTC()); err != nil {
+		q := url.Values{"name": {args[0]}, "class": {args[1]}, "target": {args[2]}}
+		if _, err := s.apply("milestone", q, nil); err != nil {
 			return err
 		}
 		fmt.Fprintf(s.out, "milestone %s: %s by %s\n", args[0], args[1], args[2])
@@ -332,16 +331,15 @@ func (s *session) dispatch(line string) error {
 		if len(args) != 1 {
 			return fmt.Errorf("usage: actuals <csv-path>")
 		}
-		f, err := os.Open(args[0])
+		rows, err := os.ReadFile(args[0])
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		n, err := s.project.ImportActualsCSV(f)
+		res, err := s.apply("track", nil, rows)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(s.out, "applied %d actual(s)\n", n)
+		fmt.Fprintf(s.out, "applied %d actual(s)\n", res.Applied)
 		return nil
 	case "save":
 		if len(args) != 1 {
@@ -406,17 +404,12 @@ func (s *session) plan(args []string) error {
 	if len(args) != 2 {
 		return fmt.Errorf("usage: plan <targets,comma-sep> <hours-per-activity>")
 	}
-	hours, err := strconv.Atoi(args[1])
-	if err != nil || hours <= 0 {
-		return fmt.Errorf("bad hours %q", args[1])
-	}
-	plan, err := s.project.Plan(strings.Split(args[0], ","),
-		flowsched.Fixed{Default: time.Duration(hours) * time.Hour}, flowsched.PlanOptions{})
+	res, err := s.apply("plan", url.Values{"targets": {args[0]}, "hours": {args[1]}}, nil)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(s.out, "plan v%d: %d activities, finish %s\n",
-		plan.Version, len(plan.Activities), plan.Finish.Format("2006-01-02 15:04"))
+		res.Plan.Version, len(res.Plan.Activities), res.Plan.Finish.Format("2006-01-02 15:04"))
 	return nil
 }
 
@@ -424,9 +417,8 @@ func (s *session) exec(args []string) error {
 	if len(args) < 1 || len(args) > 2 || (len(args) == 2 && args[1] != "parallel") {
 		return fmt.Errorf("usage: run <targets,comma-sep> [parallel]")
 	}
-	res, err := s.project.RunWith(strings.Split(args[0], ","), flowsched.RunOptions{
-		AutoComplete: true, Parallel: len(args) == 2, Recovery: s.recovery,
-	})
+	q := url.Values{"targets": {args[0]}, "parallel": {strconv.FormatBool(len(args) == 2)}}
+	res, err := s.apply("run", q, nil)
 	if err != nil {
 		var ee *flowsched.ExecError
 		if errors.As(err, &ee) {
@@ -438,8 +430,20 @@ func (s *session) exec(args []string) error {
 		}
 		return err
 	}
-	s.printExec(res)
+	s.printExec(res.Run)
 	return nil
+}
+
+// apply parses one write from its named parameters — the argv mapped
+// onto the keys of the op grammar — and applies it to the project; a
+// run executes under the session's policy.
+func (s *session) apply(kind string, q url.Values, body []byte) (flowsched.OpResult, error) {
+	op, err := flowsched.ParseOp(kind, q, body)
+	if err != nil {
+		return flowsched.OpResult{}, err
+	}
+	op.Recovery = s.recovery
+	return op.Apply(s.project)
 }
 
 func (s *session) printExec(res *flowsched.ExecResult) {

@@ -263,18 +263,12 @@ func (h *Host) reopen(w http.ResponseWriter, r *http.Request) {
 	}
 	defer hd.Release()
 	hl := hd.Health()
-	body, ctype, err := jsonBody(struct {
+	writeJSON(w, http.StatusOK, struct {
 		Project     string `json:"project"`
 		Reopened    bool   `json:"reopened"`
 		Quarantined bool   `json:"quarantined"`
 		WALSeq      uint64 `json:"walSeq"`
 	}{id, true, hl.Quarantined, hl.WALSeq})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", ctype)
-	w.Write(body)
 }
 
 // projects lists every project under the root, resident or not.
@@ -292,15 +286,9 @@ func (h *Host) projects(w http.ResponseWriter, r *http.Request) {
 	if list == nil {
 		list = []host.ProjectInfo{}
 	}
-	body, ctype, err := jsonBody(struct {
+	writeJSON(w, http.StatusOK, struct {
 		Projects []host.ProjectInfo `json:"projects"`
 	}{list})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", ctype)
-	w.Write(body)
 }
 
 // metrics serves the host-level registry: per-tenant request counters
@@ -335,18 +323,11 @@ func (h *Host) healthz(w http.ResponseWriter, _ *http.Request) {
 	if len(quarantined) > 0 {
 		status, code = "degraded", http.StatusServiceUnavailable
 	}
-	body, ctype, err := jsonBody(struct {
+	writeJSON(w, code, struct {
 		Status        string   `json:"status"`
 		Projects      int      `json:"projects"`
 		Resident      int      `json:"resident"`
 		ResidentBytes int64    `json:"residentBytes"`
 		Quarantined   []string `json:"quarantined,omitempty"`
 	}{status, len(list), resident, h.reg.ResidentBytes(), quarantined})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", ctype)
-	w.WriteHeader(code)
-	w.Write(body)
 }

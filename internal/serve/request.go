@@ -105,16 +105,10 @@ func (s *Server) debugRequests(w http.ResponseWriter, _ *http.Request) {
 	if slowest == nil {
 		slowest = []obs.FlightRecord{}
 	}
-	body, ctype, err := jsonBody(struct {
+	writeJSON(w, http.StatusOK, struct {
 		Recent  []obs.FlightRecord `json:"recent"`
 		Slowest []obs.FlightRecord `json:"slowest"`
 	}{recent, slowest})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", ctype)
-	w.Write(body)
 }
 
 // debugTrace serves one retained request's span tree by trace ID:

@@ -3,8 +3,8 @@ package serve
 import (
 	"fmt"
 	"net/http"
+	"net/url"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -32,22 +32,20 @@ import (
 //	DELETE /schedules?id=3
 //
 // kind: hourly | daily | weekly | every (with &every=4h30m)
-// action: plan (re-plan targets at ?hours per activity),
-//         run (tracked run; &parallel=true overlaps branches),
-//         propagate (re-project the current plan for slips).
+// action: plan, run or propagate; the rest of the query is the action's
+//         op, parsed by flowsched.ParseOp exactly as its write route
+//         parses it, and each fire applies that op.
 
 // Schedule is one virtual-time cron entry.
 type Schedule struct {
-	ID       int           `json:"id"`
-	Kind     string        `json:"kind"`            // hourly|daily|weekly|every
-	Every    time.Duration `json:"every,omitempty"` // period for kind "every"
-	Action   string        `json:"action"`          // plan|run|propagate
-	Targets  []string      `json:"targets,omitempty"`
-	Hours    int           `json:"hours,omitempty"` // plan estimate per activity
-	Parallel bool          `json:"parallel,omitempty"`
-	Next     time.Time     `json:"next"` // next virtual fire instant
-	Fired    int           `json:"fired"`
-	LastErr  string        `json:"lastError,omitempty"`
+	ID      int           `json:"id"`
+	Kind    string        `json:"kind"`            // hourly|daily|weekly|every
+	Every   time.Duration `json:"every,omitempty"` // period for kind "every"
+	Action  string        `json:"action"`          // plan|run|propagate: the op's kind
+	Op      flowsched.Op  `json:"op"`              // what a fire applies, in its String form
+	Next    time.Time     `json:"next"`            // next virtual fire instant
+	Fired   int           `json:"fired"`
+	LastErr string        `json:"lastError,omitempty"`
 }
 
 // period is the schedule's virtual cadence.
@@ -84,19 +82,14 @@ func newScheduler(reg *obs.Registry) *scheduler {
 	}
 }
 
-// parseSchedule builds a Schedule from query-style parameters; spec
-// strings from the flowservd -schedule flag funnel through the same
-// names.
-func parseSchedule(get func(string) string, now time.Time) (*Schedule, error) {
-	sc := &Schedule{
-		Kind:   get("kind"),
-		Action: get("action"),
-		Hours:  8,
-	}
+// parseSchedule builds a Schedule from query parameters; spec strings
+// from the flowservd -schedule flag funnel through the same names.
+func parseSchedule(q url.Values, now time.Time) (*Schedule, error) {
+	sc := &Schedule{Kind: q.Get("kind"), Action: q.Get("action")}
 	switch sc.Kind {
 	case "hourly", "daily", "weekly":
 	case "every":
-		raw := get("every")
+		raw := q.Get("every")
 		if raw == "" {
 			return nil, badRequest("kind=every needs &every=4h30m")
 		}
@@ -108,24 +101,12 @@ func parseSchedule(get func(string) string, now time.Time) (*Schedule, error) {
 	default:
 		return nil, badRequest("bad kind %q: want hourly|daily|weekly|every", sc.Kind)
 	}
-	switch sc.Action {
-	case "plan", "run":
-		if t := get("targets"); t != "" {
-			sc.Targets = strings.Split(t, ",")
-		}
-	case "propagate":
-	default:
+	if sc.Action != "plan" && sc.Action != "run" && sc.Action != "propagate" {
 		return nil, badRequest("bad action %q: want plan|run|propagate", sc.Action)
 	}
-	if raw := get("hours"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil || n <= 0 {
-			return nil, badRequest("bad hours %q: want a positive integer", raw)
-		}
-		sc.Hours = n
-	}
-	if raw := get("parallel"); raw != "" {
-		sc.Parallel = raw == "true" || raw == "1"
+	var err error
+	if sc.Op, err = flowsched.ParseOp(sc.Action, q, nil); err != nil {
+		return nil, err
 	}
 	sc.Next = nextAligned(now, sc)
 	return sc, nil
@@ -171,9 +152,7 @@ func (sd *scheduler) list() []Schedule {
 	defer sd.mu.Unlock()
 	out := make([]Schedule, 0, len(sd.m))
 	for _, sc := range sd.m {
-		cp := *sc
-		cp.Targets = append([]string(nil), sc.Targets...)
-		out = append(out, cp)
+		out = append(out, *sc)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
@@ -201,7 +180,10 @@ func (sd *scheduler) due(now time.Time) []*Schedule {
 // the post-fire now, so sweeps terminate.
 func (s *Server) runDueSchedules() {
 	for _, sc := range s.sched.due(s.p.Now()) {
-		err := s.doWrite(s.p, func(p *flowsched.Project) error { return fireSchedule(p, sc) })
+		err := s.doWrite(s.p, func(p *flowsched.Project) error {
+			_, err := sc.Op.Apply(p)
+			return err
+		})
 		s.sched.mu.Lock()
 		sc.Fired++
 		if err != nil {
@@ -221,35 +203,6 @@ func (s *Server) runDueSchedules() {
 	}
 }
 
-// fireSchedule performs one schedule's action under the write lock.
-func fireSchedule(p *flowsched.Project, sc *Schedule) error {
-	targets := sc.Targets
-	if len(targets) == 0 {
-		if pl := p.CurrentPlan(); pl != nil {
-			targets = pl.Targets
-		}
-	}
-	switch sc.Action {
-	case "plan":
-		if len(targets) == 0 {
-			return fmt.Errorf("schedule %d: no targets and no plan to re-plan", sc.ID)
-		}
-		_, err := p.Plan(targets, flowsched.Fixed{Default: time.Duration(sc.Hours) * time.Hour}, flowsched.PlanOptions{})
-		return err
-	case "run":
-		if len(targets) == 0 {
-			return fmt.Errorf("schedule %d: no targets and no plan to run", sc.ID)
-		}
-		_, err := p.RunWith(targets, flowsched.RunOptions{AutoComplete: true, Parallel: sc.Parallel})
-		return err
-	case "propagate":
-		_, err := p.Propagate()
-		return err
-	default:
-		return fmt.Errorf("schedule %d: unknown action %q", sc.ID, sc.Action)
-	}
-}
-
 // AddSchedule installs a schedule from a flag-style spec:
 // "kind:action[:targets[:hours]]", with kind "every=4h" for custom
 // periods — e.g. "daily:run:performance" or "every=4h:plan:chip:6".
@@ -258,20 +211,20 @@ func (s *Server) AddSchedule(spec string) (*Schedule, error) {
 	if len(parts) < 2 {
 		return nil, fmt.Errorf("bad schedule %q: want kind:action[:targets[:hours]]", spec)
 	}
-	vals := map[string]string{"action": parts[1]}
+	vals := url.Values{"action": {parts[1]}}
 	if k, v, ok := strings.Cut(parts[0], "="); ok {
-		vals["kind"] = k
-		vals["every"] = v
+		vals.Set("kind", k)
+		vals.Set("every", v)
 	} else {
-		vals["kind"] = parts[0]
+		vals.Set("kind", parts[0])
 	}
-	if len(parts) > 2 && parts[2] != "" {
-		vals["targets"] = parts[2]
+	if len(parts) > 2 {
+		vals.Set("targets", parts[2])
 	}
 	if len(parts) > 3 {
-		vals["hours"] = parts[3]
+		vals.Set("hours", parts[3])
 	}
-	sc, err := parseSchedule(func(k string) string { return vals[k] }, s.p.Now())
+	sc, err := parseSchedule(vals, s.p.Now())
 	if err != nil {
 		return nil, fmt.Errorf("bad schedule %q: %w", spec, err)
 	}
@@ -282,36 +235,23 @@ func (s *Server) AddSchedule(spec string) (*Schedule, error) {
 func (s *Server) schedulesRoute(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		body, ctype, err := jsonBody(struct {
+		writeJSON(w, http.StatusOK, struct {
 			Now       time.Time  `json:"now"`
 			Schedules []Schedule `json:"schedules"`
 		}{s.p.Now(), s.sched.list()})
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", ctype)
-		w.Write(body)
 	case http.MethodPost:
 		if s.opt.ReadOnly {
 			s.writeError(w, r, "schedules", errReadOnly)
 			return
 		}
-		q := r.URL.Query()
-		sc, err := parseSchedule(q.Get, s.p.Now())
+		sc, err := parseSchedule(r.URL.Query(), s.p.Now())
 		if err != nil {
 			s.writeError(w, r, "schedules", err)
 			return
 		}
 		s.sched.add(sc)
 		s.writes.With("schedules", "ok").Inc()
-		body, ctype, merr := jsonBody(sc)
-		if merr != nil {
-			http.Error(w, merr.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", ctype)
-		w.Write(body)
+		writeJSON(w, http.StatusOK, sc)
 	case http.MethodDelete:
 		if s.opt.ReadOnly {
 			s.writeError(w, r, "schedules", errReadOnly)
@@ -327,11 +267,9 @@ func (s *Server) schedulesRoute(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.writes.With("schedules", "ok").Inc()
-		body, ctype, _ := jsonBody(struct {
+		writeJSON(w, http.StatusOK, struct {
 			Deleted int `json:"deleted"`
 		}{id})
-		w.Header().Set("Content-Type", ctype)
-		w.Write(body)
 	default:
 		w.Header().Set("Allow", "GET, POST, DELETE")
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)

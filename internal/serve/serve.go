@@ -610,6 +610,18 @@ func jsonBody(v any) ([]byte, string, error) {
 	return append(b, '\n'), "application/json; charset=utf-8", nil
 }
 
+// writeJSON answers v as indented JSON with the given status.
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, ctype, err := jsonBody(v)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", ctype)
+	w.WriteHeader(code)
+	w.Write(body)
+}
+
 func textBody(t string) ([]byte, string, error) {
 	return []byte(t), "text/plain; charset=utf-8", nil
 }
@@ -929,17 +941,11 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 	if evs == nil {
 		evs = []flowsched.Event{}
 	}
-	body, ctype, err := jsonBody(struct {
+	writeJSON(w, http.StatusOK, struct {
 		Since  int               `json:"since"`
 		Next   int               `json:"next"`
 		Events []flowsched.Event `json:"events"`
 	}{since, next, evs})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", ctype)
-	w.Write(body)
 }
 
 // healthz reports the project's real serving state. A quarantined
@@ -953,7 +959,7 @@ func (s *Server) healthz(w http.ResponseWriter, _ *http.Request) {
 	if h.Quarantined {
 		status, code = "degraded", http.StatusServiceUnavailable
 	}
-	body, ctype, err := jsonBody(struct {
+	writeJSON(w, code, struct {
 		Status      string    `json:"status"`
 		Now         time.Time `json:"now"`
 		Durable     bool      `json:"durable"`
@@ -961,13 +967,6 @@ func (s *Server) healthz(w http.ResponseWriter, _ *http.Request) {
 		Error       string    `json:"error,omitempty"`
 		WALSeq      uint64    `json:"walSeq,omitempty"`
 	}{status, s.p.Now(), h.Durable, h.Quarantined, h.Err, h.WALSeq})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", ctype)
-	w.WriteHeader(code)
-	w.Write(body)
 }
 
 func qInt(q url.Values, name string, def int) (int, error) {

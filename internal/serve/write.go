@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -28,21 +27,21 @@ import (
 //     409 carrying the current version (header and body) so the client
 //     re-reads and retries. Without If-Match the write is
 //     unconditional.
+//   - Each route is one op kind: the query and the body parse into a
+//     flowsched.Op (the grammar hercules and schedules share), and the
+//     op applies under the lock.
 //   - Errors map through writeError: 400 malformed request, 409
-//     version conflict or fork-session limit, 422 execution failure
-//     (the write ran and the flow failed — domain outcome, not
-//     transport), 503 quarantined durable project (structured JSON
-//     naming ErrQuarantined so operators can alert on the sentinel).
+//     version conflict or fork-session limit, 413 body over 1 MiB, 422
+//     execution failure (the write ran and the flow failed — domain
+//     outcome, not transport), 503 quarantined durable project
+//     (structured JSON naming ErrQuarantined so operators can alert on
+//     the sentinel).
 //   - On success the response carries the post-write store version in
 //     X-Flowsched-Version — the token to If-Match the next write on.
 //
 // A successful write may advance the virtual clock (a run always
 // does), so due virtual-time schedules fire right after it; see
 // schedule.go.
-
-// writeFunc performs one route's mutation against the locked project
-// and returns the JSON payload of the success response.
-type writeFunc func(p *flowsched.Project, r *http.Request) (any, error)
 
 // conflictError is an If-Match mismatch: someone committed between the
 // client's read and its write.
@@ -97,8 +96,7 @@ func (s *Server) doWrite(target *flowsched.Project, fn func(*flowsched.Project) 
 
 // writeTarget resolves which project a write addresses: the server's
 // own, or a named fork session (?fork=name).
-func (s *Server) writeTarget(r *http.Request) (p *flowsched.Project, isFork bool, err error) {
-	name := r.URL.Query().Get("fork")
+func (s *Server) writeTarget(name string) (p *flowsched.Project, isFork bool, err error) {
 	if name == "" {
 		return s.p, false, nil
 	}
@@ -109,35 +107,45 @@ func (s *Server) writeTarget(r *http.Request) (p *flowsched.Project, isFork bool
 	return fs.p, true, nil
 }
 
-// handleWrite registers one mutating route.
-func (s *Server) handleWrite(pattern, name string, fn writeFunc) {
-	s.mux.HandleFunc(pattern, s.instrument(name, func(w http.ResponseWriter, r *http.Request) {
-		s.serveWrite(w, r, name, fn)
-	}))
-}
+// maxWriteBody caps a write's body (an import's content, a track's CSV
+// rows); a larger body answers 413 instead of being cut short.
+const maxWriteBody = 1 << 20
 
-func (s *Server) serveWrite(w http.ResponseWriter, r *http.Request, name string, fn writeFunc) {
+// serveWrite answers one write route: the op of the route's kind,
+// parsed from the query and the body, applied under the write lock.
+func (s *Server) serveWrite(w http.ResponseWriter, r *http.Request, kind string) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
 	if s.opt.ReadOnly {
-		s.writeError(w, r, name, errReadOnly)
+		s.writeError(w, r, kind, errReadOnly)
 		return
 	}
-	target, isFork, err := s.writeTarget(r)
+	q := r.URL.Query()
+	target, isFork, err := s.writeTarget(q.Get("fork"))
 	if err != nil {
-		s.writeError(w, r, name, err)
+		s.writeError(w, r, kind, err)
 		return
 	}
 	ifMatch, haveMatch, err := parseIfMatch(r)
 	if err != nil {
-		s.writeError(w, r, name, err)
+		s.writeError(w, r, kind, err)
+		return
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxWriteBody))
+	if err != nil {
+		s.writeError(w, r, kind, err)
+		return
+	}
+	op, err := flowsched.ParseOp(kind, q, body)
+	if err != nil {
+		s.writeError(w, r, kind, err)
 		return
 	}
 
-	var payload any
+	var res flowsched.OpResult
 	var newVersion uint64
 	var vnow time.Time
 	err = s.doWrite(target, func(p *flowsched.Project) error {
@@ -145,12 +153,12 @@ func (s *Server) serveWrite(w http.ResponseWriter, r *http.Request, name string,
 			return &conflictError{current: p.Version()}
 		}
 		var ferr error
-		payload, ferr = fn(p, r)
+		res, ferr = op.Apply(p)
 		newVersion, vnow = p.Version(), p.Now()
 		return ferr
 	})
 	if err != nil {
-		s.writeError(w, r, name, err)
+		s.writeError(w, r, kind, err)
 		return
 	}
 	if !isFork {
@@ -163,16 +171,10 @@ func (s *Server) serveWrite(w http.ResponseWriter, r *http.Request, name string,
 		ri.version, ri.vnow = newVersion, vnow
 	}
 	s.storeVersion.Set(int64(s.p.Version()))
-	s.writes.With(name, "ok").Inc()
+	s.writes.With(kind, "ok").Inc()
 	w.Header().Set("X-Flowsched-Version", strconv.FormatUint(newVersion, 10))
 	w.Header().Set("X-Flowsched-Now", strconv.FormatInt(vnow.UnixNano(), 10))
-	body, ctype, err := jsonBody(payload)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", ctype)
-	w.Write(body)
+	writeJSON(w, http.StatusOK, opPayload(op, res))
 }
 
 // writeErrorBody is the structured JSON error of the write path.
@@ -195,6 +197,7 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, name string,
 	var ce *conflictError
 	var fe *forkLimitError
 	var xe *flowsched.ExecError
+	var me *http.MaxBytesError
 	switch {
 	case errors.As(err, &ce):
 		// Stale If-Match: tell the client where the store actually is,
@@ -222,6 +225,8 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, name string,
 			body.Failed = xe.Failed.Activity
 			body.Completed = xe.Failed.Completed
 		}
+	case errors.As(err, &me):
+		code, outcome = http.StatusRequestEntityTooLarge, "too_large"
 	case errors.Is(err, context.Canceled):
 		code, outcome = statusClientClosedRequest, "canceled"
 	case errors.Is(err, context.DeadlineExceeded):
@@ -237,208 +242,41 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, name string,
 		ri.errMsg = err.Error()
 	}
 	s.writes.With(name, outcome).Inc()
-	b, _ := json.MarshalIndent(body, "", "  ")
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(code)
-	w.Write(append(b, '\n'))
+	writeJSON(w, code, body)
 }
 
-// writeTargets resolves the "targets" parameter against the locked
-// project (default: the tracked plan's targets).
-func writeTargets(p *flowsched.Project, r *http.Request) ([]string, error) {
-	if t := r.URL.Query().Get("targets"); t != "" {
-		return strings.Split(t, ","), nil
-	}
-	if pl := p.CurrentPlan(); pl != nil && len(pl.Targets) > 0 {
-		return pl.Targets, nil // CurrentPlan returns a copy
-	}
-	return nil, badRequest("no targets: pass ?targets=a,b or plan first")
-}
-
-func qBool(r *http.Request, name string, def bool) (bool, error) {
-	raw := r.URL.Query().Get(name)
-	if raw == "" {
-		return def, nil
-	}
-	b, err := strconv.ParseBool(raw)
-	if err != nil {
-		return false, badRequest("bad %s %q: want true|false", name, raw)
-	}
-	return b, nil
-}
-
-// writeRoutes registers the mutating surface.
+// writeRoutes registers the mutating surface: one route per op kind,
+// named after it, plus fork sessions and schedules.
 func (s *Server) writeRoutes() {
-	s.handleWrite("/plan", "plan", writePlan)
-	s.handleWrite("/run", "run", writeRun)
-	s.handleWrite("/track", "track", writeTrack)
-	s.handleWrite("/complete", "complete", writeComplete)
-	s.handleWrite("/import", "import", writeImport)
-	s.handleWrite("/milestone", "milestone", writeMilestone)
-	s.handleWrite("/propagate", "propagate", writePropagate)
-	s.handleWrite("/edit", "edit", writeEdit)
+	for _, kind := range flowsched.OpKinds {
+		s.mux.HandleFunc("/"+kind, s.instrument(kind, func(w http.ResponseWriter, r *http.Request) {
+			s.serveWrite(w, r, kind)
+		}))
+	}
 	s.mux.HandleFunc("/fork", s.instrument("fork", s.forkRoute))
 	s.mux.HandleFunc("/schedules", s.instrument("schedules", s.schedulesRoute))
 }
 
-// writePlan derives a new tracked plan: POST /plan?targets=a,b&hours=8.
-func writePlan(p *flowsched.Project, r *http.Request) (any, error) {
-	targets, err := writeTargets(p, r)
-	if err != nil {
-		return nil, err
+// opPayload formats an applied op as its route's JSON response.
+func opPayload(op flowsched.Op, res flowsched.OpResult) map[string]any {
+	switch op.Kind {
+	case "plan":
+		return map[string]any{"planVersion": res.Plan.Version, "targets": res.Targets, "activities": len(res.Plan.Activities)}
+	case "run":
+		return map[string]any{"targets": res.Targets, "activities": len(res.Run.Outcomes), "started": res.Run.Started, "finished": res.Run.Finished}
+	case "track":
+		return map[string]any{"applied": res.Applied}
+	case "complete":
+		return map[string]any{"completed": op.Activity, "entity": op.Entity}
+	case "import":
+		return map[string]any{"id": res.ID, "class": op.Class}
+	case "milestone":
+		return map[string]any{"milestone": op.Name, "class": op.Class, "target": op.Target}
+	case "propagate":
+		return map[string]any{"finish": res.Finish}
+	default: // edit
+		return map[string]any{"applied": res.Edit.Name}
 	}
-	hours, err := qInt(r.URL.Query(), "hours", 8)
-	if err != nil {
-		return nil, err
-	}
-	if hours <= 0 {
-		return nil, badRequest("bad hours %d: want > 0", hours)
-	}
-	pl, err := p.Plan(targets, flowsched.Fixed{Default: time.Duration(hours) * time.Hour}, flowsched.PlanOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return struct {
-		PlanVersion int      `json:"planVersion"`
-		Targets     []string `json:"targets"`
-		Activities  int      `json:"activities"`
-	}{pl.Version, targets, len(pl.Activities)}, nil
-}
-
-// writeRun executes the flow: POST /run?targets=&parallel=&autocomplete=.
-func writeRun(p *flowsched.Project, r *http.Request) (any, error) {
-	targets, err := writeTargets(p, r)
-	if err != nil {
-		return nil, err
-	}
-	parallel, err := qBool(r, "parallel", false)
-	if err != nil {
-		return nil, err
-	}
-	auto, err := qBool(r, "autocomplete", true)
-	if err != nil {
-		return nil, err
-	}
-	res, err := p.RunWith(targets, flowsched.RunOptions{AutoComplete: auto, Parallel: parallel})
-	if err != nil {
-		return nil, err
-	}
-	return struct {
-		Targets    []string  `json:"targets"`
-		Activities int       `json:"activities"`
-		Started    time.Time `json:"started"`
-		Finished   time.Time `json:"finished"`
-	}{targets, len(res.Outcomes), res.Started, res.Finished}, nil
-}
-
-// writeTrack applies hand-collected actuals: POST /track with a CSV
-// body of activity,start,finish,done rows — the paper's manual status
-// tracking, over HTTP.
-func writeTrack(p *flowsched.Project, r *http.Request) (any, error) {
-	defer r.Body.Close()
-	body := io.LimitReader(r.Body, 1<<20)
-	n, err := p.ImportActualsCSV(body)
-	if err != nil {
-		return nil, badRequest("%v", err)
-	}
-	return struct {
-		Applied int `json:"applied"`
-	}{n}, nil
-}
-
-// writeComplete links an activity to its final entity instance:
-// POST /complete?activity=Name&entity=id.
-func writeComplete(p *flowsched.Project, r *http.Request) (any, error) {
-	activity := r.URL.Query().Get("activity")
-	if activity == "" {
-		return nil, badRequest("missing activity: pass ?activity=Name")
-	}
-	entity := r.URL.Query().Get("entity")
-	if entity == "" {
-		return nil, badRequest("missing entity: pass ?entity=id (the final design data instance)")
-	}
-	if err := p.Complete(activity, entity); err != nil {
-		return nil, err
-	}
-	return struct {
-		Completed string `json:"completed"`
-		Entity    string `json:"entity"`
-	}{activity, entity}, nil
-}
-
-// writeImport registers primary design data: POST /import?class=X with
-// the entity's content as the body.
-func writeImport(p *flowsched.Project, r *http.Request) (any, error) {
-	class := r.URL.Query().Get("class")
-	if class == "" {
-		return nil, badRequest("missing class: pass ?class=name")
-	}
-	defer r.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		return nil, err
-	}
-	id, err := p.Import(class, data)
-	if err != nil {
-		return nil, err
-	}
-	return struct {
-		ID    string `json:"id"`
-		Class string `json:"class"`
-	}{id, class}, nil
-}
-
-// writeMilestone commits a named target date:
-// POST /milestone?name=&class=&target=RFC3339.
-func writeMilestone(p *flowsched.Project, r *http.Request) (any, error) {
-	name := r.URL.Query().Get("name")
-	class := r.URL.Query().Get("class")
-	rawTarget := r.URL.Query().Get("target")
-	if name == "" || class == "" || rawTarget == "" {
-		return nil, badRequest("milestone needs ?name=&class=&target=RFC3339")
-	}
-	target, err := time.Parse(time.RFC3339, rawTarget)
-	if err != nil {
-		return nil, badRequest("bad target %q: want RFC3339", rawTarget)
-	}
-	if err := p.SetMilestone(name, class, target); err != nil {
-		return nil, err
-	}
-	return struct {
-		Milestone string    `json:"milestone"`
-		Class     string    `json:"class"`
-		Target    time.Time `json:"target"`
-	}{name, class, target}, nil
-}
-
-// writePropagate re-projects the plan for slips: POST /propagate.
-func writePropagate(p *flowsched.Project, _ *http.Request) (any, error) {
-	finish, err := p.Propagate()
-	if err != nil {
-		return nil, err
-	}
-	return struct {
-		Finish time.Time `json:"finish"`
-	}{finish}, nil
-}
-
-// writeEdit promotes a what-if edit into the tracked reality:
-// POST /edit?spec=name=Act*1.5;Act2+3h (the hercules what-if syntax).
-func writeEdit(p *flowsched.Project, r *http.Request) (any, error) {
-	spec := r.URL.Query().Get("spec")
-	if spec == "" {
-		return nil, badRequest("missing spec: pass ?spec=name=Act*1.5;Act+3h")
-	}
-	e, err := flowsched.ParseScenarioEdit(spec)
-	if err != nil {
-		return nil, badRequest("%v", err)
-	}
-	if err := p.ApplyScenarioEdit(e); err != nil {
-		return nil, badRequest("%v", err)
-	}
-	return struct {
-		Applied string `json:"applied"`
-	}{e.Name}, nil
 }
 
 // forkSessions holds the server's named what-if forks: cheap
@@ -530,15 +368,9 @@ func (f *forkSessions) list() map[string]uint64 {
 func (s *Server) forkRoute(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		body, ctype, err := jsonBody(struct {
+		writeJSON(w, http.StatusOK, struct {
 			Forks map[string]uint64 `json:"forks"`
 		}{s.forks.list()})
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", ctype)
-		w.Write(body)
 	case http.MethodPost:
 		if s.opt.ReadOnly {
 			s.writeError(w, r, "fork", errReadOnly)
@@ -571,16 +403,10 @@ func (s *Server) forkRoute(w http.ResponseWriter, r *http.Request) {
 		}
 		s.writes.With("fork", "ok").Inc()
 		w.Header().Set("X-Flowsched-Version", strconv.FormatUint(at, 10))
-		body, ctype, merr := jsonBody(struct {
+		writeJSON(w, http.StatusOK, struct {
 			Fork    string `json:"fork"`
 			Version uint64 `json:"version"`
 		}{name, at})
-		if merr != nil {
-			http.Error(w, merr.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", ctype)
-		w.Write(body)
 	case http.MethodDelete:
 		if s.opt.ReadOnly {
 			s.writeError(w, r, "fork", errReadOnly)
@@ -596,11 +422,9 @@ func (s *Server) forkRoute(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.writes.With("fork", "ok").Inc()
-		body, ctype, _ := jsonBody(struct {
+		writeJSON(w, http.StatusOK, struct {
 			Deleted string `json:"deleted"`
 		}{name})
-		w.Header().Set("Content-Type", ctype)
-		w.Write(body)
 	default:
 		w.Header().Set("Allow", "GET, POST, DELETE")
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
