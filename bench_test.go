@@ -613,6 +613,36 @@ func benchPropagate(b *testing.B, p *Project, step time.Duration) {
 	b.ReportMetric(float64(p.Version()-v0)/float64(b.N), "versions/op")
 }
 
+// BenchmarkDurableWrite measures the durable write path: each op is one
+// designer iteration (import RTL, plan, run to sign-off) on a durable
+// ASIC project in a temp dir that starts after 4 iterations and grows by
+// one per op, so compare runs of one fixed -benchtime. Auto-checkpoints
+// are off, so B/op and allocs/op are the operations and their WAL
+// appends, not a checkpoint image. /nosync skips the fsync that ends
+// each operation; /fsync issues it.
+func BenchmarkDurableWrite(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		noSync bool
+	}{{"nosync", true}, {"fsync", false}} {
+		b.Run(bc.name, func(b *testing.B) {
+			p, err := Open(b.TempDir(), ASICSchema, Options{Designer: "bench"},
+				PersistOptions{NoSync: bc.noSync, CheckpointEvery: -1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(func() { p.Close() }) // untimed: Close checkpoints
+			designerLoop(b, p, 4)
+			text := randomText(2)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				designerIteration(b, p, text(2048))
+			}
+		})
+	}
+}
+
 // BenchmarkAblation_ArchRollup measures architectural plan + actual
 // roll-up over a 3-level, 64-leaf decomposition.
 func BenchmarkAblation_ArchRollup(b *testing.B) {

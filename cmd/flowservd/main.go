@@ -41,8 +41,10 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"net/url"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -256,7 +258,9 @@ func buildProject(load, schemaF, designer string) (*flowsched.Project, error) {
 }
 
 // prepare optionally plans (and runs) the requested targets so a fresh
-// daemon serves populated read surfaces instead of "no plan" errors.
+// daemon serves populated read surfaces instead of "no plan" errors. The
+// writes are ops (flowsched.ParseOp), so -plan and -hours are checked by
+// the same grammar, with the same messages, as POST /plan.
 func prepare(p *flowsched.Project, plan string, hours int, runPlan bool) error {
 	if plan == "" {
 		if runPlan {
@@ -264,24 +268,34 @@ func prepare(p *flowsched.Project, plan string, hours int, runPlan bool) error {
 		}
 		return nil
 	}
+	apply := func(kind string, q url.Values, body []byte) (flowsched.OpResult, error) {
+		op, err := flowsched.ParseOp(kind, q, body)
+		if err != nil {
+			return flowsched.OpResult{}, fmt.Errorf("startup %s: %w", kind, err)
+		}
+		return op.Apply(p)
+	}
+	planOp, err := flowsched.ParseOp("plan", url.Values{"targets": {plan}, "hours": {strconv.Itoa(hours)}}, nil)
+	if err != nil {
+		return fmt.Errorf("startup plan: %w", err)
+	}
 	// Seed every primary input so planned activities are runnable.
 	for _, in := range p.Schema().PrimaryInputs() {
-		if _, err := p.Import(in, []byte("seeded by flowservd")); err != nil {
+		if _, err := apply("import", url.Values{"class": {in}}, []byte("seeded by flowservd")); err != nil {
 			return err
 		}
 	}
-	targets := strings.Split(plan, ",")
-	if _, err := p.Plan(targets, flowsched.Fixed{Default: time.Duration(hours) * time.Hour}, flowsched.PlanOptions{}); err != nil {
+	r, err := planOp.Apply(p)
+	if err != nil {
 		return err
 	}
-	log.Printf("planned %v at %dh per activity", targets, hours)
+	log.Printf("planned %v at %dh per activity", r.Targets, hours)
 	if runPlan {
-		res, err := p.Run(targets, true)
-		if err != nil {
+		if r, err = apply("run", url.Values{"targets": {plan}}, nil); err != nil {
 			return err
 		}
 		log.Printf("startup run: %d activities, %s .. %s",
-			len(res.Outcomes), res.Started.Format(time.RFC3339), res.Finished.Format(time.RFC3339))
+			len(r.Run.Outcomes), r.Run.Started.Format(time.RFC3339), r.Run.Finished.Format(time.RFC3339))
 	}
 	return nil
 }

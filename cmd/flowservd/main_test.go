@@ -36,6 +36,8 @@ func TestStartupErrorsNameTheOffendingPath(t *testing.T) {
 		{"root is a file", []string{"-root", notDir}, notDir},
 		{"root with load", []string{"-root", t.TempDir(), "-load", badSession}, "mutually exclusive"},
 		{"run without plan", []string{"-run"}, "-plan"},
+		{"negative startup hours", []string{"-plan", "performance", "-hours", "-3"}, `bad hours "-3"`},
+		{"zero startup hours", []string{"-plan", "performance", "-hours", "0", "-run"}, `bad hours "0"`},
 		{"unknown flag", []string{"-definitely-not-a-flag"}, "definitely-not-a-flag"},
 	}
 	for _, c := range cases {

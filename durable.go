@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sync"
 	"time"
+	"unsafe"
 
 	"flowsched/internal/design"
 	"flowsched/internal/engine"
@@ -147,30 +148,99 @@ func (p *Project) Health() Health {
 // every later mutating facade operation (and from Checkpoint and Close).
 // Wedging also drops the quarantine marker file beside the WAL.
 type recorder struct {
-	log     *persist.Log
-	clock   *vclock.Clock
-	mu      sync.Mutex
-	pending []pendingRecord
-	err     error
+	log   *persist.Log
+	clock *vclock.Clock
+	mu    sync.Mutex
+	// The operation's records in commit order: recs[i] carries the clock
+	// when record i was buffered (flush sets its Kind and Body), and
+	// srcs[i] says which of muts, events and objs holds its value, the
+	// next one not yet read. Mutations and events are held by value and
+	// design objects (immutable) by their pointer, so buffering a record
+	// copies nothing to the heap.
+	recs   []persist.Record
+	srcs   []recordSource
+	muts   []store.Mutation
+	events []engine.Event
+	objs   []*design.Object
+	err    error
 	// logged is the clock the log last carried: the last appended
 	// record's Now, or the clock the project was opened at.
 	logged time.Time
+	// body and batch are flush's encode buffers: the records' bodies
+	// back to back, and the records AppendBatch takes.
+	body  []byte
+	batch []*persist.Record
 }
 
-// pendingRecord is a buffered record and the clock when it was buffered.
-type pendingRecord struct {
-	now time.Time
-	rec walRecord
-}
+type recordSource uint8
 
-// add buffers rec for the operation in flight.
-func (r *recorder) add(rec walRecord) {
+const (
+	srcMut recordSource = iota
+	srcEvent
+	srcObject
+)
+
+// addMut, addEvent and addObject buffer a record for the operation in
+// flight.
+func (r *recorder) addMut(m store.Mutation) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.err != nil {
-		return
+	if r.pushLocked(srcMut) {
+		r.muts = push(r.muts, m)
 	}
-	r.pending = append(r.pending, pendingRecord{now: r.clock.Now(), rec: rec})
+}
+
+func (r *recorder) addEvent(e engine.Event) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.pushLocked(srcEvent) {
+		r.events = push(r.events, e)
+	}
+}
+
+func (r *recorder) addObject(o *design.Object) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.pushLocked(srcObject) {
+		r.objs = push(r.objs, o)
+	}
+}
+
+// pushLocked appends a record whose value src's slice holds next,
+// stamped with the clock, and reports whether it did: a wedged recorder
+// drops records.
+func (r *recorder) pushLocked(src recordSource) bool {
+	if r.err != nil {
+		return false
+	}
+	r.recs = push(r.recs, persist.Record{Now: r.clock.Now()})
+	r.srcs = push(r.srcs, src)
+	return true
+}
+
+// push appends v to s, growing a full s by a quarter where append would
+// double it: the recorder keeps its slices between operations, so
+// capacity past the largest operation is heap held for the project's
+// life.
+func push[S ~[]E, E any](s S, v E) S {
+	if len(s) == cap(s) {
+		s = append(make(S, 0, len(s)+len(s)/4+8), s...)
+	}
+	return append(s, v)
+}
+
+// reuse clears s, so that it keeps no design-data blob or entry alive,
+// and returns it emptied for the next operation, or nil when its backing
+// array holds more than persist.MaxReusedBuffer bytes: a rare large
+// operation (an RTL import) must not pin its buffer for the project's
+// life.
+func reuse[S ~[]E, E any](s S) S {
+	var e E
+	if uintptr(cap(s))*unsafe.Sizeof(e) > persist.MaxReusedBuffer {
+		return nil
+	}
+	clear(s)
+	return s[:0]
 }
 
 // clockOnly reports whether the clock has moved past what the log
@@ -178,51 +248,61 @@ func (r *recorder) add(rec walRecord) {
 func (r *recorder) clockOnly() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.err == nil && len(r.pending) == 0 && !r.clock.Now().Equal(r.logged)
+	return r.err == nil && len(r.recs) == 0 && !r.clock.Now().Equal(r.logged)
 }
 
 // flush stamps the last buffered record with the clock, encodes the
 // records and appends them as one batch, and returns the wedging error,
-// if any. The flushed slots are cleared so the buffer does not keep
-// design-data blobs alive.
+// if any. The buffers are kept for the next operation (reuse).
 func (r *recorder) flush() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if n := len(r.pending); r.err == nil && n > 0 {
+	if n := len(r.recs); r.err == nil && n > 0 {
 		now := r.clock.Now()
-		r.pending[n-1].now = now
+		r.recs[n-1].Now = now
 		if err := r.appendLocked(); err != nil {
 			r.wedgeLocked(err)
 		} else {
 			r.logged = now
 		}
 	}
-	clear(r.pending)
-	r.pending = r.pending[:0]
+	r.recs, r.srcs, r.batch = reuse(r.recs), reuse(r.srcs), reuse(r.batch)
+	r.muts, r.events, r.objs = reuse(r.muts), reuse(r.events), reuse(r.objs)
 	return r.err
 }
 
-// appendLocked encodes the pending records' bodies into one buffer and
-// appends them as one batch.
+// appendLocked encodes the buffered records' bodies into the body buffer
+// and appends them as one batch. Each body slices the buffer as it was
+// when the body was appended: a later append may move the buffer, but
+// never rewrites bytes already written, so every body stays valid.
+// AppendBatch keeps neither records nor bodies.
 func (r *recorder) appendLocked() error {
-	recs := make([]persist.Record, len(r.pending))
-	ends := make([]int, len(r.pending))
-	buf := make([]byte, 0, 4096)
-	for i, pr := range r.pending {
-		kind, b, err := appendRecord(buf, pr.rec)
+	body, batch := r.body[:0], r.batch[:0]
+	var mi, ei, oi int
+	for i, src := range r.srcs {
+		var w walRecord
+		switch src {
+		case srcMut:
+			w.mut, mi = &r.muts[mi], mi+1
+		case srcEvent:
+			w.event, ei = &r.events[ei], ei+1
+		case srcObject:
+			o := r.objs[oi]
+			oi++
+			w.data = &dataPut{Class: o.Ref.Class, Producer: o.Producer, Created: o.Created, Bytes: o.Bytes}
+		}
+		start := len(body)
+		kind, b, err := appendRecord(body, w)
 		if err != nil {
 			return err
 		}
-		buf, ends[i] = b, len(b)
-		recs[i] = persist.Record{Now: pr.now, Kind: kind}
-	}
-	batch := make([]*persist.Record, len(recs))
-	start := 0
-	for i := range recs {
-		recs[i].Body, start = buf[start:ends[i]], ends[i]
-		batch[i] = &recs[i]
+		body = b
+		rec := &r.recs[i]
+		rec.Kind, rec.Body = kind, body[start:len(body):len(body)]
+		batch = push(batch, rec)
 	}
 	_, err := r.log.AppendBatch(batch)
+	r.body, r.batch = reuse(body), batch
 	return err
 }
 
@@ -301,17 +381,9 @@ func Open(dir, schemaSrc string, opt Options, po PersistOptions) (*Project, erro
 	case po.CheckpointEvery < 0:
 		p.checkpointEvery = 0
 	}
-	p.mgr.DB.SetCommitHook(func(m store.Mutation) {
-		rec.add(walRecord{mut: &m})
-	})
-	p.mgr.Data.SetPutHook(func(o *design.Object) {
-		rec.add(walRecord{data: &dataPut{
-			Class: o.Ref.Class, Producer: o.Producer, Created: o.Created, Bytes: o.Bytes,
-		}})
-	})
-	p.mgr.SetEventHook(func(e engine.Event) {
-		rec.add(walRecord{event: &e})
-	})
+	p.mgr.DB.SetCommitHook(rec.addMut)
+	p.mgr.Data.SetPutHook(rec.addObject)
+	p.mgr.SetEventHook(rec.addEvent)
 
 	// Bootstrap: container creations that happened before the hooks were
 	// attached (engine.New on a fresh project, or engine.Restore's
@@ -324,10 +396,10 @@ func Open(dir, schemaSrc string, opt Options, po PersistOptions) (*Project, erro
 		if covered[c.Name] {
 			continue
 		}
-		rec.add(walRecord{mut: &store.Mutation{
+		rec.addMut(store.Mutation{
 			Kind: store.MutCreate, Version: c.Watermark(),
 			Container: c.Name, Space: c.Space, Class: c.Class,
-		}})
+		})
 	}
 	if err := rec.flush(); err != nil {
 		log.Close()

@@ -34,10 +34,12 @@ func writeFrame(w *bufio.Writer, payload []byte) error {
 	if len(payload) > maxFrame {
 		return fmt.Errorf("persist: frame of %d bytes exceeds frame limit", len(payload))
 	}
-	var hdr [frameHeader]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(hdr[:]); err != nil {
+	// The header is built in w's free buffer space, so it is not
+	// allocated; every append flushes w, so there is room for it.
+	hdr := w.AvailableBuffer()
+	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(payload)))
+	hdr = binary.BigEndian.AppendUint32(hdr, crc32.ChecksumIEEE(payload))
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
@@ -88,16 +90,13 @@ const batchV2 = 0x02
 // The clock is monotonic and moves a few times per facade operation, so
 // almost every step is zero: one byte per record.
 func encodeBatch(b []byte, recs []*Record) ([]byte, error) {
-	last := recs[len(recs)-1].Now
-	tb, err := last.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
 	b = append(b, batchV2)
 	b = binary.AppendUvarint(b, recs[0].Seq)
 	b = binary.AppendUvarint(b, uint64(len(recs)))
-	b = append(b, byte(len(tb)))
-	b = append(b, tb...)
+	b, err := appendTimeBinary(b, recs[len(recs)-1].Now)
+	if err != nil {
+		return nil, err
+	}
 	for i, r := range recs {
 		if r.Kind == KindV1 {
 			return nil, fmt.Errorf("record %d uses the reserved kind 0", r.Seq)
@@ -115,6 +114,29 @@ func encodeBatch(b []byte, recs []*Record) ([]byte, error) {
 		b = append(b, r.Body...)
 	}
 	return b, nil
+}
+
+// appendTimeBinary appends a length byte and then t.MarshalBinary()'s
+// bytes. A UTC time, the virtual clock of every project that starts in
+// UTC, is written in place — version 1, seconds since year 1,
+// nanoseconds, zone offset -1, as MarshalBinary writes it — so that
+// encoding a batch allocates nothing; any other location goes through
+// MarshalBinary.
+func appendTimeBinary(b []byte, t time.Time) ([]byte, error) {
+	if t.Location() != time.UTC {
+		tb, err := t.MarshalBinary()
+		if err != nil {
+			return nil, err
+		}
+		return append(append(b, byte(len(tb))), tb...), nil
+	}
+	// Unix() subtracts the year-1-to-1970 offset from the internal
+	// seconds; adding it back is exact even where either wraps.
+	const unixToInternal = (1969*365 + 1969/4 - 1969/100 + 1969/400) * 86400
+	b = append(b, 15, 1) // length, version 1
+	b = binary.BigEndian.AppendUint64(b, uint64(t.Unix()+unixToInternal))
+	b = binary.BigEndian.AppendUint32(b, uint32(t.Nanosecond()))
+	return binary.BigEndian.AppendUint16(b, 0xffff), nil // offset -1: UTC
 }
 
 // decodeBatch decodes one frame's payload: a version-2 batch, or a

@@ -25,7 +25,8 @@
 // AppendBatch writes a batch of records — everything one facade
 // operation committed — as one CRC-checksummed frame, and returns after
 // the frame is written and (unless Options.NoSync) fsynced: one fsync
-// per operation, not per record. Append is a batch of one. On recovery
+// per operation, not per record, plus a directory fsync when the batch
+// starts a new segment. Append is a batch of one. On recovery
 // the log yields the longest clean prefix of whole batches: framing or
 // checksum damage, a torn final frame, or a sequence gap ends replay
 // there and the tail is discarded — never a partially-applied mutation

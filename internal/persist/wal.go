@@ -10,6 +10,7 @@ import (
 	iofs "io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -21,8 +22,9 @@ type Options struct {
 	// SegmentBytes is the roll threshold: when a segment grows past it,
 	// the next append starts a new segment. Default 4 MiB.
 	SegmentBytes int64
-	// NoSync skips the fsync after each appended batch (and after
-	// checkpoint installation). Recovery correctness is unaffected — the
+	// NoSync skips the fsync after each appended batch, and the
+	// directory and file fsyncs of segment creation and checkpoint
+	// installation. Recovery correctness is unaffected — the
 	// clean prefix is still detected — but a power loss may lose
 	// recently acknowledged batches. For tests and benchmarks.
 	NoSync bool
@@ -148,6 +150,7 @@ type Log struct {
 	f        File   // open tail segment, nil until first append
 	w        *bufio.Writer
 	segBytes int64
+	frame    []byte // AppendBatch's encode buffer, kept between batches (see MaxReusedBuffer)
 }
 
 // Open opens or creates the log directory and loads the checkpoint if
@@ -364,7 +367,14 @@ func (l *Log) Append(r *Record) (uint64, error) { return l.AppendBatch([]*Record
 // synced); any failure before that poisons the log (ErrLogFailed)
 // without advancing the sequence, so a recovered log's clean prefix
 // always contains exactly the acknowledged batches and never a later
-// one.
+// one. The first batch of a segment is acknowledged only after the
+// segment's directory entry is synced too (see openSegmentLocked).
+//
+// AppendBatch sets each record's Seq and reads the records' bodies
+// before it returns; it retains neither the records nor their bodies,
+// so the caller may reuse both for its next batch. The frame is encoded
+// into a buffer the log keeps between batches (up to MaxReusedBuffer),
+// so a steady-state append allocates nothing.
 func (l *Log) AppendBatch(recs []*Record) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -388,9 +398,13 @@ func (l *Log) AppendBatch(recs []*Record) (uint64, error) {
 	for _, r := range recs {
 		size += 16 + len(r.Body)
 	}
-	payload, err := encodeBatch(make([]byte, 0, size), recs)
+	payload, err := encodeBatch(slices.Grow(l.frame[:0], size), recs)
 	if err != nil {
 		return 0, fmt.Errorf("persist: encode records %d..%d: %w", first, last, err)
+	}
+	l.frame = payload
+	if cap(payload) > MaxReusedBuffer {
+		l.frame = nil
 	}
 	if l.f == nil {
 		if err := l.openSegmentLocked(first); err != nil {
@@ -420,10 +434,20 @@ func (l *Log) AppendBatch(recs []*Record) (uint64, error) {
 	return last, nil
 }
 
+// MaxReusedBuffer bounds the encode buffers the write path keeps between
+// batches: a buffer whose backing array has grown past it (a batch that
+// carries a large design-data blob) is dropped after its batch rather
+// than kept for the log's life, so a rare large batch does not raise
+// the live heap.
+const MaxReusedBuffer = 64 << 10
+
 // openSegmentLocked starts a fresh segment whose name carries the first
-// sequence it will hold. Appends after a reopen start a new segment
-// rather than extending the recovered tail — simpler, and the recovered
-// tail stays exactly as replay validated it.
+// sequence it will hold, and syncs the directory so the segment's entry
+// is durable before its first batch is acknowledged: otherwise a crash
+// could lose the whole file, acknowledged batches and all, even though
+// each batch's own fsync succeeded. Appends after a reopen start a new
+// segment rather than extending the recovered tail — simpler, and the
+// recovered tail stays exactly as replay validated it.
 func (l *Log) openSegmentLocked(firstSeq uint64) error {
 	path := filepath.Join(l.dir, segmentName(firstSeq))
 	f, err := l.fs.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -431,6 +455,9 @@ func (l *Log) openSegmentLocked(firstSeq uint64) error {
 		return fmt.Errorf("persist: open segment: %w", err)
 	}
 	st, err := f.Stat()
+	if err == nil {
+		err = l.syncDir()
+	}
 	if err != nil {
 		f.Close()
 		return fmt.Errorf("persist: open segment: %w", err)
@@ -439,17 +466,15 @@ func (l *Log) openSegmentLocked(firstSeq uint64) error {
 	return nil
 }
 
+// closeSegmentLocked closes the tail segment. It issues no fsync: every
+// batch in it was synced when it was appended (or the log runs NoSync),
+// and a failed append poisons the log before a segment is closed.
 func (l *Log) closeSegmentLocked() error {
 	if l.f == nil {
 		return nil
 	}
 	if err := l.w.Flush(); err != nil {
 		return err
-	}
-	if !l.opt.NoSync {
-		if err := l.f.Sync(); err != nil {
-			return err
-		}
 	}
 	err := l.f.Close()
 	l.f, l.w, l.segBytes = nil, nil, 0
@@ -464,17 +489,20 @@ func (l *Log) closeSegmentLocked() error {
 // call (the host's per-project lock provides exactly that).
 //
 // Crash safety: the checkpoint is written to a temporary file, fsynced,
-// and renamed into place before any segment is deleted. A crash before
-// the rename recovers from the old checkpoint plus the full record
-// stream; a crash after it recovers from the new checkpoint, skipping
-// any not-yet-deleted segments' covered records by sequence number.
+// renamed into place, and the rename made durable by a directory fsync
+// before any segment is deleted. A crash before that sync recovers from
+// the old checkpoint plus the full record stream; a crash after it
+// recovers from the new checkpoint, skipping any not-yet-deleted
+// segments' covered records by sequence number. The unlinks are
+// therefore not synced: a deletion lost in a crash only leaves covered
+// records that replay skips.
 //
 // Failure safety: any disk failure poisons the log (ErrLogFailed). A
-// failure before the rename leaves the old checkpoint installed and
-// every segment intact (the temporary file is removed), so a fresh Open
-// recovers everything; a failure after the rename leaves the new
-// checkpoint installed with possibly-undeleted covered segments, which
-// replay skips by sequence number.
+// failure before the directory sync leaves every segment intact (the
+// temporary file is removed if the rename did not happen), so a fresh
+// Open recovers everything from whichever checkpoint survives; a failure
+// after it leaves the new checkpoint installed with possibly-undeleted
+// covered segments, which replay skips by sequence number.
 func (l *Log) WriteCheckpoint(payload []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -503,7 +531,9 @@ func (l *Log) WriteCheckpoint(payload []byte) error {
 		l.fs.Remove(tmp)
 		return l.failLocked(fmt.Errorf("persist: install checkpoint %s: %w", l.dir, err))
 	}
-	l.syncDir()
+	if err := l.syncDir(); err != nil {
+		return l.failLocked(fmt.Errorf("persist: install checkpoint %s: %w", l.dir, err))
+	}
 	l.cpSeq, l.hasCP, l.cp = l.seq, true, nil
 	// Every existing segment is now covered; drop them all. The next
 	// append starts a fresh segment at seq+1.
@@ -516,7 +546,6 @@ func (l *Log) WriteCheckpoint(payload []byte) error {
 			return l.failLocked(fmt.Errorf("persist: drop covered segment %s: %w", seg, err))
 		}
 	}
-	l.syncDir()
 	return nil
 }
 
@@ -545,16 +574,22 @@ func (l *Log) writeTmpLocked(tmp string, parts ...[]byte) error {
 	return nil
 }
 
-// syncDir fsyncs the log directory so renames and unlinks are durable.
-// Best-effort: some filesystems reject directory fsync.
-func (l *Log) syncDir() {
+// syncDir fsyncs the log directory so that the entries created, renamed
+// or removed in it so far are durable. It returns the failure, which the
+// caller treats like any failed write-path operation.
+func (l *Log) syncDir() error {
 	if l.opt.NoSync {
-		return
+		return nil
 	}
-	if d, err := l.fs.Open(l.dir); err == nil {
-		d.Sync()
-		d.Close()
+	d, err := l.fs.Open(l.dir)
+	if err != nil {
+		return err
 	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // SinceCheckpoint reports how many records the log holds past the

@@ -128,7 +128,7 @@ func appendMutation(b []byte, m *store.Mutation) (persist.RecordKind, []byte, er
 		b = appendString(append(b, ','), m.ID)
 		b = strconv.AppendInt(append(b, ','), int64(pre), 10)
 		b = strconv.AppendInt(append(b, ','), int64(suf), 10)
-		b = appendString(append(b, ','), string(m.Payload[pre:len(m.Payload)-suf]))
+		b = appendString(append(b, ','), m.Payload[pre:len(m.Payload)-suf])
 		b = strconv.AppendUint(append(b, ','), uint64(crc32.ChecksumIEEE(m.Payload)), 10)
 		return recPayload, append(b, ']'), nil
 	case store.MutLink:
